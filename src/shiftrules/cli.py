@@ -14,8 +14,7 @@ Subcommands:
 Every command is deterministic given ``--seed``; CSV bodies are byte-stable
 and carry a timestamped comment line unless ``--reproducible`` is set.  Exit
 codes: 0 success, 2 validation error, 3 numerical failure (singular nodes),
-4 configuration error.  ``EPSR_THREADS`` sets the worker count for
-repetition loops.
+4 configuration error.
 """
 
 from __future__ import annotations
@@ -31,7 +30,9 @@ from . import epsr, qsim, variance
 from .experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
+    _de_generations,
     _write_csv,
+    _write_gnuplot,
     random_base_params,
     run_experiment,
     sampled_estimates,
@@ -48,19 +49,6 @@ EXIT_CONFIG = 4
 
 class ConfigError(Exception):
     pass
-
-
-def _threads() -> int:
-    raw = os.environ.get("EPSR_THREADS", "").strip()
-    if not raw:
-        return 1
-    try:
-        n = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"EPSR_THREADS must be an integer, got {raw!r}") from exc
-    if n < 1:
-        raise ConfigError("EPSR_THREADS must be >= 1")
-    return n
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -132,7 +120,7 @@ def _rule_from_args(args, fs: FrequencySet):
     elif args.nodes is not None:
         nodes = epsr.ShiftNodes(parity, _floats(args.nodes))
     else:
-        generations = args.generations if args.generations is not None else max(400, 300 * fs.r)
+        generations = args.generations if args.generations is not None else _de_generations(fs.r)
         res = variance.optimize_shifts_global(
             fs, args.d, args.optimize,
             population=args.population, generations=generations, seed=args.seed)
@@ -186,17 +174,16 @@ def _cmd_estimate(args) -> int:
     else:
         n_total = int(args.shots) if args.shots is not None else args.n_total
         ests = sampled_estimates(sl, rule, xbar, (args.scheme,), n_total,
-                                 args.repetitions, [args.seed, 9, args.param],
-                                 args.method, _threads())
+                                 args.repetitions, [args.seed, 9, args.param], args.method)
         rows = list(enumerate(ests[args.scheme]))
 
     if args.out:
         _write_csv(args.out, ["repetition", "estimate"], rows, args.reproducible)
         if args.emit_gnuplot and not exact_mode:
-            base = os.path.basename(args.out)
-            with open(os.path.splitext(args.out)[0] + ".gp", "w") as fh:
-                fh.write("set datafile separator ','\n")
-                fh.write(f"plot '{base}' using 2 skip 1 smooth kdensity title 'estimates'\n")
+            _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
+                "set datafile separator ','",
+                f"plot '{os.path.basename(args.out)}' using 2 skip 1 smooth kdensity title 'estimates'",
+            ])
     else:
         print("repetition,estimate")
         for i, v in rows:
@@ -217,8 +204,7 @@ def _cmd_experiment(args) -> int:
             r_max=args.r_max, d_max=args.d_max)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    run_experiment(cfg, reproducible=args.reproducible, emit_gnuplot=args.emit_gnuplot,
-                   threads=_threads())
+    run_experiment(cfg, reproducible=args.reproducible, emit_gnuplot=args.emit_gnuplot)
     return EXIT_OK
 
 

@@ -55,6 +55,9 @@ CONDITION_LIMIT = 1e12
 #: evaluation terms in even-order rules.
 _MERGE_TOL = 1e-12
 
+#: Relative tolerance of :func:`rule_from_json` against the re-solved rule.
+_JSON_RTOL = 1e-9
+
 
 def _check_parity(parity: str) -> str:
     if parity not in ("odd", "even"):
@@ -374,17 +377,26 @@ def rule_to_json(rule: PSRRule) -> str:
 
 
 def rule_from_json(text: str) -> PSRRule:
-    """Inverse of :func:`rule_to_json`."""
+    """Inverse of :func:`rule_to_json`, checked against a fresh solve.
+
+    The rule is re-solved from the document's nodes, frequencies and order.
+    Stored coefficients ``b`` or expanded terms that differ from the re-solve
+    by more than ``_JSON_RTOL`` of their largest entry raise ValueError;
+    otherwise the re-solved rule, with its diagnostics, is returned.
+    """
     doc = json.loads(text)
-    fs = FrequencySet(tuple(doc["frequencies"]))
-    parity = doc["parity"]
-    nodes = ShiftNodes(parity, tuple(doc["nodes"]))
-    return PSRRule(
-        order=int(doc["order"]),
-        parity=parity,
-        nodes=nodes,
-        solve_coeffs=tuple(doc["b"]),
-        expanded_shifts=tuple(doc["expanded"]["phi"]),
-        expanded_coeffs=tuple(doc["expanded"]["gamma"]),
-        frequencies=fs,
-    )
+    try:
+        rule = make_rule(ShiftNodes(doc["parity"], tuple(doc["nodes"])),
+                         FrequencySet(tuple(doc["frequencies"])), int(doc["order"]))
+        stored = {"b": doc["b"], "phi": doc["expanded"]["phi"], "gamma": doc["expanded"]["gamma"]}
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"malformed rule document: {exc!r}") from exc
+    solved = {"b": rule.solve_coeffs, "phi": rule.expanded_shifts, "gamma": rule.expanded_coeffs}
+    for name, want in solved.items():
+        want = np.asarray(want)
+        got = np.asarray(stored[name], dtype=float)
+        tol = _JSON_RTOL * float(np.max(np.abs(want)))
+        if got.shape != want.shape or not np.all(np.abs(got - want) <= tol):
+            raise ValueError(f"rule document {name!r} does not match the rule re-solved from "
+                             f"its nodes, frequencies and order {rule.order}")
+    return rule

@@ -15,9 +15,9 @@ companion gnuplot script):
 * ``de-sweep``  -- differential-evolution global search vs the equidistant
   reference across (r, d) combinations.
 
-Every run is deterministic given the config seed; per-repetition random
-streams are spawned from the master seed so repetition loops may execute
-concurrently without changing the output.
+Every run is deterministic given the config seed: each table of sampled
+estimates draws from one generator keyed by the seed and the table's place
+in the experiment (see :func:`sampled_estimates` for the stream layout).
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from __future__ import annotations
 import datetime
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -167,64 +166,59 @@ def _write_gnuplot(path, lines) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _map_repetitions(fn, reps: int, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(reps)))
-    return [fn(i) for i in range(reps)]
-
-
 # ---------------------------------------------------------------------------
 # sampled derivative estimates shared by result2 / result3 / the CLI
 
 def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schemes,
-                      n_total: int, repetitions: int, seed_key, method: str = "multinomial",
-                      threads: int = 1) -> dict[str, np.ndarray]:
+                      n_total: int, repetitions: int, seed_key,
+                      method: str = "multinomial") -> dict[str, np.ndarray]:
     """Repeated sampled derivative estimates, one column per allocation scheme.
 
-    The per-shift outcome distributions are computed once; each repetition
-    draws fresh shot noise from its own spawned stream, so results are
-    deterministic for a seed and independent of execution order.
+    This is the package's shot model.  ``multinomial`` draws each shift's
+    shots from its outcome distribution in the observable eigenbasis (the
+    eigensystem is cached per observable); ``gaussian`` replaces each shift's
+    shot mean by a normal draw with the exact mean and one-shot variance.
+
+    Stream layout: one generator ``np.random.default_rng(seed_key)`` per
+    call; for each scheme in order, then each expanded shift in rule order
+    (skipping zero coefficients and zero shot counts), all ``repetitions``
+    draws of that shift at once.
     """
     gamma = np.asarray(rule.expanded_coeffs)
-    counts = {s: variance.integer_shot_counts(variance.allocate(s, gamma, n_total)) for s in schemes}
+    points = [xbar + phi for phi in rule.expanded_shifts]
     if method == "multinomial":
-        evals, evecs = np.linalg.eigh(sl.observable.to_matrix())
+        evals, evecs = qsim._eigensystem(sl.observable.terms)
         tables = []
-        for phi in rule.expanded_shifts:
-            pr = np.clip(np.abs(evecs.conj().T @ sl.state(xbar + phi)) ** 2, 0.0, None)
+        for x in points:
+            pr = np.clip(np.abs(evecs.conj().T @ sl.state(x)) ** 2, 0.0, None)
             tables.append(pr / pr.sum())
     elif method == "gaussian":
-        tables = [(sl(xbar + phi), sl.one_shot_variance(xbar + phi)) for phi in rule.expanded_shifts]
+        tables = [(sl(x), sl.one_shot_variance(x)) for x in points]
     else:
         raise ValueError(f"unknown sampling method {method!r}")
 
-    children = np.random.SeedSequence(seed_key).spawn(repetitions)
-
-    def one_rep(i: int):
-        rng = np.random.default_rng(children[i])
-        out = []
-        for s in schemes:
-            acc = 0.0
-            for g, table, n in zip(gamma, tables, counts[s]):
-                if g == 0.0 or n == 0:
-                    continue
-                if method == "multinomial":
-                    acc += g * float(rng.multinomial(int(n), table) @ evals) / int(n)
-                else:
-                    mean, var = table
-                    acc += g * float(rng.normal(mean, np.sqrt(var / int(n))))
-            out.append(acc)
-        return out
-
-    results = np.asarray(_map_repetitions(one_rep, repetitions, threads))
-    return {s: results[:, k] for k, s in enumerate(schemes)}
+    rng = np.random.default_rng(seed_key)
+    out = {}
+    for s in schemes:
+        counts = variance.integer_shot_counts(variance.allocate(s, gamma, n_total))
+        acc = np.zeros(repetitions)
+        for g, table, n in zip(gamma, tables, counts):
+            if g == 0.0 or n == 0:
+                continue
+            n = int(n)
+            if method == "multinomial":
+                acc += g * (rng.multinomial(n, table, size=repetitions) @ evals) / n
+            else:
+                mean, var = table
+                acc += g * rng.normal(mean, np.sqrt(var / n), size=repetitions)
+        out[s] = acc
+    return out
 
 
 # ---------------------------------------------------------------------------
 # experiment runners
 
-def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, threads: int):
+def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
     theta = random_base_params(cfg.q, cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
@@ -255,7 +249,7 @@ def _estimate_params(cfg: ExperimentConfig) -> tuple[int, ...]:
     return cfg.params if cfg.params is not None else (0, 1)
 
 
-def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, threads: int):
+def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
     theta = random_base_params(cfg.q, cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
@@ -265,7 +259,7 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, 
         fs = qsim.slice_frequencies(circuit, j, obs, theta)
         rule = epsr.make_rule(valid_nodes_for(fs, 1, seed=cfg.seed), fs, 1)
         ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
-                                 cfg.repetitions, [cfg.seed, 2, j], cfg.method, threads)
+                                 cfg.repetitions, [cfg.seed, 2, j], cfg.method)
         rows = [(i, ests["uniform"][i], ests["weighted"][i]) for i in range(cfg.repetitions)]
         path = os.path.join(cfg.out_dir, f"result2_{names[j]}.csv")
         _write_csv(path, ["repetition", "uniform", "weighted"], rows, reproducible)
@@ -282,7 +276,7 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, 
     return out
 
 
-def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, threads: int):
+def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
     theta = random_base_params(cfg.q, cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
@@ -314,7 +308,7 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, 
         for tag_idx, (tag, vals) in enumerate(node_sets.items()):
             rule = epsr.make_rule(epsr.ShiftNodes("odd", vals), fs, 1)
             ests = sampled_estimates(sl, rule, theta[j], ("weighted",), cfg.n_total,
-                                     cfg.repetitions, [cfg.seed, 3, j, tag_idx], cfg.method, threads)
+                                     cfg.repetitions, [cfg.seed, 3, j, tag_idx], cfg.method)
             cols[tag] = ests["weighted"]
         rows = [(i, cols["equidistant"][i], cols["random1"][i], cols["random2"][i])
                 for i in range(cfg.repetitions)]
@@ -334,7 +328,7 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, 
     return out
 
 
-def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, threads: int):
+def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     fs = integer_frequencies(2)
     header = () if reproducible else (f"generated {datetime.datetime.now().isoformat()}",)
     paths = []
@@ -360,7 +354,7 @@ def _de_generations(r: int) -> int:
     return max(400, 300 * r)
 
 
-def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool, threads: int):
+def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     rows = []
     for r in range(1, cfg.r_max + 1):
         fs = integer_frequencies(r)
@@ -395,7 +389,7 @@ _RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, reproducible: bool = False,
-                   emit_gnuplot: bool = False, threads: int = 1):
+                   emit_gnuplot: bool = False):
     """Run one canned experiment, writing its outputs into ``cfg.out_dir``."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return _RUNNERS[cfg.experiment](cfg, reproducible, emit_gnuplot, threads)
+    return _RUNNERS[cfg.experiment](cfg, reproducible, emit_gnuplot)

@@ -2,10 +2,11 @@
 
 The simulator is deliberately small: dense statevectors up to 12 qubits,
 two-qubit rotation kernels applied on amplitude pairs, Pauli-sum observables,
-exact expectations and one-shot variances, and multinomial sampling in the
-observable eigenbasis as the shot-noise model.  It exists to provide
-hardware-model cost slices on which the shift rules and the shot-allocation
-predictions can be validated end to end.
+exact expectations and one-shot variances, and a per-observable cache of the
+eigensystem.  It exists to provide hardware-model cost slices on which the
+shift rules and the shot-allocation predictions can be validated end to end.
+The shot-noise model that samples these slices is
+:func:`shiftrules.experiments.sampled_estimates`.
 
 Qubit convention: qubit i is tensor axis i, i.e. the i-th character of a
 Pauli string and the i-th bit (most significant first) of a basis index.
@@ -20,10 +21,8 @@ from functools import lru_cache, reduce
 
 import numpy as np
 
-from .epsr import PSRRule, apply_rule
 from .spectra import FrequencySet, positive_difference_frequencies, snap_to_integers
 from .trigpoly import fit_least_squares
-from .variance import ShotAllocation, allocate, integer_shot_counts
 
 __all__ = [
     "MAX_QUBITS",
@@ -34,13 +33,11 @@ __all__ = [
     "apply_circuit",
     "expectation",
     "one_shot_variance",
-    "sample_expectation",
     "build_xxz_hamiltonian",
     "build_hva_circuit",
     "hva_parameter_names",
     "cost_slice",
     "slice_frequencies",
-    "estimate_derivative",
     "circuit_to_json",
     "circuit_from_json",
     "observable_to_json",
@@ -237,40 +234,6 @@ def one_shot_variance(state: np.ndarray, obs: PauliSumObservable) -> float:
     return max(var, 0.0)
 
 
-def _sample_from_state(state: np.ndarray, obs: PauliSumObservable, shots: int, rng,
-                       method: str = "multinomial") -> float:
-    if method == "gaussian":
-        # fast surrogate: exact mean, normal noise with the exact one-shot variance
-        mean = expectation(state, obs)
-        sd = math.sqrt(one_shot_variance(state, obs) / shots)
-        return float(rng.normal(mean, sd)) if sd > 0 else mean
-    if method != "multinomial":
-        raise ValueError(f"unknown sampling method {method!r}")
-    evals, evecs = _eigensystem(obs.terms)
-    probs = np.abs(evecs.conj().T @ state) ** 2
-    probs = np.clip(probs, 0.0, None)
-    probs /= probs.sum()
-    counts = rng.multinomial(shots, probs)
-    return float(counts @ evals) / shots
-
-
-def sample_expectation(state: np.ndarray, obs: PauliSumObservable, shots: int, seed,
-                       method: str = "multinomial") -> float:
-    """Mean of ``shots`` eigenvalue samples of the observable; unbiased.
-
-    Default model is exact multinomial sampling in the observable eigenbasis
-    (dense eigendecomposition, cached per observable).  ``method="gaussian"``
-    swaps in a normal surrogate with the exact mean and variance, for large
-    sweeps where the eigenbasis draw is not worth the cost.
-    """
-    if shots < 1:
-        raise ValueError("shots must be >= 1")
-    if obs.q > MAX_QUBITS:
-        raise ValueError(f"eigenbasis sampling capped at {MAX_QUBITS} qubits")
-    state = np.asarray(state, dtype=complex).ravel()
-    return _sample_from_state(state, obs, shots, np.random.default_rng(seed), method)
-
-
 def _bonds(q: int, offset: int) -> list[tuple[int, int]]:
     # offset 0: (0,1),(2,3),...  offset 1: (1,2),(3,4),... with the periodic
     # (q-1, 0) bond appearing only when q is even
@@ -373,9 +336,6 @@ class CostSlice:
     def __call__(self, x: float) -> float:
         return expectation(self.state(x), self.observable)
 
-    def sampled(self, x: float, shots: int, seed, method: str = "multinomial") -> float:
-        return sample_expectation(self.state(x), self.observable, shots, seed, method)
-
     def one_shot_variance(self, x: float) -> float:
         return one_shot_variance(self.state(x), self.observable)
 
@@ -435,31 +395,6 @@ def slice_frequencies(circuit: CircuitSpec, j: int, observable: PauliSumObservab
     if not np.any(keep):
         raise ValueError("slice is constant within tolerance; no frequencies survive")
     return FrequencySet(tuple(np.asarray(superset.frequencies)[keep]))
-
-
-def estimate_derivative(sl: CostSlice, rule: PSRRule, xbar: float,
-                        scheme: str = "weighted", n_total: float = 1000, seed=0,
-                        method: str = "multinomial",
-                        allocation: ShotAllocation | None = None) -> float:
-    """Shot-noise estimate of f^(d)(xbar) under a shot allocation scheme.
-
-    Fractional allocations are integerized by largest remainder before
-    sampling.  With ``n_total=None`` the exact (infinite-shot) value is
-    returned.
-    """
-    if n_total is None:
-        return apply_rule(rule, sl, xbar)
-    if allocation is None:
-        allocation = allocate(scheme, rule.expanded_coeffs, n_total)
-    counts = integer_shot_counts(allocation)
-    rng = np.random.default_rng(seed)
-    total = 0.0
-    for gamma, phi, shots in zip(rule.expanded_coeffs, rule.expanded_shifts, counts):
-        if gamma == 0.0 or shots == 0:
-            continue
-        state = sl.state(xbar + phi)
-        total += gamma * _sample_from_state(state, sl.observable, int(shots), rng, method)
-    return float(total)
 
 
 def circuit_to_json(circuit: CircuitSpec) -> str:

@@ -221,16 +221,35 @@ def test_seventeen_digit_serialization(capsys):
     assert doc["expanded"]["gamma"] == list(rule.expanded_coeffs)
 
 
-def test_threads_env_validation(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("EPSR_THREADS", "nope")
+def _tampered_rule_exit_code(tmp_path, capsys, tamper):
+    _, out, _ = run(capsys, "rule", "--freqs", "1,2", "--d", "1", "--equidistant")
+    doc = json.loads(out)
+    tamper(doc)
+    path = tmp_path / "rule.json"
+    path.write_text(json.dumps(doc))
     code, _, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0",
-                       "--repetitions", "5")
-    assert code == EXIT_CONFIG
-    monkeypatch.setenv("EPSR_THREADS", "2")
-    code, out, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0",
-                       "--repetitions", "8", "--seed", "2")
+                       "--rule-json", str(path), "--repetitions", "5")
+    return code, err
+
+
+def test_estimate_accepts_untampered_rule_json(tmp_path, capsys):
+    code, _ = _tampered_rule_exit_code(tmp_path, capsys, lambda doc: None)
     assert code == EXIT_OK
-    monkeypatch.delenv("EPSR_THREADS")
-    code, out2, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0",
-                        "--repetitions", "8", "--seed", "2")
-    assert out == out2  # thread count must not change results
+
+
+def test_estimate_rejects_tampered_gamma(tmp_path, capsys):
+    def tamper(doc):
+        doc["expanded"]["gamma"][0] = 123.0
+
+    code, err = _tampered_rule_exit_code(tmp_path, capsys, tamper)
+    assert code == EXIT_VALIDATION
+    assert "'gamma'" in err
+
+
+def test_estimate_rejects_rule_with_wrong_order(tmp_path, capsys):
+    def tamper(doc):
+        doc["order"] = 3
+
+    code, err = _tampered_rule_exit_code(tmp_path, capsys, tamper)
+    assert code == EXIT_VALIDATION
+    assert "'b'" in err

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from shiftrules import epsr, qsim
+from shiftrules import epsr, qsim, variance
 from shiftrules.experiments import (
     RESULT3_RANDOM_NODES,
     ExperimentConfig,
@@ -82,15 +82,53 @@ def test_de_sweep_quick(tmp_path):
     assert all(row[3] <= 1e-3 for row in rows)
 
 
-def test_sampled_estimates_thread_invariance():
+def _xxz_slice_and_rule(j=0):
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)
-    sl = qsim.cost_slice(circuit, obs, theta, 0)
-    fs = qsim.slice_frequencies(circuit, 0, obs, theta)
+    sl = qsim.cost_slice(circuit, obs, theta, j)
+    fs = qsim.slice_frequencies(circuit, j, obs, theta)
+    return sl, epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1), theta[j]
+
+
+def test_sampled_estimates_deterministic():
+    sl, rule, xbar = _xxz_slice_and_rule()
+    schemes = ("uniform", "weighted")
+    a = sampled_estimates(sl, rule, xbar, schemes, 1000, 16, [1, 2])
+    b = sampled_estimates(sl, rule, xbar, schemes, 1000, 16, [1, 2])
+    c = sampled_estimates(sl, rule, xbar, schemes, 1000, 16, [1, 3])
+    for s in schemes:
+        assert a[s].shape == (16,)
+        assert np.array_equal(a[s], b[s])
+        assert not np.array_equal(a[s], c[s])
+
+
+@pytest.mark.parametrize("method", ["multinomial", "gaussian"])
+def test_sampled_estimates_statistics(method):
+    sl, rule, xbar = _xxz_slice_and_rule()
+    gamma = np.asarray(rule.expanded_coeffs)
+    sigma2 = np.array([sl.one_shot_variance(xbar + phi) for phi in rule.expanded_shifts])
+    exact = epsr.apply_rule(rule, sl, xbar)
+    reps = 2000
+    out = sampled_estimates(sl, rule, xbar, ("uniform", "weighted"), 1000, reps, [4, 4], method)
+    for s, draws in out.items():
+        n = variance.integer_shot_counts(variance.allocate(s, gamma, 1000))
+        predicted = float(np.sum(gamma**2 * sigma2 / n))
+        assert abs(draws.mean() - exact) < 4 * np.sqrt(predicted / reps)
+        assert np.var(draws, ddof=1) == pytest.approx(predicted, rel=0.25)
+
+
+def test_sampled_estimates_zero_variance_eigenstate():
+    # RZZ only rotates the phase of |00>, an eigenstate of ZZ: every shot
+    # reads +1 and the rule's coefficients sum to zero
+    circuit = qsim.CircuitSpec(2, (qsim.Gate("RZZ", (0, 1), 0),), 1)
+    obs = qsim.PauliSumObservable(((1.0, "ZZ"),))
+    sl = qsim.cost_slice(circuit, obs, [0.4], 0)
+    fs = qsim.slice_frequencies(circuit, 0)
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
-    a = sampled_estimates(sl, rule, theta[0], ("weighted",), 1000, 16, [1, 2], threads=1)
-    b = sampled_estimates(sl, rule, theta[0], ("weighted",), 1000, 16, [1, 2], threads=3)
-    assert np.array_equal(a["weighted"], b["weighted"])
+    for method in ("multinomial", "gaussian"):
+        out = sampled_estimates(sl, rule, 0.4, ("uniform", "weighted"), 100, 50, [0], method)
+        for draws in out.values():
+            assert np.array_equal(draws, np.zeros(50))
 
 
 def test_sampled_estimates_gaussian_surrogate():

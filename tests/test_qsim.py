@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from shiftrules import qsim
-from shiftrules.epsr import equidistant_nodes, make_rule
 from shiftrules.qsim import (
     CircuitSpec,
     Gate,
@@ -15,16 +14,14 @@ from shiftrules.qsim import (
     circuit_from_json,
     circuit_to_json,
     cost_slice,
-    estimate_derivative,
     expectation,
     hva_parameter_names,
     observable_from_json,
     observable_to_json,
     one_shot_variance,
-    sample_expectation,
     slice_frequencies,
 )
-from shiftrules.trigpoly import central_difference, fit_from_samples
+from shiftrules.trigpoly import fit_from_samples
 
 
 @pytest.fixture(scope="module")
@@ -129,52 +126,10 @@ def test_one_shot_variance_matches_sampling(xxz_setup):
     assert abs(emp_var - sigma2) < max(3 * se, 1e-3)
 
 
-# --- sampling --------------------------------------------------------------------
-
-def test_sample_expectation_eigenstate_exact():
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    z = PauliSumObservable(((1.0, "Z"),))
-    for shots in (1, 10, 1000):
-        assert sample_expectation(psi0, z, shots, seed=0) == pytest.approx(1.0)
-
-
-def test_sample_expectation_deterministic(xxz_setup):
-    circuit, obs, theta = xxz_setup
-    psi = apply_circuit(circuit, theta)
-    a = sample_expectation(psi, obs, 500, seed=42)
-    b = sample_expectation(psi, obs, 500, seed=42)
-    assert a == b
-    assert a != sample_expectation(psi, obs, 500, seed=43)
-
-
-def test_sample_expectation_statistics(xxz_setup):
-    circuit, obs, theta = xxz_setup
-    psi = apply_circuit(circuit, theta)
-    mean = expectation(psi, obs)
-    sigma2 = one_shot_variance(psi, obs)
-    shots, reps = 200, 500
-    draws = np.array([sample_expectation(psi, obs, shots, seed=1000 + i) for i in range(reps)])
-    se = math.sqrt(sigma2 / shots / reps)
-    assert abs(draws.mean() - mean) < 4 * se
-    assert np.var(draws, ddof=1) == pytest.approx(sigma2 / shots, rel=0.25)
-
-
-def test_gaussian_surrogate_statistics(xxz_setup):
-    circuit, obs, theta = xxz_setup
-    psi = apply_circuit(circuit, theta)
-    mean = expectation(psi, obs)
-    sigma2 = one_shot_variance(psi, obs)
-    draws = np.array([sample_expectation(psi, obs, 100, seed=i, method="gaussian") for i in range(400)])
-    assert abs(draws.mean() - mean) < 4 * math.sqrt(sigma2 / 100 / 400)
-    assert np.var(draws, ddof=1) == pytest.approx(sigma2 / 100, rel=0.3)
-
-
-def test_sample_expectation_qubit_cap():
-    obs = PauliSumObservable(((1.0, "Z" * 13),))
-    psi = np.zeros(2**13, dtype=complex)
-    psi[0] = 1.0
+def test_observable_matrix_qubit_cap():
+    # the dense eigenbasis behind multinomial sampling stops at MAX_QUBITS
     with pytest.raises(ValueError, match="capped"):
-        sample_expectation(psi, obs, 10, seed=0)
+        PauliSumObservable(((1.0, "Z" * 13),)).to_matrix()
 
 
 # --- model builders ----------------------------------------------------------------
@@ -298,34 +253,6 @@ def test_constant_variance_assumption_is_only_approximate(xxz_setup):
     values = [sl.one_shot_variance(theta[0] + s) for s in np.linspace(-math.pi, math.pi, 9)]
     assert all(np.isfinite(values))
     assert max(values) / max(min(values), 1e-12) > 1.0
-
-
-def test_estimate_derivative_unbiased(xxz_setup):
-    circuit, obs, theta = xxz_setup
-    j = 0
-    sl = cost_slice(circuit, obs, theta, j)
-    fs = slice_frequencies(circuit, j, obs, theta)
-    rule = make_rule(equidistant_nodes(fs.r, "odd"), fs, 1)
-    exact = central_difference(sl, theta[j], 1, 1e-2)
-    reps = 500
-    draws = np.array([
-        estimate_derivative(sl, rule, theta[j], "weighted", 1000, seed=5000 + i)
-        for i in range(reps)
-    ])
-    se = draws.std(ddof=1) / math.sqrt(reps)
-    assert abs(draws.mean() - exact) < 4 * se
-    # exact mode
-    assert estimate_derivative(sl, rule, theta[j], n_total=None) == pytest.approx(exact, abs=1e-9)
-
-
-def test_estimate_derivative_deterministic(xxz_setup):
-    circuit, obs, theta = xxz_setup
-    sl = cost_slice(circuit, obs, theta, 0)
-    fs = slice_frequencies(circuit, 0, obs, theta)
-    rule = make_rule(equidistant_nodes(fs.r, "odd"), fs, 1)
-    a = estimate_derivative(sl, rule, theta[0], "uniform", 1000, seed=7)
-    b = estimate_derivative(sl, rule, theta[0], "uniform", 1000, seed=7)
-    assert a == b
 
 
 # --- interchange ---------------------------------------------------------------------

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shiftrules import variance
 from shiftrules.epsr import ShiftNodes, SingularNodesError, equidistant_nodes, make_rule, solve_coefficients
@@ -188,6 +190,22 @@ def test_integer_shot_counts_keeps_active_shifts():
     alloc = ShotAllocation("custom", (0.4, 999.6), 1000.0)
     counts = integer_shot_counts(alloc)
     assert counts.sum() == 1000 and counts[0] >= 1
+
+
+_COEFFS = st.lists(
+    st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6)), min_size=1, max_size=12)
+
+
+@given(gamma=_COEFFS, n_total=st.integers(1, 100_000), scheme=st.sampled_from(["uniform", "weighted"]))
+def test_integer_shot_counts_properties(gamma, n_total, scheme):
+    assume(any(g != 0.0 for g in gamma))
+    alloc = allocate(scheme, gamma, n_total)
+    counts = integer_shot_counts(alloc)
+    assert counts.sum() == n_total
+    assert np.all(counts >= 0)
+    active = np.asarray(alloc.counts) > 0
+    if n_total >= active.sum():
+        assert np.all(counts[active] > 0)
 
 
 def test_predicted_variance_r2():
