@@ -39,7 +39,7 @@ from .experiments import (
     valid_nodes_for,
     xxz_hva_setup,
 )
-from .spectra import FrequencySet, detect_equidistant, positive_difference_frequencies
+from .spectra import DEFAULT_TOL, FrequencySet, detect_equidistant, positive_difference_frequencies
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -154,11 +154,16 @@ def _cmd_estimate(args) -> int:
     sl = qsim.cost_slice(circuit, obs, theta, args.param)
     xbar = args.xbar if args.xbar is not None else float(theta[args.param])
 
+    fs = qsim.slice_frequencies(circuit, args.param, obs, theta)
     if args.rule_json:
         with open(args.rule_json) as fh:
             rule = epsr.rule_from_json(fh.read())
+        # a rule is exact only for slices whose frequencies it was solved for
+        have = rule.frequencies.as_array()
+        if not all(np.any(np.isclose(w, have, rtol=DEFAULT_TOL, atol=0.0)) for w in fs.frequencies):
+            raise ValueError(f"rule frequencies {rule.frequencies.frequencies} do not cover the "
+                             f"frequencies {fs.frequencies} of parameter {args.param}")
     else:
-        fs = qsim.slice_frequencies(circuit, args.param, obs, theta)
         if args.nodes is not None:
             parity = "odd" if args.d % 2 else "even"
             nodes = epsr.ShiftNodes(parity, _floats(args.nodes))

@@ -8,11 +8,11 @@ column of ones and uses cos(Omega_k x_i) over r+1 nodes.  Any node set works
 as long as that matrix is nonsingular, which is what gives room to optimize
 the nodes for derivative variance (see :mod:`shiftrules.variance`).
 
-This module builds the matrices, solves for coefficients with diagnostics,
-provides the classical fixed-node closed forms for first and second
-derivatives, evaluates the determinant factorizations used to certify node
-validity under integer frequencies, and applies rules to arbitrary
-evaluators.
+This module builds the matrices, solves for coefficients with diagnostics
+(one node set at a time, or a whole stack of node sets at once), provides
+the classical fixed-node closed forms for first and second derivatives,
+evaluates the determinant factorizations used to certify node validity
+under integer frequencies, and applies rules to arbitrary evaluators.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ __all__ = [
     "build_A_even_deriv",
     "rhs_vector",
     "solve_coefficients",
+    "solve_coefficients_stacked",
     "make_rule",
     "apply_rule",
     "evaluation_count",
@@ -138,32 +139,38 @@ class PSRRule:
             raise ValueError("expanded shifts and coefficients must align")
 
 
+def _node_array(nodes) -> np.ndarray:
+    return nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
+
+
 def build_A_odd(nodes, fs: FrequencySet) -> np.ndarray:
-    """r x r matrix with entries sin(Omega_k x_i); rows follow node order."""
-    x = nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
-    return np.sin(np.multiply.outer(x, fs.as_array()))
+    """r x r matrix with entries sin(Omega_k x_i); rows follow node order.
+
+    A stack of node vectors of shape (..., r) gives a stack of matrices of
+    shape (..., r, r); the same holds for the other builders.
+    """
+    return np.sin(np.multiply.outer(_node_array(nodes), fs.as_array()))
 
 
 def build_A_even(nodes, fs: FrequencySet) -> np.ndarray:
     """(r+1) x (r+1) matrix [1 | cos(Omega_k x_i)]."""
-    x = nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
+    x = _node_array(nodes)
     cos = np.cos(np.multiply.outer(x, fs.as_array()))
-    return np.hstack([np.ones((x.size, 1)), cos])
+    return np.concatenate([np.ones(x.shape + (1,)), cos], axis=-1)
 
 
 def build_A_odd_deriv(nodes, fs: FrequencySet) -> np.ndarray:
     """Component-wise node derivative of the odd matrix: Omega_k cos(Omega_k x_i)."""
-    x = nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
     w = fs.as_array()
-    return w * np.cos(np.multiply.outer(x, w))
+    return w * np.cos(np.multiply.outer(_node_array(nodes), w))
 
 
 def build_A_even_deriv(nodes, fs: FrequencySet) -> np.ndarray:
     """Component-wise node derivative of the even matrix: [0 | -Omega_k sin(Omega_k x_i)]."""
-    x = nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
+    x = _node_array(nodes)
     w = fs.as_array()
     sin = -w * np.sin(np.multiply.outer(x, w))
-    return np.hstack([np.zeros((x.size, 1)), sin])
+    return np.concatenate([np.zeros(x.shape + (1,)), sin], axis=-1)
 
 
 def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
@@ -186,21 +193,26 @@ def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
     return (-1.0) ** (d // 2) * np.concatenate([[lead], w**d])
 
 
+def _conditioning(sv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition estimates and the nonsingularity test of singular-value stacks.
+
+    ``sv`` holds descending singular values along its last axis.  The
+    condition ratio alone misses uniformly tiny matrices (e.g. the 1x1
+    [sin pi]), so the smallest singular value is also held to an absolute
+    floor relative to the entry scale.  A matrix that passes has
+    |det| = prod(sv) > 1e-12**m, nonzero in double precision for m < 25, so
+    the determinant is reported in :class:`RuleDiagnostics` but not tested.
+    """
+    smax, smin = sv[..., 0], sv[..., -1]
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond = np.where(smin == 0.0, np.inf, smax / smin)
+    nonsingular = np.isfinite(cond) & (cond <= CONDITION_LIMIT) & (smin > 1e-12 * np.maximum(1.0, smax))
+    return cond, nonsingular
+
+
 def _diagnose(a: np.ndarray) -> RuleDiagnostics:
-    det = float(np.linalg.det(a))
-    sv = np.linalg.svd(a, compute_uv=False)
-    smax, smin = float(sv[0]), float(sv[-1])
-    cond = math.inf if smin == 0.0 else smax / smin
-    # the condition ratio alone misses uniformly tiny matrices (e.g. the 1x1
-    # [sin pi]), so the smallest singular value is also held to an absolute
-    # floor relative to the entry scale
-    nonsingular = bool(
-        np.isfinite(cond)
-        and cond <= CONDITION_LIMIT
-        and smin > 1e-12 * max(1.0, smax)
-        and det != 0.0
-    )
-    return RuleDiagnostics(det, cond, nonsingular)
+    cond, nonsingular = _conditioning(np.linalg.svd(a, compute_uv=False))
+    return RuleDiagnostics(float(np.linalg.det(a)), float(cond), bool(nonsingular))
 
 
 def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.ndarray, RuleDiagnostics]:
@@ -226,6 +238,31 @@ def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.
         )
     b = np.linalg.solve(a.T, rhs_vector(d, fs, parity))
     return b, diag
+
+
+def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient vectors for a stack of node vectors, shape (n, m), at once.
+
+    One broadcast builds every interpolation matrix, one SVD over the stack
+    applies the conditioning test of :func:`solve_coefficients`, and one
+    batched solve handles the rows that pass.  Returns ``(b, nonsingular)``:
+    b has shape (n, m) with NaN rows where ``nonsingular`` is False, so a
+    row is rejected here exactly when :func:`solve_coefficients` raises
+    SingularNodesError for it.
+    """
+    x = np.asarray(nodes, dtype=float)
+    parity = "odd" if d % 2 else "even"
+    m = fs.r if parity == "odd" else fs.r + 1
+    if x.ndim != 2 or x.shape[1] != m:
+        raise ValueError(f"order {d} with r={fs.r} needs a node stack of shape (n, {m}), got {x.shape}")
+    a = build_A_odd(x, fs) if parity == "odd" else build_A_even(x, fs)
+    _, nonsingular = _conditioning(np.linalg.svd(a, compute_uv=False))
+    b = np.full(x.shape, np.nan)
+    if np.any(nonsingular):
+        at = np.swapaxes(a[nonsingular], -1, -2)
+        rhs = np.broadcast_to(rhs_vector(d, fs, parity), at.shape[:-1])
+        b[nonsingular] = np.linalg.solve(at, rhs[..., None])[..., 0]
+    return b, nonsingular
 
 
 def _expand(parity: str, x: np.ndarray, b: np.ndarray, fs: FrequencySet) -> tuple[tuple, tuple]:

@@ -88,6 +88,7 @@ class ExperimentConfig:
         for name in ("q", "p", "n_total", "repetitions", "r_max", "d_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        variance._node_scheme(self.scheme)
         if self.params is not None:
             object.__setattr__(self, "params", tuple(int(j) for j in self.params))
 

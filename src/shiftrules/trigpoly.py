@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .epsr import build_A_even, build_A_odd
 from .spectra import FrequencySet
 
 __all__ = [
@@ -112,12 +113,6 @@ def random_trigpoly(fs: FrequencySet, seed) -> TrigPoly:
     return TrigPoly(coeffs[0], tuple(coeffs[1 : fs.r + 1]), tuple(coeffs[fs.r + 1 :]), fs)
 
 
-def _interp_matrix(fs: FrequencySet, xs: np.ndarray) -> np.ndarray:
-    """Joint interpolation matrix with columns [1, cos(Omega_k x), sin(Omega_k x)]."""
-    wx = np.multiply.outer(xs, fs.as_array())
-    return np.hstack([np.ones((xs.size, 1)), np.cos(wx), np.sin(wx)])
-
-
 def fit_from_samples(fs: FrequencySet, xs, ys) -> TrigPoly:
     """The unique polynomial over ``fs`` through 2r+1 samples (x_i, y_i).
 
@@ -136,7 +131,7 @@ def fit_from_samples(fs: FrequencySet, xs, ys) -> TrigPoly:
     sx = np.sort(xs)
     if np.min(np.diff(sx)) < 1e-12 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("duplicate sample points make the interpolation system singular")
-    m = _interp_matrix(fs, xs)
+    m = np.hstack([build_A_even(xs, fs), build_A_odd(xs, fs)])
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
@@ -161,7 +156,7 @@ def fit_least_squares(fs: FrequencySet, xs, ys) -> tuple[TrigPoly, float]:
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size < 2 * fs.r + 1:
         raise ValueError("need at least 2r+1 samples")
-    m = _interp_matrix(fs, xs)
+    m = np.hstack([build_A_even(xs, fs), build_A_odd(xs, fs)])
     z, *_ = np.linalg.lstsq(m, ys, rcond=None)
     resid = float(np.max(np.abs(m @ z - ys)))
     return TrigPoly(z[0], tuple(z[1 : fs.r + 1]), tuple(z[fs.r + 1 :]), fs), resid

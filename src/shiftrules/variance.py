@@ -5,10 +5,11 @@ With finite measurement shots, a shift-rule derivative estimate has variance
 ||b||_1^2 when shots are split proportionally to the coefficient magnitudes;
 the proportional split is optimal among all allocations (Cauchy-Schwarz).
 Node selection therefore minimizes F_unif = ||b||_2^2 / 2 or F_wgt = ||b||_1
-over the node box.  This module provides both objectives, their analytic
-(sub)gradients, a projected (sub)gradient descent, a differential-evolution
-global search, shot-allocation helpers and the optimality certificate for the
-classical equidistant nodes under the weighted scheme.
+over the node box.  This module provides both objectives (per node set and
+over stacks of node sets), their analytic (sub)gradients, a projected
+(sub)gradient descent, a differential-evolution global search, shot-allocation
+helpers and the optimality certificate for the classical equidistant nodes
+under the weighted scheme.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .epsr import (
     equidistant_nodes,
     rhs_vector,
     solve_coefficients,
+    solve_coefficients_stacked,
 )
 from .spectra import FrequencySet, integer_frequencies
 
@@ -38,6 +40,7 @@ __all__ = [
     "OptimizeResult",
     "F_unif",
     "F_wgt",
+    "stacked_objective",
     "grad_F_unif",
     "subgrad_F_wgt",
     "allocate",
@@ -250,13 +253,37 @@ def canonical_nodes(values) -> np.ndarray:
     return np.sort(y)
 
 
-def _objective_fn(fs: FrequencySet, d: int, scheme: str):
+def _node_scheme(scheme: str) -> str:
+    """Normalized name of a node-optimization scheme: uniform or weighted."""
     scheme = _norm_scheme(scheme)
-    if scheme == "uniform":
+    if scheme == "custom":
+        raise ValueError("node optimization targets the uniform or weighted scheme")
+    return scheme
+
+
+def _objective_fn(fs: FrequencySet, d: int, scheme: str):
+    if _node_scheme(scheme) == "uniform":
         return lambda nodes: F_unif(nodes, fs, d)
-    if scheme == "weighted":
-        return lambda nodes: F_wgt(nodes, fs, d)
-    raise ValueError("node optimization targets the uniform or weighted scheme")
+    return lambda nodes: F_wgt(nodes, fs, d)
+
+
+def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray:
+    """F_unif or F_wgt for a stack of free-node vectors, shape (n, r), at once.
+
+    Free nodes are all nodes for odd d and x_1..x_r (x_0 = 0 pinned) for even
+    d.  Singular node sets get +inf, exactly where :func:`F_unif` and
+    :func:`F_wgt` raise SingularNodesError.
+    """
+    uniform = _node_scheme(scheme) == "uniform"
+    free = np.asarray(free, dtype=float)
+    nodes = free if _parity_of(d) == "odd" else np.concatenate([np.zeros((len(free), 1)), free], axis=1)
+    b, nonsingular = solve_coefficients_stacked(nodes, fs, d)
+    if uniform:
+        # the stacked dot product sums in the order of the scalar b @ b
+        values = 0.5 * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
+    else:
+        values = np.sum(np.abs(b), axis=1)
+    return np.where(nonsingular, values, np.inf)
 
 
 def _project(parity: str, free: np.ndarray) -> np.ndarray:
@@ -381,13 +408,19 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
 def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: int | None = None,
                            generations: int = 300, seed=0, mutation=(0.5, 1.0),
                            crossover: float = 0.9) -> OptimizeResult:
-    """Differential evolution (rand/1/bin) over the node box.
+    """Differential evolution (rand/1/bin) over the node box, deferred updating.
 
-    Singular candidates get objective +inf.  Deterministic for a given seed.
-    ``mutation`` is either a fixed differential weight or a (low, high) pair
-    sampled once per generation (dither); dither converges markedly faster
-    at dimension >= 4 while keeping the strategy rand/1/bin.  When the
-    frequencies are the integer set {1..r}, the result carries the
+    Each generation draws one trial per population member from the current
+    population only (Storn & Price 1997; SciPy's ``updating='deferred'``),
+    then scores all trials in one :func:`stacked_objective` call, so a
+    generation is a single stacked solve; a trial replaces its member when
+    it is no worse.  Singular candidates get objective +inf.  Deterministic
+    for a given seed.  ``mutation`` is either a fixed differential weight or
+    a (low, high) pair sampled once per generation (dither); dither converges
+    markedly faster at dimension >= 4 while keeping the strategy rand/1/bin.
+    The search stops early once the population's objective spread falls to
+    1e-12 of the best value; ``iterations`` counts the generations run.
+    When the frequencies are the integer set {1..r}, the result carries the
     max-component error against the equidistant reference nodes (canonical
     form on both sides), and the weighted-scheme result is tagged
     "global-equidistant" when it lands on them.
@@ -402,15 +435,10 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     hi = np.pi - EPS_BOX if parity == "odd" else np.pi
     objective = _objective_fn(fs, d, scheme)
 
-    def fitness(vec):
-        try:
-            return objective(_nodes_from_free(parity, vec))
-        except SingularNodesError:
-            return math.inf
-
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=(npop, dim))
-    fit = np.array([fitness(v) for v in pop])
+    fit = stacked_objective(pop, fs, d, scheme)
+    members = np.arange(npop)
     gens_run = 0
     for gen in range(generations):
         gens_run = gen + 1
@@ -418,22 +446,19 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
             f_weight = float(mutation)
         else:
             f_weight = float(rng.uniform(mutation[0], mutation[1]))
-        for j in range(npop):
-            while True:
-                ia, ib, ic = rng.integers(npop, size=3)
-                if len({int(ia), int(ib), int(ic), j}) == 4:
-                    break
-            mutant = pop[ia] + f_weight * (pop[ib] - pop[ic])
-            outside = (mutant < lo) | (mutant > hi)
-            if np.any(outside):
-                mutant[outside] = rng.uniform(lo, hi, size=int(outside.sum()))
-            cross = rng.random(dim) < crossover
-            cross[rng.integers(dim)] = True
-            trial = np.where(cross, mutant, pop[j])
-            f_trial = fitness(trial)
-            if f_trial <= fit[j]:
-                pop[j] = trial
-                fit[j] = f_trial
+        # three distinct partners per member, none of them the member itself
+        picks = np.argsort(rng.random((npop, npop - 1)), axis=1)[:, :3]
+        picks += picks >= members[:, None]
+        mutant = pop[picks[:, 0]] + f_weight * (pop[picks[:, 1]] - pop[picks[:, 2]])
+        outside = (mutant < lo) | (mutant > hi)
+        mutant[outside] = rng.uniform(lo, hi, size=int(outside.sum()))
+        cross = rng.random((npop, dim)) < crossover
+        cross[members, rng.integers(dim, size=npop)] = True
+        trial = np.where(cross, mutant, pop)
+        f_trial = stacked_objective(trial, fs, d, scheme)
+        better = f_trial <= fit
+        pop[better] = trial[better]
+        fit[better] = f_trial[better]
         spread = float(np.max(fit) - np.min(fit))
         if np.isfinite(spread) and spread <= 1e-12 * max(1.0, abs(float(np.min(fit)))):
             break
@@ -442,14 +467,14 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     best_free = canonical_nodes(pop[best_idx])
     if parity == "even":
         best_free = np.clip(best_free, EPS_BOX, np.pi)
-    best_nodes = _nodes_from_free(parity, best_free)
-    # canonical folding is an exact symmetry of the objective; recompute so the
-    # reported value belongs to the returned nodes
-    best_f = fitness(best_free)
-    if not np.isfinite(best_f):
+    # canonical folding is an exact symmetry of the objective; recompute with
+    # the scalar objective so the reported value belongs to the returned nodes
+    try:
+        best_f = objective(_nodes_from_free(parity, best_free))
+    except SingularNodesError:
         best_free = np.sort(pop[best_idx])
-        best_nodes = _nodes_from_free(parity, best_free)
         best_f = float(fit[best_idx])
+    best_nodes = _nodes_from_free(parity, best_free)
 
     equi_err = None
     certificate = None
@@ -496,19 +521,12 @@ def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):
     Returns (grid_points, value_matrix) with value[i, j] at
     (x1 = grid[i], x2 = grid[j]).
     """
-    parity = _parity_of(d)
     if fs.r != 2:
         raise ValueError("landscape scan covers the two-free-node case (r = 2)")
-    objective = _objective_fn(fs, d, scheme)
     grid = np.linspace(0.0, np.pi, n + 2)[1:-1]
-    values = np.full((n, n), np.inf)
-    for i, x1 in enumerate(grid):
-        for j, x2 in enumerate(grid):
-            try:
-                values[i, j] = objective(_nodes_from_free(parity, np.array([x1, x2])))
-            except SingularNodesError:
-                pass
-    return grid, values
+    x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+    values = stacked_objective(np.stack([x1.ravel(), x2.ravel()], axis=1), fs, d, scheme)
+    return grid, values.reshape(n, n)
 
 
 def write_landscape_csv(path, fs: FrequencySet, d: int, scheme: str, n: int = 61,

@@ -166,6 +166,15 @@ def test_experiment_unknown_id(tmp_path, capsys):
     assert "unknown experiment" in err
 
 
+def test_experiment_unknown_scheme_is_config_error(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "experiment", "--id", "landscape", "--scheme", "bogus",
+                       "--out-dir", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert "unknown scheme 'bogus'" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_config_file(tmp_path, capsys):
     cfg = {"id": "landscape", "out_dir": str(tmp_path), "reproducible": True}
     cfg_path = tmp_path / "cfg.json"
@@ -253,3 +262,29 @@ def test_estimate_rejects_rule_with_wrong_order(tmp_path, capsys):
     code, err = _tampered_rule_exit_code(tmp_path, capsys, tamper)
     assert code == EXIT_VALIDATION
     assert "'b'" in err
+
+
+def _rule_then_exact_estimate(tmp_path, capsys, freqs, param):
+    path = tmp_path / "rule.json"
+    code, _, _ = run(capsys, "rule", "--freqs", freqs, "--d", "1", "--equidistant", "--out", str(path))
+    assert code == EXIT_OK
+    return run(capsys, "estimate", "--circuit", "xxz-hva", "--param", str(param),
+               "--rule-json", str(path), "--exact")
+
+
+def test_estimate_rejects_rule_missing_slice_frequencies(tmp_path, capsys):
+    # parameter 1 has slice frequencies {1,2,3,4}; a rule solved for {1} alone
+    # would silently return a wrong derivative
+    code, out, err = _rule_then_exact_estimate(tmp_path, capsys, "1", 1)
+    assert code == EXIT_VALIDATION
+    assert out == ""
+    assert "(1.0,)" in err and "(1.0, 2.0, 3.0, 4.0)" in err
+
+
+def test_estimate_rule_covering_slice_frequencies_is_exact(tmp_path, capsys):
+    code, out, _ = _rule_then_exact_estimate(tmp_path, capsys, "1,2,3,4", 1)
+    assert code == EXIT_OK
+    _, want, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--exact")
+    got_value = float(out.splitlines()[1].split(",")[1])
+    want_value = float(want.splitlines()[1].split(",")[1])
+    assert got_value == pytest.approx(want_value, abs=1e-10)

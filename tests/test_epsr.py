@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shiftrules import epsr
 from shiftrules.epsr import (
@@ -353,3 +355,19 @@ def test_exactness_across_frequency_sets():
                 want = p.derivative(d, x)
                 got = apply_rule(rule, p, x)
                 assert abs(got - want) <= 1e-8 * (1 + abs(want))
+
+
+@given(gaps=st.lists(st.floats(0.25, 2.0), min_size=1, max_size=4), d=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1))
+def test_rule_exact_on_random_non_integer_frequencies(gaps, d, seed):
+    fs = FrequencySet(tuple(np.cumsum(gaps)))
+    assume(not fs.is_all_integer())
+    rng = np.random.default_rng(seed)
+    poly = random_trigpoly(fs, seed)
+    rule = make_rule(random_valid_nodes(fs, d, rng), fs, d)
+    x = float(rng.uniform(-math.pi, math.pi))
+    # round-off of a backward-stable solve, amplified by the rule's own
+    # coefficient norm and by the polynomial's coefficient mass
+    mass = abs(poly.a0) + np.sum(np.abs(poly.cos_coeffs)) + np.sum(np.abs(poly.sin_coeffs))
+    scale = np.sum(np.abs(rule.expanded_coeffs)) * mass * max(1.0, fs.frequencies[-1] ** d)
+    assert abs(apply_rule(rule, poly, x) - poly.derivative(d, x)) <= 1e-12 * scale

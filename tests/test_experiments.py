@@ -23,6 +23,15 @@ def test_config_validation():
         ExperimentConfig("result1", repetitions=0)
 
 
+def test_config_scheme_validation():
+    with pytest.raises(ValueError, match="unknown scheme"):
+        ExperimentConfig("landscape", scheme="bogus")
+    with pytest.raises(ValueError, match="uniform or weighted"):
+        ExperimentConfig("de-sweep", scheme="custom")
+    for scheme in ("uniform", "unif", "weighted", "wgt"):
+        assert ExperimentConfig("landscape", scheme=scheme).scheme == scheme
+
+
 def test_valid_nodes_integer_sets_are_equidistant():
     nodes = valid_nodes_for(integer_frequencies(3), 1)
     assert nodes.values == epsr.equidistant_nodes(3, "odd").values

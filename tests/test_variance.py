@@ -67,6 +67,49 @@ def test_F_wgt_second_order_entries():
     assert np.sum(np.abs(b)) == pytest.approx(4.0)
 
 
+# --- stacked objective ------------------------------------------------------
+
+# node values that make interpolation matrices singular or nearly so: 0 and pi
+# zero every sine, the box margin sits next to them
+_NODE = st.one_of(st.sampled_from([0.0, math.pi, variance.EPS_BOX, math.pi - variance.EPS_BOX]),
+                  st.floats(-4.0, 4.0, allow_nan=False))
+_STACK_FREQS = {"integer": (1.0, 2.0, 3.0, 4.0), "non-integer": (0.7, 1.9, 3.2, 4.45)}
+
+
+@st.composite
+def _node_stacks(draw):
+    r = draw(st.integers(1, 4))
+    rows = draw(st.lists(st.lists(_NODE, min_size=r, max_size=r), min_size=1, max_size=6))
+    if r > 1 and draw(st.booleans()):
+        rows[0][1] = rows[0][0]  # duplicated node
+    rows.append(list(rows[-1]))  # duplicated row
+    return r, np.array(rows)
+
+
+@given(stack=_node_stacks(), d=st.integers(1, 4), scheme=st.sampled_from(["uniform", "weighted"]),
+       freqs=st.sampled_from(sorted(_STACK_FREQS)))
+def test_stacked_objective_matches_scalar(stack, d, scheme, freqs):
+    r, free = stack
+    fs = FrequencySet(_STACK_FREQS[freqs][:r])
+    got = variance.stacked_objective(free, fs, d, scheme)
+    scalar = F_unif if scheme == "uniform" else F_wgt
+    for row, value in zip(free, got):
+        nodes = ShiftNodes("odd", tuple(row)) if d % 2 else ShiftNodes("even", (0.0, *row))
+        try:
+            want = scalar(nodes, fs, d)
+        except SingularNodesError:
+            assert value == math.inf
+            continue
+        assert abs(value - want) <= 1e-12 * abs(want)
+
+
+def test_stacked_objective_validates_shape_and_scheme():
+    with pytest.raises(ValueError, match="shape"):
+        variance.stacked_objective(np.zeros((3, 3)), FS12, 1, "weighted")
+    with pytest.raises(ValueError, match="uniform or weighted"):
+        variance.stacked_objective(np.ones((3, 2)), FS12, 1, "custom")
+
+
 # --- gradients ---------------------------------------------------------------
 
 def _fd_gradient(fn, nodes, h=1e-6):
@@ -232,6 +275,40 @@ def test_variance_ratio_formula(r):
     assert ratio == pytest.approx((2 * r * r + 1) / (3 * r), rel=1e-9)
 
 
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), d=st.integers(1, 4),
+       integer=st.booleans(), pin=st.booleans())
+def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin):
+    rng = np.random.default_rng(seed)
+    fs = integer_frequencies(r) if integer else FrequencySet(tuple(np.cumsum(rng.uniform(0.3, 1.5, r))))
+    nodes = random_valid_nodes(fs, d, rng)
+    if pin and d % 2 == 0:
+        # nodes at 0 (and at pi for integer frequencies) merge into single shifts
+        vals = np.array(nodes.values)
+        vals[0] = 0.0
+        if integer:
+            vals[-1] = math.pi
+        nodes = ShiftNodes("even", tuple(vals))
+        assume(np.isfinite(variance.stacked_objective([vals[1:]], fs, d, "weighted")[0]))
+    rule = make_rule(nodes, fs, d)
+    b, gamma, parity = rule.solve_coeffs, np.asarray(rule.expanded_coeffs), rule.parity
+    n_total = 1000.0
+
+    weighted = allocate("weighted", gamma, n_total)
+    want = predicted_variance(b, parity, "weighted").predicted_scaled_variance
+    assert allocation_variance(gamma, weighted.counts) * n_total == pytest.approx(want, rel=1e-9)
+
+    # the uniform prediction gives every node the same shots, split evenly
+    # over the node's shifts; for odd rules that is the uniform allocation
+    phi = np.abs(rule.expanded_shifts)
+    shifts_per_node = np.array([np.sum(phi == p) for p in phi])
+    per_node = n_total / (len(nodes.values) * shifts_per_node)
+    want = predicted_variance(b, parity, "uniform").predicted_scaled_variance
+    assert allocation_variance(gamma, per_node) * n_total == pytest.approx(want, rel=1e-9)
+    if parity == "odd":
+        uniform = allocate("uniform", gamma, n_total)
+        assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
+
+
 def test_predicted_variance_custom_matches_formula():
     rule = make_rule(EQUI2, FS12, 1)
     gamma = np.asarray(rule.expanded_coeffs)
@@ -351,6 +428,29 @@ def test_global_nonconsecutive_frequencies_regression():
     assert res.objective < heuristic - 1e-6
 
 
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+@pytest.mark.parametrize("d", (1, 2))
+def test_global_objective_belongs_to_returned_nodes(d, scheme):
+    fs = FrequencySet((0.7, 1.9, 3.2))
+    res = optimize_shifts_global(fs, d, scheme, generations=60, seed=3)
+    scalar = F_unif if scheme == "uniform" else F_wgt
+    assert res.objective == scalar(res.nodes, fs, d)
+
+
+def test_global_scores_each_generation_in_one_stacked_call(monkeypatch):
+    calls = []
+    real = variance.stacked_objective
+
+    def counting(free, *args):
+        calls.append(len(free))
+        return real(free, *args)
+
+    monkeypatch.setattr(variance, "stacked_objective", counting)
+    res = optimize_shifts_global(FS12, 1, "weighted", generations=25, seed=5)
+    # the initial population, then one call per generation run
+    assert calls == [30] * (1 + res.iterations)
+
+
 def test_certify_equidistant_optimality():
     assert certify_equidistant_optimality(3, 1)
     assert certify_equidistant_optimality(2, 3)
@@ -372,6 +472,21 @@ def test_landscape_minimum_near_equidistant(d):
     cell = grid[1] - grid[0]
     assert min(abs(grid[i] - math.pi / 4), abs(grid[i] - 3 * math.pi / 4)) <= cell
     assert min(abs(grid[j] - math.pi / 4), abs(grid[j] - 3 * math.pi / 4)) <= cell
+
+
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_landscape_matches_scalar_objective_exactly(d, scheme):
+    grid, values = scan_landscape(FS12, d, scheme, n=9)
+    scalar = F_unif if scheme == "uniform" else F_wgt
+    for i, x1 in enumerate(grid):
+        for j, x2 in enumerate(grid):
+            nodes = ShiftNodes("odd", (x1, x2)) if d % 2 else ShiftNodes("even", (0.0, x1, x2))
+            try:
+                want = scalar(nodes, FS12, d)
+            except SingularNodesError:
+                want = math.inf
+            assert values[i, j] == want, (i, j)
 
 
 def test_landscape_csv(tmp_path):
