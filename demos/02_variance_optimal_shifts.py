@@ -87,8 +87,11 @@ print(f"frequencies {fs124.frequencies}: optimized objective {res.objective:.6f}
 
 print()
 print("=" * 70)
-print("5. Landscape export")
+print("5. Landscape scan")
 print("=" * 70)
 
-variance.write_landscape_csv("landscape_demo.csv", fs, 1, "weighted", n=21)
-print("wrote landscape_demo.csv (columns x1,x2,F on a 21x21 interior grid)")
+grid, values = variance.scan_landscape(fs, 1, "weighted", n=21)
+i, j = np.unravel_index(np.argmin(values), values.shape)
+print(f"F_wgt on a 21x21 interior grid: {np.isinf(values).sum()} singular points (x1 == x2), "
+      f"minimum {values[i, j]:.6f} at (x1, x2) = ({grid[i]:.4f}, {grid[j]:.4f})")
+print("the full 61x61 grids for d = 1..6 are `shiftrules experiment --id landscape`")

@@ -11,10 +11,10 @@ Subcommands:
 * ``experiment`` -- the canned reproduction experiments (see
   :mod:`shiftrules.experiments`).
 
-Every command is deterministic given ``--seed``; CSV bodies are byte-stable
-and carry a timestamped comment line unless ``--reproducible`` is set.  Exit
-codes: 0 success, 2 validation error, 3 numerical failure (singular nodes),
-4 configuration error.
+Every command is deterministic given ``--seed``; CSV bodies are byte-stable.
+CSV files carry a timestamped comment line unless ``--reproducible`` is set;
+CSV printed to stdout never does.  Exit codes: 0 success, 2 validation
+error, 3 numerical failure (singular nodes), 4 configuration error.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from .experiments import (
     EXPERIMENT_IDS,
     ExperimentConfig,
     _de_generations,
+    _kdensity,
     _write_csv,
-    _write_gnuplot,
     random_base_params,
     run_experiment,
     sampled_estimates,
@@ -56,19 +56,6 @@ def _floats(text: str) -> tuple[float, ...]:
         return tuple(float(tok) for tok in text.split(",") if tok.strip() != "")
     except ValueError as exc:
         raise ValueError(f"could not parse number list {text!r}") from exc
-
-
-def _json17(obj) -> str:
-    def clean(v):
-        if isinstance(v, float):
-            return float(f"{v:.17g}")
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return v
-
-    return json.dumps(clean(obj), indent=2)
 
 
 def _build_circuit_context(args):
@@ -100,7 +87,7 @@ def _cmd_freq(args) -> int:
         "r": fs.r,
         "equidistant_step": detect_equidistant(fs),
     }
-    print(_json17(doc))
+    print(json.dumps(doc, indent=2))
     return EXIT_OK
 
 
@@ -135,7 +122,7 @@ def _cmd_rule(args) -> int:
     rule, extra = _rule_from_args(args, fs)
     doc = json.loads(epsr.rule_to_json(rule))
     doc.update(extra)
-    text = _json17(doc)
+    text = json.dumps(doc, indent=2)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")
@@ -182,17 +169,10 @@ def _cmd_estimate(args) -> int:
                                  args.repetitions, [args.seed, 9, args.param], args.method)
         rows = list(enumerate(ests[args.scheme]))
 
-    if args.out:
-        _write_csv(args.out, ["repetition", "estimate"], rows, args.reproducible)
-        if args.emit_gnuplot and not exact_mode:
-            _write_gnuplot(os.path.splitext(args.out)[0] + ".gp", [
-                "set datafile separator ','",
-                f"plot '{os.path.basename(args.out)}' using 2 skip 1 smooth kdensity title 'estimates'",
-            ])
-    else:
-        print("repetition,estimate")
-        for i, v in rows:
-            print(f"{i},{v:.17g}")
+    # stdout never carries the timestamp line
+    plot = args.out and args.emit_gnuplot and not exact_mode
+    _write_csv(args.out or sys.stdout, ["repetition", "estimate"], rows, args.reproducible or not args.out,
+               [_kdensity(os.path.basename(args.out), ("estimates",))] if plot else None)
     return EXIT_OK
 
 

@@ -311,8 +311,8 @@ def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
 def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
     """sum_mu gamma_mu * evaluator(xbar + phi_mu).
 
-    The evaluator must be a total function of a single real argument; calls
-    are independent, so a thread-safe evaluator may be invoked concurrently.
+    The evaluator must be a total function of a single real argument; it is
+    called once per expanded shift, in rule order.
     """
     return float(
         sum(g * float(evaluator(xbar + s)) for g, s in zip(rule.expanded_coeffs, rule.expanded_shifts))
@@ -392,23 +392,15 @@ def determinant_closed_form(nodes: ShiftNodes, fs: FrequencySet) -> float:
     return float(vandermonde * power)
 
 
-def _float_repr(v: float) -> float:
-    # round-trip via 17 significant digits: exact for binary64
-    return float(f"{v:.17g}")
-
-
 def rule_to_json(rule: PSRRule) -> str:
-    """Serialize a rule to the interchange JSON document (17 significant digits)."""
+    """Serialize a rule to the interchange JSON document (full double precision)."""
     doc = {
         "order": rule.order,
         "parity": rule.parity,
-        "frequencies": [_float_repr(w) for w in rule.frequencies.frequencies],
-        "nodes": [_float_repr(v) for v in rule.nodes.values],
-        "b": [_float_repr(v) for v in rule.solve_coeffs],
-        "expanded": {
-            "phi": [_float_repr(v) for v in rule.expanded_shifts],
-            "gamma": [_float_repr(v) for v in rule.expanded_coeffs],
-        },
+        "frequencies": rule.frequencies.frequencies,
+        "nodes": rule.nodes.values,
+        "b": rule.solve_coeffs,
+        "expanded": {"phi": rule.expanded_shifts, "gamma": rule.expanded_coeffs},
     }
     return json.dumps(doc, indent=2)
 

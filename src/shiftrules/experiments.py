@@ -89,6 +89,8 @@ class ExperimentConfig:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         variance._node_scheme(self.scheme)
+        if self.method not in ("multinomial", "gaussian"):
+            raise ValueError(f"unknown sampling method {self.method!r}")
         if self.params is not None:
             object.__setattr__(self, "params", tuple(int(j) for j in self.params))
 
@@ -133,38 +135,54 @@ def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _fmt(v) -> str:
-    if isinstance(v, (int, np.integer)):
-        return str(int(v))
-    if isinstance(v, (float, np.floating)):
-        return f"{float(v):.17g}"
-    return str(v)
+def _write_csv(out, columns, rows, reproducible: bool, plot=None) -> None:
+    """The package's only CSV writer: a ``columns`` header, then one line per row.
+
+    ``out`` is a path or an open text stream.  Floats take 17 significant
+    digits (exact for binary64), other values ``str``; the row format is
+    built once from the first row's types, so every row must have them.  A
+    ``# generated <timestamp>`` line comes first unless ``reproducible`` is
+    set.  Given ``plot`` lines and a path, the gnuplot script ``<stem>.gp``
+    is written beside the CSV, after a ``set datafile separator ','`` line.
+    """
+    if isinstance(out, (str, os.PathLike)):
+        with open(out, "w") as fh:
+            _write_csv(fh, columns, rows, reproducible)
+        if plot:
+            with open(os.path.splitext(out)[0] + ".gp", "w") as fh:
+                fh.write("\n".join(["set datafile separator ','", *plot]) + "\n")
+        return
+    if not reproducible:
+        out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
+    out.write(",".join(columns) + "\n")
+    rows = iter(rows)
+    first = next(rows, None)
+    if first is not None:
+        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else
+                       "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in first) + "\n"
+        out.write(fmt % first)
+        out.writelines(fmt % row for row in rows)
 
 
-def _write_csv(path, columns, rows, reproducible: bool) -> None:
-    with open(path, "w") as fh:
-        if not reproducible:
-            fh.write(f"# generated {datetime.datetime.now().isoformat()}\n")
-        fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+def _kdensity(name: str, titles) -> str:
+    """A gnuplot ``plot`` of one kernel-density curve per column 2, 3, ... of ``name``."""
+    return "plot " + ", \\\n     ".join(f"'{name}' using {k} skip 1 smooth kdensity title '{t}'"
+                                      for k, t in enumerate(titles, 2))
+
+
+_DENSITY_LABELS = ("set xlabel 'derivative estimate'", "set ylabel 'density'")
 
 
 def _write_config_echo(cfg: ExperimentConfig, theta, extra: dict | None = None) -> None:
     doc = asdict(cfg)
     if theta is not None:
-        doc["base_params"] = [float(f"{v:.17g}") for v in np.asarray(theta)]
+        doc["base_params"] = np.asarray(theta).tolist()
     if extra:
         doc.update(extra)
     path = os.path.join(cfg.out_dir, f"{cfg.experiment.replace('-', '_')}_config.json")
     with open(path, "w") as fh:
         json.dump(doc, fh, indent=2)
         fh.write("\n")
-
-
-def _write_gnuplot(path, lines) -> None:
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -232,17 +250,12 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             got = epsr.apply_rule(rule, sl, theta[j])
             ref = central_difference(sl, theta[j], d, _FD_STEPS[d])
             rows.append((j, names[j], d, got, ref, abs(got - ref)))
-    path = os.path.join(cfg.out_dir, "result1_errors.csv")
-    _write_csv(path, ["param_index", "param_name", "d", "epsr", "reference", "abs_error"], rows, reproducible)
+    plot = ["set logscale y", "set xlabel 'derivative order d'", "set ylabel '|rule - finite difference|'",
+            "plot 'result1_errors.csv' using 3:6 skip 1 with points title 'error'"]
+    _write_csv(os.path.join(cfg.out_dir, "result1_errors.csv"),
+               ["param_index", "param_name", "d", "epsr", "reference", "abs_error"], rows, reproducible,
+               plot if emit_gnuplot else None)
     _write_config_echo(cfg, theta)
-    if emit_gnuplot:
-        _write_gnuplot(os.path.join(cfg.out_dir, "result1_errors.gp"), [
-            "set datafile separator ','",
-            "set logscale y",
-            "set xlabel 'derivative order d'",
-            "set ylabel '|rule - finite difference|'",
-            f"plot 'result1_errors.csv' using 3:6 skip 1 with points title 'error'",
-        ])
     return rows
 
 
@@ -262,16 +275,10 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
         ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
                                  cfg.repetitions, [cfg.seed, 2, j], cfg.method)
         rows = [(i, ests["uniform"][i], ests["weighted"][i]) for i in range(cfg.repetitions)]
-        path = os.path.join(cfg.out_dir, f"result2_{names[j]}.csv")
-        _write_csv(path, ["repetition", "uniform", "weighted"], rows, reproducible)
-        if emit_gnuplot:
-            _write_gnuplot(path.replace(".csv", ".gp"), [
-                "set datafile separator ','",
-                "set xlabel 'derivative estimate'",
-                "set ylabel 'density'",
-                f"plot '{os.path.basename(path)}' using 2 skip 1 smooth kdensity title 'uniform', \\",
-                f"     '{os.path.basename(path)}' using 3 skip 1 smooth kdensity title 'weighted'",
-            ])
+        name = f"result2_{names[j]}.csv"
+        plot = [*_DENSITY_LABELS, _kdensity(name, ("uniform", "weighted"))]
+        _write_csv(os.path.join(cfg.out_dir, name), ["repetition", "uniform", "weighted"], rows,
+                   reproducible, plot if emit_gnuplot else None)
         out[j] = ests
     _write_config_echo(cfg, theta)
     return out
@@ -313,17 +320,10 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             cols[tag] = ests["weighted"]
         rows = [(i, cols["equidistant"][i], cols["random1"][i], cols["random2"][i])
                 for i in range(cfg.repetitions)]
-        path = os.path.join(cfg.out_dir, f"result3_{names[j]}.csv")
-        _write_csv(path, ["repetition", "equidistant", "random1", "random2"], rows, reproducible)
-        if emit_gnuplot:
-            _write_gnuplot(path.replace(".csv", ".gp"), [
-                "set datafile separator ','",
-                "set xlabel 'derivative estimate'",
-                "set ylabel 'density'",
-                f"plot '{os.path.basename(path)}' using 2 skip 1 smooth kdensity title 'equidistant', \\",
-                f"     '{os.path.basename(path)}' using 3 skip 1 smooth kdensity title 'random 1', \\",
-                f"     '{os.path.basename(path)}' using 4 skip 1 smooth kdensity title 'random 2'",
-            ])
+        name = f"result3_{names[j]}.csv"
+        plot = [*_DENSITY_LABELS, _kdensity(name, ("equidistant", "random 1", "random 2"))]
+        _write_csv(os.path.join(cfg.out_dir, name), ["repetition", "equidistant", "random1", "random2"],
+                   rows, reproducible, plot if emit_gnuplot else None)
         out[j] = cols
     _write_config_echo(cfg, theta, {"node_sets": node_echo})
     return out
@@ -331,20 +331,17 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
 
 def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     fs = integer_frequencies(2)
-    header = () if reproducible else (f"generated {datetime.datetime.now().isoformat()}",)
     paths = []
     for d in range(1, 7):
-        path = os.path.join(cfg.out_dir, f"landscape_d{d}.csv")
-        variance.write_landscape_csv(path, fs, d, cfg.scheme, n=61, header_lines=header)
-        paths.append(path)
-        if emit_gnuplot:
-            _write_gnuplot(path.replace(".csv", ".gp"), [
-                "set datafile separator ','",
-                "set view map",
-                "set xlabel 'x1'",
-                "set ylabel 'x2'",
-                f"splot '{os.path.basename(path)}' using 1:2:3 skip 1 with points palette pt 5 title 'F'",
-            ])
+        grid, values = variance.scan_landscape(fs, d, cfg.scheme)
+        x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+        name = f"landscape_d{d}.csv"
+        paths.append(os.path.join(cfg.out_dir, name))
+        plot = ["set view map", "set xlabel 'x1'", "set ylabel 'x2'",
+                f"splot '{name}' using 1:2:3 skip 1 with points palette pt 5 title 'F'"]
+        _write_csv(paths[-1], ["x1", "x2", "F"],
+                   zip(x1.ravel().tolist(), x2.ravel().tolist(), values.ravel().tolist()), reproducible,
+                   plot if emit_gnuplot else None)
     _write_config_echo(cfg, None)
     return paths
 
@@ -365,18 +362,13 @@ def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool)
                 seed=[cfg.seed, 5, r, d])
             rows.append((r, d, "odd" if d % 2 else "even", res.equidistant_error,
                          res.objective, float(r) ** d))
-    path = os.path.join(cfg.out_dir, "de_sweep_errors.csv")
-    _write_csv(path, ["r", "d", "parity", "max_node_error", "objective", "target"], rows, reproducible)
+    plot = ["set view map", "set xlabel 'r'", "set ylabel 'd'", "set logscale cb",
+            "splot 'de_sweep_errors.csv' using 1:2:4 skip 1 with points palette pt 5 ps 4 "
+            "title 'max node error'"]
+    _write_csv(os.path.join(cfg.out_dir, "de_sweep_errors.csv"),
+               ["r", "d", "parity", "max_node_error", "objective", "target"], rows, reproducible,
+               plot if emit_gnuplot else None)
     _write_config_echo(cfg, None)
-    if emit_gnuplot:
-        _write_gnuplot(path.replace(".csv", ".gp"), [
-            "set datafile separator ','",
-            "set view map",
-            "set xlabel 'r'",
-            "set ylabel 'd'",
-            "set logscale cb",
-            f"splot '{os.path.basename(path)}' using 1:2:4 skip 1 with points palette pt 5 ps 4 title 'max node error'",
-        ])
     return rows
 
 

@@ -407,19 +407,39 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
     return json.dumps({"q": circuit.q, "n_params": circuit.n_params, "gates": gates}, indent=2)
 
 
+def _json_get(doc, key: str, kinds: tuple, where: str):
+    """``doc[key]`` if its JSON type is one of ``kinds``; ValueError naming the key otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where} is missing key {key!r}")
+    if type(doc[key]) not in kinds:  # exact types: a JSON bool is not an int
+        raise ValueError(f"{where} key {key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"not {doc[key]!r}")
+    return doc[key]
+
+
 def circuit_from_json(text: str) -> CircuitSpec:
+    """Inverse of :func:`circuit_to_json`; ValueError on a missing key or a non-integer index."""
     doc = json.loads(text)
-    gates = tuple(
-        Gate(g["name"], tuple(g["qubits"]), g.get("param")) for g in doc["gates"]
-    )
-    return CircuitSpec(int(doc["q"]), gates, int(doc["n_params"]))
+    gates = []
+    for g in _json_get(doc, "gates", (list,), "circuit document"):
+        qubits = _json_get(g, "qubits", (list,), "gate")
+        if any(type(i) is not int for i in qubits):
+            raise ValueError(f"gate qubits must be integers, not {qubits!r}")
+        param = None if g.get("param") is None else _json_get(g, "param", (int,), "gate")
+        gates.append(Gate(_json_get(g, "name", (str,), "gate"), tuple(qubits), param))
+    return CircuitSpec(_json_get(doc, "q", (int,), "circuit document"), tuple(gates),
+                       _json_get(doc, "n_params", (int,), "circuit document"))
 
 
 def observable_to_json(obs: PauliSumObservable) -> str:
-    terms = [{"coeff": float(f"{c:.17g}"), "pauli": p} for c, p in obs.terms]
+    terms = [{"coeff": c, "pauli": p} for c, p in obs.terms]
     return json.dumps({"terms": terms}, indent=2)
 
 
 def observable_from_json(text: str) -> PauliSumObservable:
-    doc = json.loads(text)
-    return PauliSumObservable(tuple((t["coeff"], t["pauli"]) for t in doc["terms"]))
+    """Inverse of :func:`observable_to_json`; ValueError on a missing key or a wrong type."""
+    terms = _json_get(json.loads(text), "terms", (list,), "observable document")
+    return PauliSumObservable(tuple(
+        (_json_get(t, "coeff", (int, float), "term"), _json_get(t, "pauli", (str,), "term")) for t in terms))

@@ -90,9 +90,13 @@ def integer_frequencies(r: int) -> FrequencySet:
 def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL) -> FrequencySet:
     """All distinct positive differences between pairs of eigenvalues.
 
-    Gaps closer together than ``dedup_tol * scale`` are merged into one
-    frequency (their mean), where ``scale`` is the largest eigenvalue
-    magnitude (or 1 if all eigenvalues are zero).
+    Sorted gaps chain into one cluster while each lies within ``cut =
+    dedup_tol * scale`` of the previous one (``scale``: the largest eigenvalue
+    magnitude, or 1 if all are zero); each cluster becomes its mean.  A
+    cluster may span more than ``cut``: [-1, -0.25, 0, 5e-10, 0.75 + 1e-9, 1]
+    has gaps 1 - 5e-10 .. 1 + 1e-9 that merge into 1.0000000002.  Capping the
+    width would split it into frequencies closer than ``cut``, which make a
+    near-singular node system.
 
     Raises:
         ValueError: on an empty spectrum, or when all eigenvalues coincide

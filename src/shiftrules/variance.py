@@ -52,7 +52,6 @@ __all__ = [
     "certify_equidistant_optimality",
     "canonical_nodes",
     "scan_landscape",
-    "write_landscape_csv",
 ]
 
 #: Margin keeping optimizer iterates away from the singular box edges.
@@ -527,16 +526,3 @@ def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):
     x1, x2 = np.meshgrid(grid, grid, indexing="ij")
     values = stacked_objective(np.stack([x1.ravel(), x2.ravel()], axis=1), fs, d, scheme)
     return grid, values.reshape(n, n)
-
-
-def write_landscape_csv(path, fs: FrequencySet, d: int, scheme: str, n: int = 61,
-                        header_lines: tuple[str, ...] = ()) -> None:
-    """Write the landscape grid as CSV rows x1,x2,F (17 significant digits)."""
-    grid, values = scan_landscape(fs, d, scheme, n)
-    with open(path, "w") as fh:
-        for line in header_lines:
-            fh.write(f"# {line}\n")
-        fh.write("x1,x2,F\n")
-        for i, x1 in enumerate(grid):
-            for j, x2 in enumerate(grid):
-                fh.write(f"{x1:.17g},{x2:.17g},{values[i, j]:.17g}\n")

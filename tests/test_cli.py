@@ -145,6 +145,18 @@ def test_estimate_sampled_csv(tmp_path, capsys):
     assert out_file.read_text() == body
 
 
+def test_estimate_stdout_equals_reproducible_file(tmp_path, capsys):
+    out_file = tmp_path / "est.csv"
+    args = ("estimate", "--circuit", "xxz-hva", "--param", "0", "--repetitions", "20", "--seed", "3")
+    code, out, _ = run(capsys, *args)
+    assert code == EXIT_OK
+    code, _, _ = run(capsys, *args, "--out", str(out_file), "--reproducible")
+    assert code == EXIT_OK
+    assert out == out_file.read_text()
+    # stdout never carries the timestamp line, with or without --reproducible
+    assert not out.startswith("#")
+
+
 def test_estimate_variance_ratio(tmp_path, capsys):
     outs = {}
     for scheme in ("uniform", "weighted"):
@@ -216,6 +228,21 @@ def test_experiment_result2_deterministic_and_gnuplot(tmp_path, capsys):
     assert len(cfg_echo["base_params"]) == 8
     code, _, _ = run(capsys, *args)
     assert (tmp_path / "result2_theta1.csv").read_text() == first
+
+
+@pytest.mark.parametrize("exp_id", ["result2", "landscape"])
+def test_gnuplot_script_beside_csv_when_out_dir_name_has_csv(tmp_path, capsys, exp_id):
+    out_dir = tmp_path / "runs.csv"
+    code, _, err = run(capsys, "experiment", "--id", exp_id, "--out-dir", str(out_dir),
+                       "--repetitions", "10", "--params", "0", "--emit-gnuplot")
+    assert code == EXIT_OK, err
+    csvs = sorted(out_dir.glob("*.csv"))
+    assert csvs
+    for csv in csvs:
+        gp = csv.with_suffix(".gp")
+        assert gp.read_text().startswith("set datafile separator ','\n")
+        assert f"'{csv.name}'" in gp.read_text()
+    assert not (tmp_path / "runs.gp").exists()
 
 
 def test_seventeen_digit_serialization(capsys):

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -7,6 +8,7 @@ from shiftrules import epsr, qsim, variance
 from shiftrules.experiments import (
     RESULT3_RANDOM_NODES,
     ExperimentConfig,
+    _write_csv,
     random_base_params,
     run_experiment,
     sampled_estimates,
@@ -30,6 +32,28 @@ def test_config_scheme_validation():
         ExperimentConfig("de-sweep", scheme="custom")
     for scheme in ("uniform", "unif", "weighted", "wgt"):
         assert ExperimentConfig("landscape", scheme=scheme).scheme == scheme
+
+
+def test_config_method_validation(tmp_path):
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="unknown sampling method 'bogus'"):
+        run_experiment(ExperimentConfig("result2", method="bogus", out_dir=str(out_dir)))
+    assert not out_dir.exists()
+    for method in ("multinomial", "gaussian"):
+        assert ExperimentConfig("result2", method=method).method == method
+
+
+def test_write_csv_stream_and_timestamp():
+    rows = [(0, "a", 0.1, float("inf")), (1, "b", -0.0, 1 / 3)]
+    buf = io.StringIO()
+    _write_csv(buf, ["i", "s", "x", "y"], rows, reproducible=True)
+    assert buf.getvalue() == ("i,s,x,y\n0,a,0.10000000000000001,inf\n"
+                              "1,b,-0,0.33333333333333331\n")
+    stamped = io.StringIO()
+    _write_csv(stamped, ["i", "s", "x", "y"], rows, reproducible=False)
+    first, rest = stamped.getvalue().split("\n", 1)
+    assert first.startswith("# generated ")
+    assert rest == buf.getvalue()
 
 
 def test_valid_nodes_integer_sets_are_equidistant():
@@ -82,6 +106,21 @@ def test_result3_quick(tmp_path):
         assert np.var(out[j]["random2"], ddof=1) > ve
     echo = json.loads((tmp_path / "result3_config.json").read_text())
     assert "node_sets" in echo
+
+
+def test_landscape_csv(tmp_path):
+    paths = run_experiment(ExperimentConfig("landscape", out_dir=str(tmp_path)), reproducible=True)
+    assert paths == [str(tmp_path / f"landscape_d{d}.csv") for d in range(1, 7)]
+    lines = (tmp_path / "landscape_d1.csv").read_text().splitlines()
+    assert lines[0] == "x1,x2,F"
+    assert len(lines) == 1 + 61 * 61
+    cells = [line.split(",") for line in lines[1:]]
+    assert all(len(c) == 3 for c in cells)
+    # the diagonal x1 == x2 is singular and written as inf
+    diagonal = [c for c in cells if c[0] == c[1]]
+    assert len(diagonal) == 61
+    assert all(c[2] == "inf" for c in diagonal)
+    assert all(np.isfinite(float(c[2])) for c in cells if c[0] != c[1])
 
 
 def test_de_sweep_quick(tmp_path):

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -268,3 +269,48 @@ def test_observable_json_roundtrip():
     obs = build_xxz_hamiltonian(4, 0.5)
     back = observable_from_json(observable_to_json(obs))
     assert back == obs
+
+
+def _tampered_circuit_json(xxz_setup, tamper):
+    doc = json.loads(circuit_to_json(xxz_setup[0]))
+    tamper(doc)
+    return json.dumps(doc)
+
+
+def _first_bound_gate(doc):
+    return next(g for g in doc["gates"] if "param" in g)
+
+
+@pytest.mark.parametrize("tamper, message", [
+    (lambda doc: _first_bound_gate(doc).update(param=0.5), "gate key 'param' must be int, not 0.5"),
+    (lambda doc: _first_bound_gate(doc).update(param=True), "gate key 'param' must be int, not True"),
+    (lambda doc: doc["gates"][0].update(qubits=[0.5]), "gate qubits must be integers, not [0.5]"),
+    (lambda doc: doc["gates"][0].update(qubits=[False]), "gate qubits must be integers, not [False]"),
+    (lambda doc: doc["gates"][0].pop("qubits"), "gate is missing key 'qubits'"),
+    (lambda doc: doc.pop("gates"), "circuit document is missing key 'gates'"),
+    (lambda doc: doc.update(q="5"), "circuit document key 'q' must be int"),
+], ids=["float-param", "bool-param", "float-qubit", "bool-qubit", "no-qubits", "no-gates", "str-q"])
+def test_circuit_json_rejects_malformed(xxz_setup, tamper, message):
+    with pytest.raises(ValueError) as info:
+        circuit_from_json(_tampered_circuit_json(xxz_setup, tamper))
+    assert message in str(info.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("[]", "observable document must be a JSON object, not list"),
+    ("{}", "observable document is missing key 'terms'"),
+    ('{"terms": [{"coeff": 1.0}]}', "term is missing key 'pauli'"),
+    ('{"terms": [{"pauli": "ZZ"}]}', "term is missing key 'coeff'"),
+    ('{"terms": [{"coeff": "1", "pauli": "ZZ"}]}', "term key 'coeff' must be int or float"),
+    ('{"terms": [{"coeff": true, "pauli": "ZZ"}]}', "term key 'coeff' must be int or float"),
+    ('{"terms": ["ZZ"]}', "term must be a JSON object, not str"),
+], ids=["list", "no-terms", "no-pauli", "no-coeff", "str-coeff", "bool-coeff", "str-term"])
+def test_observable_json_rejects_malformed(text, message):
+    with pytest.raises(ValueError) as info:
+        observable_from_json(text)
+    assert message in str(info.value)
+
+
+def test_circuit_json_rejects_top_level_list():
+    with pytest.raises(ValueError, match="circuit document must be a JSON object, not list"):
+        circuit_from_json("[]")

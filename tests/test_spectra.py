@@ -33,6 +33,15 @@ def test_near_degenerate_gaps_deduplicated():
     assert fs.r == 2  # gaps 1, 1+eps collapse; gap 2 stays
 
 
+def test_gap_clusters_chain_beyond_the_cut():
+    # gaps 1 - 5e-10, 1, 1 + 5e-10 and 1 + 1e-9 are each within cut = 1e-9 of
+    # the previous one, so they chain into one frequency although they span 1.5e-9
+    fs = spectra.positive_difference_frequencies([-1, -0.25, 0, 5e-10, 0.75 + 1e-9, 1])
+    assert fs.r == 6
+    assert fs.frequencies[2] == pytest.approx(1.0000000002, rel=0, abs=1e-15)
+    assert [w for w in fs.frequencies if abs(w - 1.0) < 1e-6] == [fs.frequencies[2]]
+
+
 def test_every_frequency_is_a_gap():
     rng = np.random.default_rng(11)
     for _ in range(50):

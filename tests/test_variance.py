@@ -24,7 +24,6 @@ from shiftrules.variance import (
     predicted_variance,
     scan_landscape,
     subgrad_F_wgt,
-    write_landscape_csv,
 )
 
 FS12 = integer_frequencies(2)
@@ -487,11 +486,3 @@ def test_landscape_matches_scalar_objective_exactly(d, scheme):
             except SingularNodesError:
                 want = math.inf
             assert values[i, j] == want, (i, j)
-
-
-def test_landscape_csv(tmp_path):
-    path = tmp_path / "grid.csv"
-    write_landscape_csv(path, FS12, 1, "weighted", n=5)
-    lines = path.read_text().strip().splitlines()
-    assert lines[0] == "x1,x2,F"
-    assert len(lines) == 1 + 25
