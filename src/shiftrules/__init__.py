@@ -7,7 +7,7 @@ Subpackages:
 * :mod:`shiftrules.epsr`        -- shift-rule construction and application.
 * :mod:`shiftrules.variance`    -- variance objectives, shot allocation and
   node optimization.
-* :mod:`shiftrules.qsim`        -- dense statevector testbed (XXZ/HVA).
+* :mod:`shiftrules.qsim`        -- batched statevector testbed (XXZ/HVA).
 * :mod:`shiftrules.experiments` -- canned reproduction experiments.
 * :mod:`shiftrules.cli`         -- command-line driver.
 """

@@ -311,12 +311,13 @@ def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
 def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
     """sum_mu gamma_mu * evaluator(xbar + phi_mu).
 
-    The evaluator must be a total function of a single real argument; it is
-    called once per expanded shift, in rule order.
+    The evaluator is called exactly once, with the 1-D array of all shifted
+    points ``xbar + phi_mu`` in rule order, and must return the array of
+    values at those points (numpy ufuncs, :class:`~shiftrules.trigpoly.TrigPoly`
+    and :class:`~shiftrules.qsim.CostSlice` all do).
     """
-    return float(
-        sum(g * float(evaluator(xbar + s)) for g, s in zip(rule.expanded_coeffs, rule.expanded_shifts))
-    )
+    points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
+    return float(np.asarray(rule.expanded_coeffs) @ np.asarray(evaluator(points), dtype=float))
 
 
 def evaluation_count(rule: PSRRule) -> int:

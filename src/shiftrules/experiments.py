@@ -93,6 +93,10 @@ class ExperimentConfig:
             raise ValueError(f"unknown sampling method {self.method!r}")
         if self.params is not None:
             object.__setattr__(self, "params", tuple(int(j) for j in self.params))
+            bad = [j for j in self.params if not 0 <= j < 4 * self.p]
+            if bad:
+                raise ValueError(f"params {bad} out of range: the p={self.p} circuit has "
+                                 f"parameters 0..{4 * self.p - 1}")
 
 
 def random_base_params(q: int, p: int, seed) -> np.ndarray:
@@ -204,15 +208,13 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     draws of that shift at once.
     """
     gamma = np.asarray(rule.expanded_coeffs)
-    points = [xbar + phi for phi in rule.expanded_shifts]
+    points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     if method == "multinomial":
         evals, evecs = qsim._eigensystem(sl.observable.terms)
-        tables = []
-        for x in points:
-            pr = np.clip(np.abs(evecs.conj().T @ sl.state(x)) ** 2, 0.0, None)
-            tables.append(pr / pr.sum())
+        pr = np.clip(np.abs(sl.state(points) @ evecs.conj()) ** 2, 0.0, None)
+        tables = pr / pr.sum(axis=1, keepdims=True)
     elif method == "gaussian":
-        tables = [(sl(x), sl.one_shot_variance(x)) for x in points]
+        tables = list(zip(sl(points), sl.one_shot_variance(points)))
     else:
         raise ValueError(f"unknown sampling method {method!r}")
 

@@ -1,15 +1,24 @@
-"""Dense statevector testbed: XXZ/HVA circuits, expectations and shot noise.
+"""Statevector testbed: XXZ/HVA circuits, batched cost slices and shot noise.
 
-The simulator is deliberately small: dense statevectors up to 12 qubits,
-two-qubit rotation kernels applied on amplitude pairs, Pauli-sum observables,
-exact expectations and one-shot variances, and a per-observable cache of the
-eigensystem.  It exists to provide hardware-model cost slices on which the
-shift rules and the shot-allocation predictions can be validated end to end.
-The shot-noise model that samples these slices is
-:func:`shiftrules.experiments.sampled_estimates`.
+The simulator is deliberately small.  Statevectors up to 12 qubits carry a
+leading batch axis.  One gate kernel applies a fixed matrix, or one stacked
+(B, 4, 4) matrix per point, to the gate's qubits; RZZ is a diagonal phase
+multiply built from bit parities; Pauli-sum observables act by index
+arithmetic, with one gather and one cached diagonal per X/Y flip mask.  A
+cost slice computes the state before the first gate bound to its parameter
+once, then runs the rest of the circuit once over all requested points.
 
-Qubit convention: qubit i is tensor axis i, i.e. the i-th character of a
-Pauli string and the i-th bit (most significant first) of a basis index.
+Slice frequency supersets come from per-component spectra: the gates bound
+to one parameter are grouped into components that share qubits, each
+component's generator is diagonalised on its own support, and the spectra
+are combined by Minkowski sum (sums of commuting generators, Wierichs, Izaac,
+Wang & Lin, Quantum 6, 677, 2022).  No 2^q x 2^q generator is built unless
+one component covers every qubit.  The observable eigensystem behind
+multinomial sampling is cached per observable; the shot-noise model that
+samples these slices is :func:`shiftrules.experiments.sampled_estimates`.
+
+Qubit convention: qubit i is the i-th character of a Pauli string and the
+i-th bit (most significant first) of a basis index.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import cached_property, lru_cache, reduce
 
 import numpy as np
 
@@ -54,10 +63,12 @@ _PAULI_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_H_KERNEL = np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2)
-_CNOT_KERNEL = np.array(
-    [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-)
+_FIXED_KERNELS = {
+    "X": _PAULI_1Q["X"],
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+_PAULI_PAIRS = {name: np.kron(_PAULI_1Q[name[1]], _PAULI_1Q[name[2]]) for name in ("RXX", "RYY")}
 
 _GATE_NAMES = ("X", "H", "CNOT", "RXX", "RYY", "RZZ")
 _PARAM_GATES = ("RXX", "RYY", "RZZ")
@@ -151,87 +162,142 @@ def _eigensystem(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.n
     return evals, evecs
 
 
-def _apply_one(psi: np.ndarray, kernel: np.ndarray, i: int) -> np.ndarray:
-    out = np.tensordot(kernel, np.moveaxis(psi, i, 0), axes=([1], [0]))
-    return np.moveaxis(out, 0, i)
+@lru_cache(maxsize=256)
+def _parity_sign(q: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """(-1)^(number of set bits of ``qubits`` in the basis index), per basis index."""
+    idx = np.arange(2**q)
+    parity = np.zeros(2**q, dtype=int)
+    for i in qubits:
+        parity ^= (idx >> (q - 1 - i)) & 1
+    sign = 1.0 - 2.0 * parity
+    sign.setflags(write=False)
+    return sign
 
 
-def _apply_two(psi: np.ndarray, kernel4: np.ndarray, i: int, j: int) -> np.ndarray:
-    moved = np.moveaxis(psi, (i, j), (0, 1))
-    shape = moved.shape
-    flat = kernel4 @ moved.reshape(4, -1)
-    return np.moveaxis(flat.reshape(shape), (0, 1), (i, j))
+@lru_cache(maxsize=64)
+def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli terms grouped by X/Y flip mask: (index permutations, diagonals).
+
+    A Pauli string P maps |a ^ m> to D_P[a] |a>, where m marks its X/Y
+    positions and D_P[a] = (-i)^{#Y} (-1)^{popcount(a & Y/Z positions)}.
+    Row k of the result holds ``idx ^ m_k`` and sum_{P with mask m_k} c_P D_P,
+    so (C psi)[a] = sum_k D_k[a] psi[a ^ m_k].  Write-once, like
+    :func:`_eigensystem`.
+    """
+    q = len(terms[0][1])
+    diags: dict[int, np.ndarray] = {}
+    for coeff, pauli in terms:
+        flip = sum(1 << (q - 1 - k) for k, ch in enumerate(pauli) if ch in "XY")
+        sign = _parity_sign(q, tuple(k for k, ch in enumerate(pauli) if ch in "YZ"))
+        term = coeff * (1, -1j, -1, 1j)[pauli.count("Y") % 4] * sign
+        diags[flip] = diags[flip] + term if flip in diags else term.astype(complex)
+    perms = np.arange(2**q)[None, :] ^ np.array(list(diags))[:, None]
+    stacked = np.array(list(diags.values()))
+    perms.setflags(write=False)
+    stacked.setflags(write=False)
+    return perms, stacked
 
 
-def _rotation_kernel(name: str, x: float) -> np.ndarray:
-    half = 0.5 * x
-    if name == "RZZ":
-        return np.diag(np.exp(-1j * half * np.array([1, -1, -1, 1])))
-    pp = reduce(np.kron, (_PAULI_1Q[name[1]], _PAULI_1Q[name[2]]))
-    return math.cos(half) * np.eye(4, dtype=complex) - 1j * math.sin(half) * pp
+def _apply(psi: np.ndarray, kernel: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """The gate kernel: a (2^k, 2^k) or (B, 2^k, 2^k) matrix on ``qubits`` of the batch psi (B, 2^q)."""
+    b, n = psi.shape
+    q = n.bit_length() - 1
+    axes = [1 + i for i in qubits]
+    front = list(range(1, 1 + len(axes)))
+    moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
+    out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
+    return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), front, axes).reshape(-1, n)
+
+
+def _rotation_kernel(name: str, x) -> np.ndarray:
+    """exp(-i x/2 P(x)P): (4, 4) for a scalar x, (B, 4, 4) for a 1-D x."""
+    half = 0.5 * np.asarray(x, dtype=float)[..., None, None]
+    return np.cos(half) * np.eye(4) - 1j * np.sin(half) * _PAULI_PAIRS[name]
+
+
+def _zz_phase(q: int, qubits: tuple[int, ...], x) -> np.ndarray:
+    """Diagonal of RZZ(x) from bit parities: (2^q,) for a scalar x, (B, 2^q) for a 1-D x."""
+    half = 0.5 * np.asarray(x, dtype=float)[..., None]
+    return np.cos(half) - 1j * np.sin(half) * _parity_sign(q, qubits)
+
+
+def _evolve(psi: np.ndarray, gates, theta) -> np.ndarray:
+    """Apply ``gates`` to the batch psi (B, 2^q); ``theta[k]`` is a float or a (B,) array."""
+    q = psi.shape[1].bit_length() - 1
+    for g in gates:
+        if g.name == "RZZ":
+            psi = psi * _zz_phase(q, g.qubits, theta[g.param])
+        elif g.param is None:
+            psi = _apply(psi, _FIXED_KERNELS[g.name], g.qubits)
+        else:
+            psi = _apply(psi, _rotation_kernel(g.name, theta[g.param]), g.qubits)
+    return psi
+
+
+def _check_norms(psi: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(psi, axis=1)
+    bad = np.abs(norms - 1.0) > 1e-10
+    if np.any(bad):
+        raise AssertionError(f"statevector norm drifted to {norms[bad][0]}")
+    return psi
 
 
 def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
-    """State U(theta)|0...0> as a complex vector of length 2**q."""
+    """State U(theta)|0...0> as a complex vector of length 2**q (a batch of one)."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {theta.size}")
-    psi = np.zeros((2,) * circuit.q, dtype=complex)
-    psi[(0,) * circuit.q] = 1.0
-    for g in circuit.gates:
-        if g.name == "X":
-            psi = np.flip(psi, axis=g.qubits[0])
-        elif g.name == "H":
-            psi = _apply_one(psi, _H_KERNEL, g.qubits[0])
-        elif g.name == "CNOT":
-            psi = _apply_two(psi, _CNOT_KERNEL, *g.qubits)
-        else:
-            psi = _apply_two(psi, _rotation_kernel(g.name, theta[g.param]), *g.qubits)
-    flat = psi.ravel()
-    norm = np.linalg.norm(flat)
-    if abs(norm - 1.0) > 1e-10:
-        raise AssertionError(f"statevector norm drifted to {norm}")
-    return flat
+    return _check_norms(_evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta))[0]
 
 
-def _apply_pauli_string(psi_t: np.ndarray, pauli: str) -> np.ndarray:
-    out = psi_t
-    for i, ch in enumerate(pauli):
-        if ch == "I":
-            continue
-        out = _apply_one(out, _PAULI_1Q[ch], i)
+def _as_batch(state, obs: PauliSumObservable) -> np.ndarray:
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != 2**obs.q:
+        raise ValueError("state dimension does not match the observable")
+    return psi.reshape(-1, 2**obs.q)
+
+
+def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
+    """C psi for the batch psi (B, 2^q), one gather per flip mask."""
+    perms, diags = _flip_masks(obs.terms)
+    out = np.zeros_like(psi)
+    for perm, diag in zip(perms, diags):
+        out += diag * psi[:, perm]
     return out
 
 
-def _obs_times_state(state: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
-    psi_t = state.reshape((2,) * obs.q)
-    acc = np.zeros_like(psi_t)
-    for coeff, pauli in obs.terms:
-        acc = acc + coeff * _apply_pauli_string(psi_t, pauli)
-    return acc.ravel()
+def _batch_result(values: np.ndarray, state):
+    return float(values[0]) if np.ndim(state) == 1 else values
 
 
-def expectation(state: np.ndarray, obs: PauliSumObservable) -> float:
-    """<psi| C |psi> for the Pauli sum C; asserts a real result."""
-    state = np.asarray(state, dtype=complex).ravel()
-    if state.size != 2**obs.q:
-        raise ValueError("state dimension does not match the observable")
-    val = complex(np.vdot(state, _obs_times_state(state, obs)))
-    if abs(val.imag) > 1e-10 * (1.0 + abs(val.real)):
-        raise AssertionError(f"expectation has imaginary residue {val.imag:.3e}")
-    return float(val.real)
+def expectation(state, obs: PauliSumObservable):
+    """<psi| C |psi> for the Pauli sum C; asserts a real result.
+
+    ``state`` is one statevector (gives a float) or a (B, 2**q) batch (gives
+    an array of B values).
+    """
+    psi = _as_batch(state, obs)
+    val = np.einsum("bi,bi->b", psi.conj(), _apply_observable(psi, obs))
+    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
+    if np.any(bad):
+        raise AssertionError(f"expectation has imaginary residue {val.imag[bad][0]:.3e}")
+    return _batch_result(val.real, state)
 
 
-def one_shot_variance(state: np.ndarray, obs: PauliSumObservable) -> float:
-    """<C^2> - <C>^2: variance of a single measurement of the observable."""
-    state = np.asarray(state, dtype=complex).ravel()
-    phi = _obs_times_state(state, obs)
-    mean = float(np.vdot(state, phi).real)
-    m2 = float(np.vdot(phi, phi).real)
+def one_shot_variance(state, obs: PauliSumObservable):
+    """<C^2> - <C>^2: variance of a single measurement of the observable.
+
+    Takes one statevector (gives a float) or a (B, 2**q) batch (gives an array).
+    """
+    psi = _as_batch(state, obs)
+    phi = _apply_observable(psi, obs)
+    mean = np.einsum("bi,bi->b", psi.conj(), phi).real
+    m2 = np.einsum("bi,bi->b", phi.conj(), phi).real
     var = m2 - mean * mean
-    if var < -1e-9 * max(1.0, abs(m2)):
-        raise AssertionError(f"negative variance {var:.3e}")
-    return max(var, 0.0)
+    bad = var < -1e-9 * np.maximum(1.0, np.abs(m2))
+    if np.any(bad):
+        raise AssertionError(f"negative variance {var[bad][0]:.3e}")
+    return _batch_result(np.maximum(var, 0.0), state)
 
 
 def _bonds(q: int, offset: int) -> list[tuple[int, int]]:
@@ -310,7 +376,13 @@ def build_hva_circuit(q: int, p: int) -> CircuitSpec:
 
 @dataclass(frozen=True)
 class CostSlice:
-    """Univariate view x -> f(theta with component j replaced by x)."""
+    """Univariate view x -> f(theta with component j replaced by x).
+
+    ``state``, ``__call__`` and ``one_shot_variance`` take a scalar x (one
+    state, a float) or a 1-D array of B points (a (B, 2**q) batch, an array).
+    The state before the first gate bound to ``index`` is computed once per
+    slice; the rest of the circuit runs once over all points as one batch.
+    """
 
     circuit: CircuitSpec
     observable: PauliSumObservable
@@ -325,18 +397,34 @@ class CostSlice:
         if not (0 <= self.index < self.circuit.n_params):
             raise ValueError("parameter index out of range")
 
-    def _theta(self, x: float) -> np.ndarray:
-        theta = np.asarray(self.base_params, dtype=float).copy()
-        theta[self.index] = x
-        return theta
+    @cached_property
+    def _split(self) -> int:
+        gates = self.circuit.gates
+        return next((k for k, g in enumerate(gates) if g.param == self.index), len(gates))
 
-    def state(self, x: float) -> np.ndarray:
-        return apply_circuit(self.circuit, self._theta(x))
+    @cached_property
+    def _prefix(self) -> np.ndarray:
+        zero = np.eye(1, 2**self.circuit.q, dtype=complex)
+        psi = _evolve(zero, self.circuit.gates[:self._split], self.base_params)
+        psi.setflags(write=False)
+        return psi
 
-    def __call__(self, x: float) -> float:
+    def state(self, x) -> np.ndarray:
+        xs = np.asarray(x, dtype=float)
+        if xs.ndim > 1:
+            raise ValueError("slice points must be a scalar or a 1-D array")
+        theta = list(self.base_params)
+        theta[self.index] = xs.ravel()
+        psi = _evolve(self._prefix, self.circuit.gates[self._split:], theta)
+        if psi.shape[0] != xs.size:  # no gate bound to index: the state is constant
+            psi = np.repeat(psi, xs.size, axis=0)
+        psi = _check_norms(psi)
+        return psi[0] if xs.ndim == 0 else psi
+
+    def __call__(self, x):
         return expectation(self.state(x), self.observable)
 
-    def one_shot_variance(self, x: float) -> float:
+    def one_shot_variance(self, x):
         return one_shot_variance(self.state(x), self.observable)
 
 
@@ -345,22 +433,47 @@ def cost_slice(circuit: CircuitSpec, obs: PauliSumObservable, theta_base, j: int
     return CostSlice(circuit, obs, tuple(np.asarray(theta_base, dtype=float)), j)
 
 
-def _effective_generator(circuit: CircuitSpec, j: int) -> np.ndarray:
-    """Dense Hermitian generator of the theta_j dependence.
+def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
+    """Sorted ``values``, keeping one of each run of neighbours closer than ``tol`` (relative)."""
+    v = np.sort(values)
+    return v[np.concatenate(([True], np.diff(v) > tol * max(1.0, float(np.max(np.abs(v))))))]
+
+
+def _generator_spectrum(circuit: CircuitSpec, j: int, tol: float) -> np.ndarray:
+    """Distinct eigenvalues of the generator of the theta_j dependence.
 
     Each bound gate exp(-i x/2 P(x)P) contributes -1/2 * P(x)P; the bound
-    gate groups of one parameter commute, so their sum generates the joint
-    x dependence.
+    gates of one parameter commute, so their sum generates the joint x
+    dependence.  Gates that share qubits (union-find) form a component whose
+    generator is diagonalised on its own support only; components act on
+    disjoint qubits, so the spectrum is the Minkowski sum of theirs.
     """
     gates = [g for g in circuit.gates if g.param == j]
     if not gates:
         raise ValueError(f"no gate is bound to parameter {j}")
-    dim = 2**circuit.q
-    gen = np.zeros((dim, dim), dtype=complex)
+    root = list(range(circuit.q))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = root[root[i]]
+            i = root[i]
+        return i
+
     for g in gates:
-        pauli = _two_site_string(circuit.q, g.qubits[0], g.qubits[1], g.name[1])
-        gen += -0.5 * PauliSumObservable(((1.0, pauli),)).to_matrix()
-    return gen
+        root[find(g.qubits[0])] = find(g.qubits[1])
+    components: dict[int, list[Gate]] = {}
+    for g in gates:
+        components.setdefault(find(g.qubits[0]), []).append(g)
+
+    spectrum = np.zeros(1)
+    for comp in components.values():
+        support = sorted({i for g in comp for i in g.qubits})
+        local = {i: k for k, i in enumerate(support)}
+        terms = tuple((-0.5, _two_site_string(len(support), local[g.qubits[0]], local[g.qubits[1]],
+                                                g.name[1])) for g in comp)
+        eigs = _distinct(np.linalg.eigvalsh(PauliSumObservable(terms).to_matrix()), tol)
+        spectrum = _distinct((spectrum[:, None] + eigs[None, :]).ravel(), tol)
+    return spectrum
 
 
 def slice_frequencies(circuit: CircuitSpec, j: int, observable: PauliSumObservable | None = None,
@@ -378,18 +491,16 @@ def slice_frequencies(circuit: CircuitSpec, j: int, observable: PauliSumObservab
     """
     if circuit.q > MAX_QUBITS:
         raise ValueError(f"dense diagonalization capped at {MAX_QUBITS} qubits")
-    eigs = np.linalg.eigvalsh(_effective_generator(circuit, j))
+    eigs = _generator_spectrum(circuit, j, dedup_tol)
     superset = snap_to_integers(positive_difference_frequencies(eigs, dedup_tol), dedup_tol)
     if observable is None:
         return superset
     if base_params is None:
         raise ValueError("amplitude pruning needs base_params alongside the observable")
 
-    sl = cost_slice(circuit, observable, base_params, j)
     n = max(4 * (2 * superset.r + 1), 65)
     xs = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    ys = np.array([sl(x) for x in xs])
-    poly, _ = fit_least_squares(superset, xs, ys)
+    poly, _ = fit_least_squares(superset, xs, cost_slice(circuit, observable, base_params, j)(xs))
     amps = np.hypot(np.asarray(poly.cos_coeffs), np.asarray(poly.sin_coeffs))
     keep = amps > prune_tol * max(1.0, float(np.max(amps)))
     if not np.any(keep):

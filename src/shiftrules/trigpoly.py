@@ -201,11 +201,11 @@ def central_difference(f, x: float, d: int, h: float = 1e-2) -> float:
 
     Used only as an independent reference oracle, never as a production
     derivative estimator; the stencil is kept higher-order than any claim
-    checked against it.
+    checked against it.  ``f`` is called once, with the 1-D array of all
+    stencil points, and must return the array of values at those points.
     """
     if d not in _HALF_WIDTH:
         raise ValueError("central_difference supports d = 1..6")
     k = np.arange(-_HALF_WIDTH[d], _HALF_WIDTH[d] + 1)
     weights = _fornberg_weights(0.0, k * h, d)
-    vals = np.array([f(x + kk * h) for kk in k])
-    return float(weights @ vals)
+    return float(weights @ np.asarray(f(x + k * h), dtype=float))

@@ -187,6 +187,16 @@ def test_experiment_unknown_scheme_is_config_error(tmp_path, capsys):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("param", ["99", "8", "-1"])
+def test_experiment_param_out_of_range_is_config_error(tmp_path, capsys, param):
+    out_dir = tmp_path / "o"
+    code, _, err = run(capsys, "experiment", "--id", "result2", "--params", param,
+                       "--out-dir", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert f"params [{param}] out of range" in err
+    assert not out_dir.exists()
+
+
 def test_experiment_config_file(tmp_path, capsys):
     cfg = {"id": "landscape", "out_dir": str(tmp_path), "reproducible": True}
     cfg_path = tmp_path / "cfg.json"

@@ -267,6 +267,30 @@ def test_apply_rule_cosine_derivative_shifted():
     assert got == pytest.approx(0.5 * (math.cos(5 * math.pi / 6) - math.cos(-math.pi / 6)), abs=1e-15)
 
 
+class _CountingEvaluator:
+    """Wraps an evaluator and records the points of each call."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = []
+
+    def __call__(self, x):
+        self.calls.append(np.array(x, dtype=float))
+        return self.f(x)
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_apply_rule_calls_the_evaluator_once_with_every_point(d):
+    fs = FrequencySet((1.0, 2.0, 4.0))
+    p = random_trigpoly(fs, 1002)
+    rule = make_rule(random_valid_nodes(fs, d, np.random.default_rng(d)), fs, d)
+    counting = _CountingEvaluator(p)
+    got = apply_rule(rule, counting, 0.4)
+    assert len(counting.calls) == 1
+    assert np.array_equal(counting.calls[0], 0.4 + np.asarray(rule.expanded_shifts))
+    assert got == pytest.approx(p.derivative(d, 0.4), rel=1e-9, abs=1e-9)
+
+
 def test_apply_rule_matches_exact_derivatives():
     rng = np.random.default_rng(77)
     fs = FrequencySet((1.0, 2.0, 4.0))

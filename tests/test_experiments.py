@@ -43,6 +43,13 @@ def test_config_method_validation(tmp_path):
         assert ExperimentConfig("result2", method=method).method == method
 
 
+def test_config_params_validation():
+    assert ExperimentConfig("result2", p=2, params=(0, 7)).params == (0, 7)
+    for p, params in ((2, (0, 8)), (1, (4,)), (2, (-1,))):
+        with pytest.raises(ValueError, match="out of range"):
+            ExperimentConfig("result2", p=p, params=params)
+
+
 def test_write_csv_stream_and_timestamp():
     rows = [(0, "a", 0.1, float("inf")), (1, "b", -0.0, 1 / 3)]
     buf = io.StringIO()

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shiftrules import qsim
 from shiftrules.qsim import (
@@ -22,6 +24,7 @@ from shiftrules.qsim import (
     one_shot_variance,
     slice_frequencies,
 )
+from shiftrules.spectra import positive_difference_frequencies, snap_to_integers
 from shiftrules.trigpoly import fit_from_samples
 
 
@@ -125,6 +128,28 @@ def test_one_shot_variance_matches_sampling(xxz_setup):
     emp_var = counts @ (evals - emp_mean) ** 2 / (shots - 1)
     se = sigma2 * math.sqrt(2.0 / shots)  # rough standard error of a variance
     assert abs(emp_var - sigma2) < max(3 * se, 1e-3)
+
+
+@st.composite
+def _pauli_sums(draw):
+    q = draw(st.integers(1, 4))
+    pauli = st.text(alphabet="IXYZ", min_size=q, max_size=q)
+    coeff = st.floats(-2.0, 2.0, allow_nan=False)
+    return PauliSumObservable(tuple(draw(st.lists(st.tuples(coeff, pauli), min_size=1, max_size=6))))
+
+
+@given(obs=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_observable_action_equals_dense_matrix(obs, seed):
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(3, 2**obs.q)) + 1j * rng.normal(size=(3, 2**obs.q))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    phi = psi @ obs.to_matrix().T
+    mean = np.einsum("bi,bi->b", psi.conj(), phi).real
+    var = np.maximum(np.sum(np.abs(phi) ** 2, axis=1) - mean**2, 0.0)
+    scale = 1.0 + sum(abs(c) for c, _ in obs.terms) ** 2
+    assert np.allclose(expectation(psi, obs), mean, rtol=0, atol=1e-12 * scale)
+    assert np.allclose(one_shot_variance(psi, obs), var, rtol=0, atol=1e-12 * scale)
+    assert expectation(psi[1], obs) == pytest.approx(mean[1], rel=0, abs=1e-12 * scale)
 
 
 def test_observable_matrix_qubit_cap():
@@ -238,6 +263,99 @@ def test_slice_frequencies_superset_vs_pruned(xxz_setup):
 def test_slice_frequencies_all_parameters(xxz_setup, j, want):
     circuit, obs, theta = xxz_setup
     assert slice_frequencies(circuit, j, obs, theta).frequencies == want
+
+
+def _dense_generator(circuit, j):
+    """Dense 2^q x 2^q generator of the theta_j dependence: the oracle for q <= 8.
+
+    Each bound gate exp(-i x/2 P(x)P) contributes -1/2 * P(x)P.
+    """
+    dim = 2**circuit.q
+    gen = np.zeros((dim, dim), dtype=complex)
+    for g in circuit.gates:
+        if g.param == j:
+            pauli = ["I"] * circuit.q
+            for i in g.qubits:
+                pauli[i] = g.name[1]
+            gen += -0.5 * PauliSumObservable(((1.0, "".join(pauli)),)).to_matrix()
+    return gen
+
+
+def _dense_superset(circuit, j):
+    return snap_to_integers(positive_difference_frequencies(np.linalg.eigvalsh(_dense_generator(circuit, j))))
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+@pytest.mark.parametrize("p", [1, 2])
+def test_slice_frequencies_superset_equals_dense_oracle(q, p):
+    circuit = build_hva_circuit(q, p)
+    for j in range(circuit.n_params):
+        assert slice_frequencies(circuit, j) == _dense_superset(circuit, j)
+
+
+@st.composite
+def _commuting_bound_gates(draw):
+    """Gates bound to parameter 0 that pairwise commute and share qubits.
+
+    The first k qubits carry RZZ gates on overlapping bonds (components wider
+    than two qubits); the rest are paired into disjoint bonds, each carrying
+    a subset of RXX, RYY and RZZ on the same bond.  Qubit labels are permuted,
+    gates are shuffled and interleaved with gates the slice must ignore.
+    """
+    q = draw(st.integers(3, 7))
+    label = draw(st.permutations(range(q)))
+    k = draw(st.integers(0, q))
+    bonds = [(a, b) for a in range(k) for b in range(k) if a != b]
+    pairs = draw(st.lists(st.sampled_from(bonds), max_size=6)) if bonds else []
+    gates = [Gate("RZZ", (label[a], label[b]), 0) for a, b in pairs]
+    rest = list(range(k, q))
+    for a, b in zip(rest[::2], rest[1::2]):
+        names = draw(st.sets(st.sampled_from(["RXX", "RYY", "RZZ"])))
+        gates += [Gate(name, (label[a], label[b]), 0) for name in sorted(names)]
+    assume(gates)
+    gates += [Gate("H", (label[0],)), Gate("RXX", (label[0], label[1]), 1)]
+    return CircuitSpec(q, tuple(draw(st.permutations(gates))), 2)
+
+
+@given(circuit=_commuting_bound_gates())
+def test_slice_frequencies_superset_equals_dense_oracle_on_random_components(circuit):
+    assert slice_frequencies(circuit, 0) == _dense_superset(circuit, 0)
+
+
+@pytest.mark.parametrize("q", [5, 6])
+def test_batched_slice_equals_scalar_evaluation(q):
+    circuit, obs = build_hva_circuit(q, 2), build_xxz_hamiltonian(q, 0.5)
+    theta = np.random.default_rng(q).uniform(-np.pi, np.pi, circuit.n_params)
+    xs = np.linspace(-np.pi, np.pi, 7)
+    for j in range(circuit.n_params):
+        sl = cost_slice(circuit, obs, theta, j)
+        values = sl(xs)
+        states = sl.state(xs)
+        variances = sl.one_shot_variance(xs)
+        assert values.shape == variances.shape == (xs.size,)
+        assert states.shape == (xs.size, 2**q)
+        for k, x in enumerate(xs):
+            full = theta.copy()
+            full[j] = x
+            assert abs(values[k] - expectation(apply_circuit(circuit, full), obs)) <= 1e-12
+            np.testing.assert_allclose(states[k], sl.state(x), rtol=0, atol=1e-14)
+            assert variances[k] == pytest.approx(sl.one_shot_variance(x), rel=0, abs=1e-12)
+        assert type(sl(xs[0])) is float
+        assert type(sl.one_shot_variance(xs[0])) is float
+        assert sl.state(xs[0]).shape == (2**q,)
+
+
+def test_slice_without_bound_gate_is_constant():
+    circuit = CircuitSpec(2, (Gate("H", (0,)), Gate("RXX", (0, 1), 0)), 2)
+    sl = cost_slice(circuit, PauliSumObservable(((1.0, "XI"),)), [0.3, 0.0], 1)
+    assert sl.state(np.array([0.1, 2.0])).shape == (2, 4)
+    assert np.allclose(sl(np.array([0.1, 2.0])), sl(0.7))
+
+
+def test_slice_rejects_two_dimensional_points(xxz_setup):
+    circuit, obs, theta = xxz_setup
+    with pytest.raises(ValueError, match="1-D"):
+        cost_slice(circuit, obs, theta, 0)(np.zeros((2, 2)))
 
 
 def test_slice_frequencies_requires_bound_parameter():

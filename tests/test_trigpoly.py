@@ -42,6 +42,20 @@ def test_third_derivative_of_sin_2x():
     assert got == pytest.approx(ref, abs=1e-8)
 
 
+def test_central_difference_evaluates_the_stencil_in_one_call():
+    p = TrigPoly(0.0, (0.0,), (1.0,), FrequencySet((2.0,)))
+    calls = []
+
+    def counting(x):
+        calls.append(np.array(x, dtype=float))
+        return p(x)
+
+    got = central_difference(counting, 0.3, 3, 1e-2)
+    assert len(calls) == 1
+    assert calls[0].shape == (11,)
+    assert got == pytest.approx(p.derivative(3, 0.3), abs=1e-8)
+
+
 def test_zeroth_derivative_is_evaluate():
     p = random_trigpoly(integer_frequencies(3), 5)
     for x in (0.0, 1.1, -2.2):
