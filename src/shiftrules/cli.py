@@ -5,7 +5,7 @@ Subcommands:
 * ``freq``       -- frequency set of an eigenvalue list or of a circuit
   parameter, emitted as JSON.
 * ``rule``       -- build a shift rule (equidistant, explicit or optimized
-  nodes) and emit its JSON document.
+  nodes) and emit its JSON document with a ``diagnostics`` block.
 * ``estimate``   -- sampled or exact derivative estimates of a circuit
   parameter as CSV rows.
 * ``experiment`` -- the canned reproduction experiments (see
@@ -117,10 +117,28 @@ def _rule_from_args(args, fs: FrequencySet):
     return epsr.make_rule(nodes, fs, args.d), extra
 
 
+def _rule_diagnostics(rule: epsr.PSRRule) -> dict:
+    """The rule's conditioning, evaluation count and predicted variance per scheme.
+
+    Variances are in units of sigma^2 / N_total (see
+    :func:`variance.predicted_variance`).  Loading a rule document re-solves
+    the rule, so this block is output only.
+    """
+    return {
+        "condition_estimate": rule.diagnostics.condition_estimate,
+        "determinant": rule.diagnostics.determinant,
+        "evaluation_count": epsr.evaluation_count(rule),
+        "predicted_variance": {
+            s: variance.predicted_variance(rule.solve_coeffs, rule.parity, s).predicted_scaled_variance
+            for s in ("uniform", "weighted")},
+    }
+
+
 def _cmd_rule(args) -> int:
     fs = FrequencySet(_floats(args.freqs))
     rule, extra = _rule_from_args(args, fs)
     doc = json.loads(epsr.rule_to_json(rule))
+    doc["diagnostics"] = _rule_diagnostics(rule)
     doc.update(extra)
     text = json.dumps(doc, indent=2)
     if args.out:

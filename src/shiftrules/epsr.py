@@ -52,6 +52,16 @@ __all__ = [
 #: accuracy targets.
 CONDITION_LIMIT = 1e12
 
+#: Safety factor of the SVD-free conditioning screen in
+#: :func:`solve_coefficients_stacked`: a row is certified when its
+#: singular-value bounds pass :func:`_conditioning` with sigma_min divided
+#: by this factor, so a certified row has condition number <= 2.5e11.  The
+#: factor absorbs the relative round-off of the LU determinant and of the
+#: SVD the row would otherwise get; each is of order m**2 * kappa * eps, at
+#: most 0.04 for m <= 25 at that kappa.  Rows that miss the screen go to
+#: the SVD, so a larger factor costs SVDs, never verdicts.
+_SCREEN_MARGIN = 4.0
+
 #: Nodes at exactly 0 or pi (within this tolerance) are merged into single
 #: evaluation terms in even-order rules.
 _MERGE_TOL = 1e-12
@@ -202,6 +212,8 @@ def _conditioning(sv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     floor relative to the entry scale.  A matrix that passes has
     |det| = prod(sv) > 1e-12**m, nonzero in double precision for m < 25, so
     the determinant is reported in :class:`RuleDiagnostics` but not tested.
+    The test only gets harder as smax grows or smin shrinks, so an upper
+    bound on smax and a lower bound on smin that pass certify the matrix.
     """
     smax, smin = sv[..., 0], sv[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -243,12 +255,17 @@ def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.
 def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndarray, np.ndarray]:
     """Coefficient vectors for a stack of node vectors, shape (n, m), at once.
 
-    One broadcast builds every interpolation matrix, one SVD over the stack
-    applies the conditioning test of :func:`solve_coefficients`, and one
-    batched solve handles the rows that pass.  Returns ``(b, nonsingular)``:
-    b has shape (n, m) with NaN rows where ``nonsingular`` is False, so a
-    row is rejected here exactly when :func:`solve_coefficients` raises
-    SingularNodesError for it.
+    One broadcast builds every interpolation matrix and one batched solve
+    handles the rows that pass the conditioning test of
+    :func:`solve_coefficients`.  The test runs as a screen: every row first
+    gets the bounds sigma_max <= s = ||A||_F and, since |det A| is the
+    product of the singular values, sigma_min >= |det A| / s**(m-1) (one
+    einsum and one batched LU determinant).  A row whose bounds pass
+    :func:`_conditioning` with sigma_min shrunk by ``_SCREEN_MARGIN`` is
+    certified without an SVD; only the other rows go through the SVD and
+    the same predicate.  Returns ``(b, nonsingular)``: b has shape (n, m)
+    with NaN rows where ``nonsingular`` is False, so a row is rejected here
+    exactly when :func:`solve_coefficients` raises SingularNodesError for it.
     """
     x = np.asarray(nodes, dtype=float)
     parity = "odd" if d % 2 else "even"
@@ -256,7 +273,13 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     if x.ndim != 2 or x.shape[1] != m:
         raise ValueError(f"order {d} with r={fs.r} needs a node stack of shape (n, {m}), got {x.shape}")
     a = build_A_odd(x, fs) if parity == "odd" else build_A_even(x, fs)
-    _, nonsingular = _conditioning(np.linalg.svd(a, compute_uv=False))
+    s = np.sqrt(np.einsum("nij,nij->n", a, a))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        smin_bound = np.abs(np.linalg.det(a)) / s ** (m - 1) / _SCREEN_MARGIN
+    _, nonsingular = _conditioning(np.stack([s, smin_bound], axis=-1))
+    unsure = ~nonsingular
+    if np.any(unsure):
+        _, nonsingular[unsure] = _conditioning(np.linalg.svd(a[unsure], compute_uv=False))
     b = np.full(x.shape, np.nan)
     if np.any(nonsingular):
         at = np.swapaxes(a[nonsingular], -1, -2)

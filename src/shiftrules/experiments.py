@@ -65,6 +65,18 @@ RESULT3_RANDOM_NODES: dict[int, tuple[tuple[float, ...], ...]] = {
 #: round-off amplification (which grows as h**-d).
 _FD_STEPS = {1: 1e-2, 2: 1e-2, 3: 2e-2, 4: 3e-2, 5: 2e-2, 6: 4e-2}
 
+#: Outcome probabilities below this are set to exactly 0 before multinomial
+#: sampling.  An outcome that is impossible by symmetry still gets a
+#: round-off probability |<v|psi>|^2 from the eigenvectors and states; the
+#: generator skips exact zeros but draws for any positive entry, so without
+#: the floor a round-off change in a state rewrites every later draw.  In
+#: the testbed tables (q = 5, 6, 8) round-off entries stay below 1e-26 and
+#: the smallest genuine entries are 2e-5 at q = 5, 6 and 4.3e-21 at q = 8, so
+#: 1e-23 sits in that gap with a factor >= 400 to spare on either side.  The
+#: floor drops a mass of at most 2**q * 1e-23 per table: below 1e-7 shots
+#: in expectation at 10**12 shots and q = 12, which no statistic can see.
+_PROBABILITY_FLOOR = 1e-23
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -199,7 +211,8 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
 
     This is the package's shot model.  ``multinomial`` draws each shift's
     shots from its outcome distribution in the observable eigenbasis (the
-    eigensystem is cached per observable); ``gaussian`` replaces each shift's
+    eigensystem is cached per observable; outcome probabilities below
+    ``_PROBABILITY_FLOOR`` count as 0); ``gaussian`` replaces each shift's
     shot mean by a normal draw with the exact mean and one-shot variance.
 
     Stream layout: one generator ``np.random.default_rng(seed_key)`` per
@@ -211,7 +224,8 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     if method == "multinomial":
         evals, evecs = qsim._eigensystem(sl.observable.terms)
-        pr = np.clip(np.abs(sl.state(points) @ evecs.conj()) ** 2, 0.0, None)
+        pr = np.abs(sl.state(points) @ evecs.conj()) ** 2
+        pr[pr < _PROBABILITY_FLOOR] = 0.0
         tables = pr / pr.sum(axis=1, keepdims=True)
     elif method == "gaussian":
         tables = list(zip(sl(points), sl.one_shot_variance(points)))

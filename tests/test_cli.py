@@ -80,6 +80,39 @@ def test_rule_optimized(capsys):
     assert doc["equidistant_error"] <= 1e-3
 
 
+def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
+    from shiftrules import epsr, variance
+    from shiftrules.spectra import integer_frequencies
+
+    code, out, _ = run(capsys, "rule", "--freqs", "1,2", "--d", "2", "--equidistant")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    rule = epsr.make_rule(epsr.equidistant_nodes(2, "even"), integer_frequencies(2), 2)
+    diag = doc["diagnostics"]
+    assert diag["condition_estimate"] == rule.diagnostics.condition_estimate
+    assert diag["determinant"] == rule.diagnostics.determinant
+    assert diag["evaluation_count"] == epsr.evaluation_count(rule) == 4
+    for scheme in ("uniform", "weighted"):
+        want = variance.predicted_variance(rule.solve_coeffs, "even", scheme).predicted_scaled_variance
+        assert diag["predicted_variance"][scheme] == want
+    # the block is output only: with it, without it or with a stale copy, a
+    # loaded rule is the re-solved one
+    bare = {k: v for k, v in doc.items() if k != "diagnostics"}
+    stale = {**doc, "diagnostics": {**diag, "condition_estimate": 1e300}}
+    estimates = []
+    for variant in (doc, bare, stale):
+        back = epsr.rule_from_json(json.dumps(variant))
+        assert back.solve_coeffs == rule.solve_coeffs and back.diagnostics == rule.diagnostics
+        path = tmp_path / "rule.json"
+        path.write_text(json.dumps(variant))
+        code, est, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0",
+                           "--rule-json", str(path), "--exact")
+        assert code == EXIT_OK
+        estimates.append(est)
+    assert estimates[0].splitlines()[0] == "repetition,estimate"
+    assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
+
+
 def test_rule_requires_exactly_one_node_source(capsys):
     code, _, err = run(capsys, "rule", "--freqs", "1,2", "--d", "1")
     assert code == EXIT_VALIDATION

@@ -26,6 +26,7 @@ from shiftrules.epsr import (
 )
 from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.trigpoly import TrigPoly, random_trigpoly
+from shiftrules.variance import EPS_BOX
 
 FS12 = integer_frequencies(2)
 
@@ -127,6 +128,89 @@ def test_solve_rejects_node_at_pi():
         solve_coefficients(ShiftNodes("odd", (math.pi,)), integer_frequencies(1), 1)
     assert not exc.value.diagnostics.nonsingular
     assert abs(exc.value.diagnostics.determinant) < 1e-13
+
+
+# --- stacked solves ---------------------------------------------------------
+
+_STRADDLE_FREQS = {"integer": (1.0, 2.0, 3.0, 4.0, 5.0, 6.0),
+                   "non-integer": (0.7, 1.9, 3.2, 4.45, 5.3, 6.85)}
+
+
+@st.composite
+def _straddling_rows(draw, m):
+    """A node row made near-singular by a random margin delta in 1e-14..1e-3.
+
+    The row starts well spread, one node per cell of [0, pi]; one node may
+    move to 0, pi or EPS_BOX (the optimizers' box margin), which zero or
+    nearly zero every sine.  Then a node pair x, x + delta or a node delta
+    away from 0 or pi puts the condition estimate near 1 / delta.
+    """
+    row = [(i + draw(st.floats(0.25, 0.75))) * math.pi / m for i in range(m)]
+    if draw(st.booleans()):
+        row[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0.0, math.pi, EPS_BOX]))
+    delta = 10.0 ** -draw(st.floats(3.0, 14.0))
+    i = draw(st.integers(0, m - 1))
+    if m > 1 and draw(st.booleans()):
+        k = draw(st.integers(0, m - 2))
+        row[k + (k >= i)] = row[i] + delta
+    else:
+        row[i] = draw(st.sampled_from([0.0, math.pi])) + delta
+    return row
+
+
+@st.composite
+def _straddling_stacks(draw):
+    r = draw(st.integers(1, 6))
+    d = draw(st.integers(1, 4))
+    fs = FrequencySet(_STRADDLE_FREQS[draw(st.sampled_from(sorted(_STRADDLE_FREQS)))][:r])
+    m = r if d % 2 else r + 1
+    rows = draw(st.lists(_straddling_rows(m), min_size=1, max_size=5))
+    return fs, d, np.array(rows)
+
+
+@given(case=_straddling_stacks())
+def test_stacked_solve_matches_scalar_across_the_condition_limit(case):
+    fs, d, x = case
+    parity = "odd" if d % 2 else "even"
+    b, nonsingular = epsr.solve_coefficients_stacked(x, fs, d)
+    for row, got, ok in zip(x, b, nonsingular):
+        a = build_A_odd(row, fs) if parity == "odd" else build_A_even(row, fs)
+        assert ok == epsr._diagnose(a).nonsingular
+        if ok:
+            want, _ = solve_coefficients(ShiftNodes(parity, tuple(row)), fs, d)
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        else:
+            assert np.all(np.isnan(got))
+
+
+def test_stacked_solve_sends_only_uncertified_rows_to_the_svd(monkeypatch):
+    seen = []
+    svd = np.linalg.svd
+
+    def counting_svd(a, *args, **kwargs):
+        seen.append(np.array(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    rng = np.random.default_rng(3)
+    for r in range(1, 9):
+        for d in (1, 2):
+            # the equidistant nodes, then random well-spread sets: each node
+            # drawn within a quarter spacing of an equidistant one
+            equi = equidistant_nodes(r, "odd" if d % 2 else "even").as_array()
+            jittered = equi + rng.uniform(-0.25, 0.25, (40, equi.size)) * math.pi / r
+            _, nonsingular = epsr.solve_coefficients_stacked(np.vstack([equi, jittered]),
+                                                             integer_frequencies(r), d)
+            assert nonsingular.all()
+    assert seen == []
+
+    fs = integer_frequencies(3)
+    x = np.vstack([equidistant_nodes(3, "odd").as_array()] * 4)
+    x[2, 1] = x[2, 0]
+    _, nonsingular = epsr.solve_coefficients_stacked(x, fs, 1)
+    assert nonsingular.tolist() == [True, True, False, True]
+    assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
+    assert np.array_equal(seen[0][0], build_A_odd(x[2], fs))
 
 
 # --- equidistant nodes and closed forms ------------------------------------

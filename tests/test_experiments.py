@@ -157,6 +157,29 @@ def test_sampled_estimates_deterministic():
         assert not np.array_equal(a[s], c[s])
 
 
+def test_multinomial_draws_ignore_round_off_in_the_states(monkeypatch):
+    # phi1 at q=5 with result3's first random nodes: many outcome
+    # probabilities are 0 by symmetry and come out as round-off; a ~1e-16
+    # change in the states must not change which draws the generator makes
+    j = 1
+    sl, _, xbar = _xxz_slice_and_rule(j)
+    fs = qsim.slice_frequencies(sl.circuit, j, sl.observable, sl.base_params)
+    rule = epsr.make_rule(epsr.ShiftNodes("odd", RESULT3_RANDOM_NODES[fs.r][0]), fs, 1)
+    schemes = ("uniform", "weighted")
+    want = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, j, 1])
+    exact_state = qsim.CostSlice.state
+    noise = np.random.default_rng(11)
+
+    def perturbed_state(self, x):
+        psi = exact_state(self, x)
+        return psi + 1e-16 * (noise.standard_normal(psi.shape) + 1j * noise.standard_normal(psi.shape))
+
+    monkeypatch.setattr(qsim.CostSlice, "state", perturbed_state)
+    got = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, j, 1])
+    for s in schemes:
+        assert got[s].tobytes() == want[s].tobytes()
+
+
 @pytest.mark.parametrize("method", ["multinomial", "gaussian"])
 def test_sampled_estimates_statistics(method):
     sl, rule, xbar = _xxz_slice_and_rule()
