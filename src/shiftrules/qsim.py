@@ -1,21 +1,26 @@
-"""Statevector testbed: XXZ/HVA circuits, batched cost slices and shot noise.
+"""Statevector testbed: XXZ/HVA circuits, Fourier-component cost slices and shot noise.
 
 The simulator is deliberately small.  Statevectors up to 12 qubits carry a
-leading batch axis.  One gate kernel applies a fixed matrix, or one stacked
-(B, 4, 4) matrix per point, to the gate's qubits; RZZ is a diagonal phase
-multiply built from bit parities; Pauli-sum observables act by index
-arithmetic, with one gather and one cached diagonal per X/Y flip mask.  A
-cost slice computes the state before the first gate bound to its parameter
-once, then runs the rest of the circuit once over all requested points.
+leading batch axis.  One gate kernel applies a fixed matrix to the gate's
+qubits; RZZ is a diagonal phase multiply built from bit parities; Pauli-sum
+observables act by index arithmetic, with one gather and one cached diagonal
+per X/Y flip mask.  A cost slice in a parameter bound to k Pauli rotations
+is a trigonometric polynomial: each rotation exp(-i x/2 P) is
+e^{-ix/2} Pi+ + e^{+ix/2} Pi- with Pi+- = (I +- P)/2, so the slice state is
+a sum of k+1 Fourier components.  The circuit runs once per slice over those
+components; every point is then a (k+1)-term sum for its state and a
+quadratic form in the components' (k+1, k+1) Grams for its value and
+one-shot variance.
 
-Slice frequency supersets come from per-component spectra: the gates bound
-to one parameter are grouped into components that share qubits, each
-component's generator is diagonalised on its own support, and the spectra
-are combined by Minkowski sum (sums of commuting generators, Wierichs, Izaac,
-Wang & Lin, Quantum 6, 677, 2022).  No 2^q x 2^q generator is built unless
-one component covers every qubit.  The observable eigensystem behind
-multinomial sampling is cached per observable; the shot-noise model that
-samples these slices is :func:`shiftrules.experiments.sampled_estimates`.
+Slice frequency supersets come from per-group spectra: the gates bound to
+one parameter are grouped by shared qubits, a group whose Pauli strings
+pairwise commute has its summed generator diagonalised on its own support,
+any other group contributes each gate's {-1/2, +1/2}, and the spectra are
+combined by Minkowski sum (Wierichs, Izaac, Wang & Lin, Quantum 6, 677,
+2022).  No 2^q x 2^q generator is built unless one group covers every qubit.
+The observable eigensystem behind multinomial sampling is cached per
+observable; the shot-noise model that samples these slices is
+:func:`shiftrules.experiments.sampled_estimates`.
 
 Qubit convention: qubit i is the i-th character of a Pauli string and the
 i-th bit (most significant first) of a basis index.
@@ -27,6 +32,8 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
+from itertools import combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -199,30 +206,28 @@ def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.nd
 
 
 def _apply(psi: np.ndarray, kernel: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The gate kernel: a (2^k, 2^k) or (B, 2^k, 2^k) matrix on ``qubits`` of the batch psi (B, 2^q)."""
+    """The gate kernel: a (2^k, 2^k) matrix on ``qubits`` of the batch psi (B, 2^q)."""
     b, n = psi.shape
     q = n.bit_length() - 1
     axes = [1 + i for i in qubits]
     front = list(range(1, 1 + len(axes)))
     moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
     out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
-    return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), front, axes).reshape(-1, n)
+    return np.moveaxis(out.reshape(moved.shape), front, axes).reshape(-1, n)
 
 
-def _rotation_kernel(name: str, x) -> np.ndarray:
-    """exp(-i x/2 P(x)P): (4, 4) for a scalar x, (B, 4, 4) for a 1-D x."""
-    half = 0.5 * np.asarray(x, dtype=float)[..., None, None]
-    return np.cos(half) * np.eye(4) - 1j * np.sin(half) * _PAULI_PAIRS[name]
+def _rotation_kernel(name: str, x: float) -> np.ndarray:
+    """exp(-i x/2 P(x)P) as a (4, 4) matrix."""
+    return math.cos(0.5 * x) * np.eye(4) - 1j * math.sin(0.5 * x) * _PAULI_PAIRS[name]
 
 
-def _zz_phase(q: int, qubits: tuple[int, ...], x) -> np.ndarray:
-    """Diagonal of RZZ(x) from bit parities: (2^q,) for a scalar x, (B, 2^q) for a 1-D x."""
-    half = 0.5 * np.asarray(x, dtype=float)[..., None]
-    return np.cos(half) - 1j * np.sin(half) * _parity_sign(q, qubits)
+def _zz_phase(q: int, qubits: tuple[int, ...], x: float) -> np.ndarray:
+    """Diagonal of RZZ(x) from bit parities, a (2^q,) vector."""
+    return math.cos(0.5 * x) - 1j * math.sin(0.5 * x) * _parity_sign(q, qubits)
 
 
 def _evolve(psi: np.ndarray, gates, theta) -> np.ndarray:
-    """Apply ``gates`` to the batch psi (B, 2^q); ``theta[k]`` is a float or a (B,) array."""
+    """Apply ``gates`` to the batch psi (B, 2^q); ``theta[k]`` is the float angle of parameter k."""
     q = psi.shape[1].bit_length() - 1
     for g in gates:
         if g.name == "RZZ":
@@ -234,12 +239,56 @@ def _evolve(psi: np.ndarray, gates, theta) -> np.ndarray:
     return psi
 
 
-def _check_norms(psi: np.ndarray) -> np.ndarray:
-    norms = np.linalg.norm(psi, axis=1)
+def _projector_split(psi: np.ndarray, g: Gate) -> tuple[np.ndarray, np.ndarray]:
+    """(Pi+ psi, Pi- psi) for the Pauli rotation g = e^{-ix/2} Pi+ + e^{+ix/2} Pi-, Pi+- = (I +- P)/2."""
+    if g.name == "RZZ":
+        p_psi = psi * _parity_sign(psi.shape[1].bit_length() - 1, g.qubits)
+    else:
+        p_psi = _apply(psi, _PAULI_PAIRS[g.name], g.qubits)
+    return 0.5 * (psi + p_psi), 0.5 * (psi - p_psi)
+
+
+class _Components(NamedTuple):
+    """Fourier components W (k+1, 2^q) of a slice state and their (k+1, k+1) Grams."""
+
+    w: np.ndarray
+    norm: np.ndarray  # N = W* W^T
+    mean: np.ndarray  # G = W* (CW)^T
+    square: np.ndarray  # M = (CW)* (CW)^T
+
+
+@lru_cache(maxsize=32)
+def _slice_components(circuit: CircuitSpec, base_params: tuple[float, ...], index: int,
+                      observable: PauliSumObservable) -> _Components:
+    """Fourier components of a cost slice's state, and their Grams.
+
+    With k gates bound to ``index``, psi(x) = sum_{i=0..k} e^{-i(2i-k)x/2} W_i
+    for any gate order: each bound gate splits every component into its two
+    projector parts, the Pi+ part moving one index up and the Pi- part
+    staying.  With e_i = e^{-i(2i-k)x/2} and the observable C, <psi|psi>,
+    <C> and <C^2> at x are e^dag N e, e^dag G e and e^dag M e.  Write-once,
+    like :func:`_eigensystem`.
+    """
+    w = np.eye(1, 2**circuit.q, dtype=complex)
+    for g in circuit.gates:
+        if g.param == index:
+            plus, minus = _projector_split(w, g)
+            w = np.zeros((w.shape[0] + 1, w.shape[1]), dtype=complex)
+            w[:-1] = minus
+            w[1:] += plus
+        else:
+            w = _evolve(w, (g,), base_params)
+    cw = _apply_observable(w, observable)
+    out = _Components(w, w.conj() @ w.T, w.conj() @ cw.T, cw.conj() @ cw.T)
+    for a in out:
+        a.setflags(write=False)
+    return out
+
+
+def _check_norms(norms: np.ndarray) -> None:
     bad = np.abs(norms - 1.0) > 1e-10
     if np.any(bad):
         raise AssertionError(f"statevector norm drifted to {norms[bad][0]}")
-    return psi
 
 
 def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
@@ -247,7 +296,9 @@ def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {theta.size}")
-    return _check_norms(_evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta))[0]
+    psi = _evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta)
+    _check_norms(np.linalg.norm(psi, axis=1))
+    return psi[0]
 
 
 def _as_batch(state, obs: PauliSumObservable) -> np.ndarray:
@@ -266,8 +317,25 @@ def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
     return out
 
 
-def _batch_result(values: np.ndarray, state):
-    return float(values[0]) if np.ndim(state) == 1 else values
+def _real_values(val: np.ndarray) -> np.ndarray:
+    """Real parts of expectation values; asserts each imaginary residue is round-off."""
+    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
+    if np.any(bad):
+        raise AssertionError(f"expectation has imaginary residue {val.imag[bad][0]:.3e}")
+    return val.real
+
+
+def _variances(mean: np.ndarray, m2: np.ndarray) -> np.ndarray:
+    """<C^2> - <C>^2, clipped at 0; asserts no value is negative beyond round-off."""
+    var = m2 - mean * mean
+    bad = var < -1e-9 * np.maximum(1.0, np.abs(m2))
+    if np.any(bad):
+        raise AssertionError(f"negative variance {var[bad][0]:.3e}")
+    return np.maximum(var, 0.0)
+
+
+def _batch_result(values: np.ndarray, single: bool):
+    return float(values[0]) if single else values
 
 
 def expectation(state, obs: PauliSumObservable):
@@ -278,10 +346,7 @@ def expectation(state, obs: PauliSumObservable):
     """
     psi = _as_batch(state, obs)
     val = np.einsum("bi,bi->b", psi.conj(), _apply_observable(psi, obs))
-    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
-    if np.any(bad):
-        raise AssertionError(f"expectation has imaginary residue {val.imag[bad][0]:.3e}")
-    return _batch_result(val.real, state)
+    return _batch_result(_real_values(val), np.ndim(state) == 1)
 
 
 def one_shot_variance(state, obs: PauliSumObservable):
@@ -293,11 +358,7 @@ def one_shot_variance(state, obs: PauliSumObservable):
     phi = _apply_observable(psi, obs)
     mean = np.einsum("bi,bi->b", psi.conj(), phi).real
     m2 = np.einsum("bi,bi->b", phi.conj(), phi).real
-    var = m2 - mean * mean
-    bad = var < -1e-9 * np.maximum(1.0, np.abs(m2))
-    if np.any(bad):
-        raise AssertionError(f"negative variance {var[bad][0]:.3e}")
-    return _batch_result(np.maximum(var, 0.0), state)
+    return _batch_result(_variances(mean, m2), np.ndim(state) == 1)
 
 
 def _bonds(q: int, offset: int) -> list[tuple[int, int]]:
@@ -380,8 +441,14 @@ class CostSlice:
 
     ``state``, ``__call__`` and ``one_shot_variance`` take a scalar x (one
     state, a float) or a 1-D array of B points (a (B, 2**q) batch, an array).
-    The state before the first gate bound to ``index`` is computed once per
-    slice; the rest of the circuit runs once over all points as one batch.
+    Each gate bound to ``index`` is a Pauli rotation, so the slice state is a
+    sum of k+1 Fourier components (see :func:`_slice_components`): the
+    circuit runs once per slice over those components, shared through a
+    cache with every other slice of the same circuit, base point, index and
+    observable.  A state is then E(x) @ W, and a value or variance is a
+    quadratic form in the (k+1, k+1) Grams, with no 2**q work per point.
+    Norms, imaginary residues and negative variances are still checked at
+    every point.
     """
 
     circuit: CircuitSpec
@@ -398,34 +465,37 @@ class CostSlice:
             raise ValueError("parameter index out of range")
 
     @cached_property
-    def _split(self) -> int:
-        gates = self.circuit.gates
-        return next((k for k, g in enumerate(gates) if g.param == self.index), len(gates))
+    def _components(self) -> _Components:
+        return _slice_components(self.circuit, self.base_params, self.index, self.observable)
 
-    @cached_property
-    def _prefix(self) -> np.ndarray:
-        zero = np.eye(1, 2**self.circuit.q, dtype=complex)
-        psi = _evolve(zero, self.circuit.gates[:self._split], self.base_params)
-        psi.setflags(write=False)
-        return psi
-
-    def state(self, x) -> np.ndarray:
+    def _phases(self, x) -> np.ndarray:
+        """E(x): row b holds e^{-i(2i-k)x_b/2} for i = 0..k."""
         xs = np.asarray(x, dtype=float)
         if xs.ndim > 1:
             raise ValueError("slice points must be a scalar or a 1-D array")
-        theta = list(self.base_params)
-        theta[self.index] = xs.ravel()
-        psi = _evolve(self._prefix, self.circuit.gates[self._split:], theta)
-        if psi.shape[0] != xs.size:  # no gate bound to index: the state is constant
-            psi = np.repeat(psi, xs.size, axis=0)
-        psi = _check_norms(psi)
-        return psi[0] if xs.ndim == 0 else psi
+        k = self._components.w.shape[0] - 1
+        return np.exp(-0.5j * np.outer(xs, np.arange(-k, k + 1, 2)))
+
+    def _forms(self, x, *grams: np.ndarray) -> list[np.ndarray]:
+        """e^dag A e per point for each Gram A, after the norm check e^dag N e."""
+        e = self._phases(x)
+        ec = e.conj()
+        norm2, *vals = (np.einsum("bi,il,bl->b", ec, a, e) for a in (self._components.norm, *grams))
+        _check_norms(np.sqrt(norm2.real))
+        return vals
+
+    def state(self, x) -> np.ndarray:
+        psi = self._phases(x) @ self._components.w
+        _check_norms(np.linalg.norm(psi, axis=1))
+        return psi[0] if np.ndim(x) == 0 else psi
 
     def __call__(self, x):
-        return expectation(self.state(x), self.observable)
+        (val,) = self._forms(x, self._components.mean)
+        return _batch_result(_real_values(val), np.ndim(x) == 0)
 
     def one_shot_variance(self, x):
-        return one_shot_variance(self.state(x), self.observable)
+        mean, m2 = self._forms(x, self._components.mean, self._components.square)
+        return _batch_result(_variances(mean.real, m2.real), np.ndim(x) == 0)
 
 
 def cost_slice(circuit: CircuitSpec, obs: PauliSumObservable, theta_base, j: int) -> CostSlice:
@@ -442,11 +512,13 @@ def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
 def _generator_spectrum(circuit: CircuitSpec, j: int, tol: float) -> np.ndarray:
     """Distinct eigenvalues of the generator of the theta_j dependence.
 
-    Each bound gate exp(-i x/2 P(x)P) contributes -1/2 * P(x)P; the bound
-    gates of one parameter commute, so their sum generates the joint x
-    dependence.  Gates that share qubits (union-find) form a component whose
-    generator is diagonalised on its own support only; components act on
-    disjoint qubits, so the spectrum is the Minkowski sum of theirs.
+    Each bound gate exp(-i x/2 P(x)P) contributes -1/2 * P(x)P.  Gates that
+    share qubits (union-find) form a component.  When a component's Pauli
+    strings pairwise commute, their sum generates its joint x dependence and
+    is diagonalised on the component's support only; otherwise the
+    component's spectrum is the Minkowski sum of each gate's {-1/2, +1/2}.
+    Components act on disjoint qubits, so the spectrum is the Minkowski sum
+    of theirs.
     """
     gates = [g for g in circuit.gates if g.param == j]
     if not gates:
@@ -467,11 +539,16 @@ def _generator_spectrum(circuit: CircuitSpec, j: int, tol: float) -> np.ndarray:
 
     spectrum = np.zeros(1)
     for comp in components.values():
-        support = sorted({i for g in comp for i in g.qubits})
-        local = {i: k for k, i in enumerate(support)}
-        terms = tuple((-0.5, _two_site_string(len(support), local[g.qubits[0]], local[g.qubits[1]],
-                                                g.name[1])) for g in comp)
-        eigs = _distinct(np.linalg.eigvalsh(PauliSumObservable(terms).to_matrix()), tol)
+        # P(x)P and Q(x)Q anticommute when they differ on exactly one shared qubit
+        if all(g.name == h.name or len(set(g.qubits) & set(h.qubits)) != 1
+               for g, h in combinations(comp, 2)):
+            support = sorted({i for g in comp for i in g.qubits})
+            local = {i: k for k, i in enumerate(support)}
+            terms = tuple((-0.5, _two_site_string(len(support), local[g.qubits[0]], local[g.qubits[1]],
+                                                    g.name[1])) for g in comp)
+            eigs = _distinct(np.linalg.eigvalsh(PauliSumObservable(terms).to_matrix()), tol)
+        else:
+            eigs = np.arange(len(comp) + 1) - 0.5 * len(comp)
         spectrum = _distinct((spectrum[:, None] + eigs[None, :]).ravel(), tol)
     return spectrum
 

@@ -137,6 +137,14 @@ def test_de_sweep_quick(tmp_path):
     assert all(row[3] <= 1e-3 for row in rows)
 
 
+def test_result1_builds_each_slice_once(tmp_path):
+    # the pruning fit in slice_frequencies and the runner's own slice share
+    # one component build per parameter
+    qsim._slice_components.cache_clear()
+    run_experiment(ExperimentConfig("result1", out_dir=str(tmp_path)), reproducible=True)
+    assert qsim._slice_components.cache_info().misses == 8
+
+
 def _xxz_slice_and_rule(j=0):
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from shiftrules import qsim
+from shiftrules import epsr, qsim
 from shiftrules.qsim import (
     CircuitSpec,
     Gate,
@@ -25,7 +25,7 @@ from shiftrules.qsim import (
     slice_frequencies,
 )
 from shiftrules.spectra import positive_difference_frequencies, snap_to_integers
-from shiftrules.trigpoly import fit_from_samples
+from shiftrules.trigpoly import central_difference, fit_from_samples
 
 
 @pytest.fixture(scope="module")
@@ -320,6 +320,92 @@ def _commuting_bound_gates(draw):
 @given(circuit=_commuting_bound_gates())
 def test_slice_frequencies_superset_equals_dense_oracle_on_random_components(circuit):
     assert slice_frequencies(circuit, 0) == _dense_superset(circuit, 0)
+
+
+def test_slice_frequencies_of_non_commuting_bound_gates():
+    # RXX(0,1) and RZZ(1,2) anticommute: their summed generator (spectrum
+    # +-1/sqrt(2)) does not generate the slice; each gate adds its own +-1/2
+    circuit = CircuitSpec(3, (Gate("H", (0,)), Gate("H", (1,)), Gate("CNOT", (1, 2)),
+                              Gate("RXX", (0, 1), 0), Gate("RZZ", (1, 2), 0)), 1)
+    obs = PauliSumObservable(((1.0, "IIX"),))
+    fs = slice_frequencies(circuit, 0)
+    assert fs.frequencies == (1.0, 2.0)
+    sl = cost_slice(circuit, obs, [0.4], 0)
+    rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
+    assert epsr.apply_rule(rule, sl, 0.4) == pytest.approx(central_difference(sl, 0.4, 1, 1e-4), abs=1e-6)
+
+
+def _stacked_apply(psi, kernel, qubits):
+    """A (2^k, 2^k) or (B, 2^k, 2^k) kernel on ``qubits`` of the batch psi (B, 2^q)."""
+    b, n = psi.shape
+    q = n.bit_length() - 1
+    axes = [1 + i for i in qubits]
+    front = list(range(1, 1 + len(axes)))
+    moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
+    out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
+    return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), front, axes).reshape(-1, n)
+
+
+def _pointwise_states(circuit, theta, j, xs):
+    """Slice states by per-point evolution: the oracle for component slices.
+
+    Every gate bound to j runs as a stack of B matrices (RZZ as B phase
+    diagonals), one per point x_b; every other gate runs once.
+    """
+    q = circuit.q
+    angles = list(theta)
+    angles[j] = np.asarray(xs, dtype=float)
+    psi = np.eye(1, 2**q, dtype=complex)
+    for g in circuit.gates:
+        if g.param is None:
+            psi = _stacked_apply(psi, qsim._FIXED_KERNELS[g.name], g.qubits)
+            continue
+        half = 0.5 * np.asarray(angles[g.param])[..., None]
+        if g.name == "RZZ":
+            psi = psi * (np.cos(half) - 1j * np.sin(half) * qsim._parity_sign(q, g.qubits))
+        else:
+            half = half[..., None]
+            kernel = np.cos(half) * np.eye(4) - 1j * np.sin(half) * qsim._PAULI_PAIRS[g.name]
+            psi = _stacked_apply(psi, kernel, g.qubits)
+    return np.broadcast_to(psi, (len(xs), 2**q))
+
+
+@st.composite
+def _slice_cases(draw):
+    """A random circuit over 3..7 qubits, a Pauli-sum observable and a slice index.
+
+    Gates of any name and qubits, bound to parameter 0 or 1 or unbound, are
+    interleaved, so bound gates often fail to commute; parameter 2 has no
+    bound gate.  Half the slices of parameters 0 and 1 start with a gate
+    bound to them.
+    """
+    q = draw(st.integers(3, 7))
+    pair = st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True)
+    names = st.sampled_from(["X", "H", "CNOT", "RXX", "RYY", "RZZ"])
+    gates = []
+    for name in draw(st.lists(names, min_size=1, max_size=12)):
+        qubits = tuple(draw(pair)[:1 if name in ("X", "H") else 2])
+        gates.append(Gate(name, qubits, draw(st.integers(0, 1)) if name.startswith("R") else None))
+    j = draw(st.integers(0, 2))
+    if j < 2 and draw(st.booleans()):
+        gates.insert(0, Gate(draw(st.sampled_from(["RXX", "RYY", "RZZ"])), tuple(draw(pair)), j))
+    pauli = st.text(alphabet="IXYZ", min_size=q, max_size=q)
+    terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0, allow_nan=False), pauli), min_size=1, max_size=4))
+    return CircuitSpec(q, tuple(gates), 3), PauliSumObservable(tuple(terms)), j
+
+
+@given(case=_slice_cases(), seed=st.integers(0, 2**32 - 1))
+def test_component_slice_equals_pointwise_evolution(case, seed):
+    circuit, obs, j = case
+    rng = np.random.default_rng(seed)
+    theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
+    xs = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
+    sl = cost_slice(circuit, obs, theta, j)
+    psi = _pointwise_states(circuit, theta, j, xs)
+    np.testing.assert_allclose(sl.state(xs), psi, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(sl(xs), expectation(psi, obs), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sl.one_shot_variance(xs), one_shot_variance(psi, obs), rtol=0, atol=1e-12)
+    assert sl(xs[0]) == pytest.approx(expectation(psi[0], obs), rel=0, abs=1e-12)
 
 
 @pytest.mark.parametrize("q", [5, 6])
