@@ -37,7 +37,7 @@ for j in range(circuit.n_params):
     superset = qsim.slice_frequencies(circuit, j)
     effective = qsim.slice_frequencies(circuit, j, observable, theta)
     note = "  <- frequency 3 cancels" if effective.r < superset.r else ""
-    print(f"{names[j]:>7}: generator superset {superset.frequencies} "
+    print(f"{names[j]:>7}: gate-count superset {superset.frequencies} "
           f"-> effective {effective.frequencies}{note}")
 
 print()

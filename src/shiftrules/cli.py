@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--dedup-tol", type=float, default=1e-9)
     p.add_argument("--no-prune", action="store_true",
-                   help="report the generator superset without amplitude pruning")
+                   help="report the superset {1..k} from the bound-gate count without amplitude pruning")
     p.set_defaults(func=_cmd_freq)
 
     p = sub.add_parser("rule", help="build a shift rule")

@@ -12,14 +12,13 @@ components; every point is then a (k+1)-term sum for its state and a
 quadratic form in the components' (k+1, k+1) Grams for its value and
 one-shot variance.
 
-Slice frequency supersets come from per-group spectra: the gates bound to
-one parameter are grouped by shared qubits, a group whose Pauli strings
-pairwise commute has its summed generator diagonalised on its own support,
-any other group contributes each gate's {-1/2, +1/2}, and the spectra are
-combined by Minkowski sum (Wierichs, Izaac, Wang & Lin, Quantum 6, 677,
-2022).  No 2^q x 2^q generator is built unless one group covers every qubit.
-The observable eigensystem behind multinomial sampling is cached per
-observable; the shot-noise model that samples these slices is
+The same Grams give each slice's frequency set: the value is a sum of
+G_il e^{i(i-l)x}, so the amplitude at frequency s is twice the modulus of
+the sum along G's s-th subdiagonal, and {1, ..., k} bounds the set for any
+gate order, input state and observable (the general parameter-shift setting
+of Wierichs, Izaac, Wang & Lin, Quantum 6, 677, 2022).  The observable
+eigensystem behind multinomial sampling is cached per observable; the
+shot-noise model that samples these slices is
 :func:`shiftrules.experiments.sampled_estimates`.
 
 Qubit convention: qubit i is the i-th character of a Pauli string and the
@@ -32,16 +31,15 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache, reduce
-from itertools import combinations
 from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import FrequencySet, positive_difference_frequencies, snap_to_integers
-from .trigpoly import fit_least_squares
+from .spectra import FrequencySet
 
 __all__ = [
     "MAX_QUBITS",
+    "AMPLITUDE_TOL",
     "Gate",
     "CircuitSpec",
     "PauliSumObservable",
@@ -62,6 +60,9 @@ __all__ = [
 
 #: Hard cap for dense simulation and observable eigendecomposition.
 MAX_QUBITS = 12
+
+#: Relative amplitude below which :func:`slice_frequencies` drops a frequency.
+AMPLITUDE_TOL = 1e-8
 
 _PAULI_1Q = {
     "I": np.eye(2, dtype=complex),
@@ -503,86 +504,33 @@ def cost_slice(circuit: CircuitSpec, obs: PauliSumObservable, theta_base, j: int
     return CostSlice(circuit, obs, tuple(np.asarray(theta_base, dtype=float)), j)
 
 
-def _distinct(values: np.ndarray, tol: float) -> np.ndarray:
-    """Sorted ``values``, keeping one of each run of neighbours closer than ``tol`` (relative)."""
-    v = np.sort(values)
-    return v[np.concatenate(([True], np.diff(v) > tol * max(1.0, float(np.max(np.abs(v))))))]
-
-
-def _generator_spectrum(circuit: CircuitSpec, j: int, tol: float) -> np.ndarray:
-    """Distinct eigenvalues of the generator of the theta_j dependence.
-
-    Each bound gate exp(-i x/2 P(x)P) contributes -1/2 * P(x)P.  Gates that
-    share qubits (union-find) form a component.  When a component's Pauli
-    strings pairwise commute, their sum generates its joint x dependence and
-    is diagonalised on the component's support only; otherwise the
-    component's spectrum is the Minkowski sum of each gate's {-1/2, +1/2}.
-    Components act on disjoint qubits, so the spectrum is the Minkowski sum
-    of theirs.
-    """
-    gates = [g for g in circuit.gates if g.param == j]
-    if not gates:
-        raise ValueError(f"no gate is bound to parameter {j}")
-    root = list(range(circuit.q))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = root[root[i]]
-            i = root[i]
-        return i
-
-    for g in gates:
-        root[find(g.qubits[0])] = find(g.qubits[1])
-    components: dict[int, list[Gate]] = {}
-    for g in gates:
-        components.setdefault(find(g.qubits[0]), []).append(g)
-
-    spectrum = np.zeros(1)
-    for comp in components.values():
-        # P(x)P and Q(x)Q anticommute when they differ on exactly one shared qubit
-        if all(g.name == h.name or len(set(g.qubits) & set(h.qubits)) != 1
-               for g, h in combinations(comp, 2)):
-            support = sorted({i for g in comp for i in g.qubits})
-            local = {i: k for k, i in enumerate(support)}
-            terms = tuple((-0.5, _two_site_string(len(support), local[g.qubits[0]], local[g.qubits[1]],
-                                                    g.name[1])) for g in comp)
-            eigs = _distinct(np.linalg.eigvalsh(PauliSumObservable(terms).to_matrix()), tol)
-        else:
-            eigs = np.arange(len(comp) + 1) - 0.5 * len(comp)
-        spectrum = _distinct((spectrum[:, None] + eigs[None, :]).ravel(), tol)
-    return spectrum
-
-
 def slice_frequencies(circuit: CircuitSpec, j: int, observable: PauliSumObservable | None = None,
-                      base_params=None, dedup_tol: float = 1e-9,
-                      prune_tol: float = 1e-8) -> FrequencySet:
+                      base_params=None) -> FrequencySet:
     """Frequency set of the cost slice in parameter j.
 
-    The generator spectrum yields a superset of the frequencies actually
-    present in the measured cost; the superset is what the gates alone can
-    produce, independent of observable and input state.  When ``observable``
-    and ``base_params`` are given, the exact slice is fitted over the
-    superset and frequencies whose amplitude is negligible (below
-    ``prune_tol`` relative to the dominant one) are dropped, exposing
-    structural cancellations such as a missing gap in the final gate layer.
+    With k gates bound to j the slice is a quadratic form in k+1 Fourier
+    components (see :func:`_slice_components`), so its frequencies lie in
+    {1, ..., k} for any gate order, input state and observable; without
+    ``observable`` that superset is returned.  With ``observable`` and
+    ``base_params``, the amplitude at frequency s is 2|sum of the s-th
+    subdiagonal of the slice's Gram G|, and frequencies whose amplitude is
+    at most ``AMPLITUDE_TOL`` times max(1, the largest amplitude) are
+    dropped, exposing structural cancellations such as a missing gap in the
+    final gate layer.
     """
-    if circuit.q > MAX_QUBITS:
-        raise ValueError(f"dense diagonalization capped at {MAX_QUBITS} qubits")
-    eigs = _generator_spectrum(circuit, j, dedup_tol)
-    superset = snap_to_integers(positive_difference_frequencies(eigs, dedup_tol), dedup_tol)
+    k = sum(g.param == j for g in circuit.gates)
+    if k == 0:
+        raise ValueError(f"no gate is bound to parameter {j}")
     if observable is None:
-        return superset
+        return FrequencySet(tuple(range(1, k + 1)))
     if base_params is None:
         raise ValueError("amplitude pruning needs base_params alongside the observable")
-
-    n = max(4 * (2 * superset.r + 1), 65)
-    xs = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
-    poly, _ = fit_least_squares(superset, xs, cost_slice(circuit, observable, base_params, j)(xs))
-    amps = np.hypot(np.asarray(poly.cos_coeffs), np.asarray(poly.sin_coeffs))
-    keep = amps > prune_tol * max(1.0, float(np.max(amps)))
+    gram = cost_slice(circuit, observable, base_params, j)._components.mean
+    amps = np.array([2.0 * abs(np.trace(gram, -s)) for s in range(1, k + 1)])
+    keep = amps > AMPLITUDE_TOL * max(1.0, float(np.max(amps)))
     if not np.any(keep):
         raise ValueError("slice is constant within tolerance; no frequencies survive")
-    return FrequencySet(tuple(np.asarray(superset.frequencies)[keep]))
+    return FrequencySet(tuple(np.flatnonzero(keep) + 1))
 
 
 def circuit_to_json(circuit: CircuitSpec) -> str:

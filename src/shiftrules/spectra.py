@@ -5,8 +5,9 @@ polynomial whose frequencies are the positive differences between eigenvalues
 of H.  This module extracts those frequency sets from spectra, classifies
 equidistant ones and rescales them to the canonical integer form {1, ..., r}.
 
-Eigenvalues are expected as plain sorted sequences; diagonalization of actual
-generator matrices happens elsewhere (see :mod:`shiftrules.qsim`).
+Eigenvalues are expected as plain sorted sequences; circuit cost slices read
+their frequency sets off their Fourier components instead (see
+:func:`shiftrules.qsim.slice_frequencies`).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ __all__ = [
     "positive_difference_frequencies",
     "detect_equidistant",
     "rescale_to_integer",
-    "snap_to_integers",
 ]
 
 #: Relative tolerance used to deduplicate eigenvalue gaps and to certify
@@ -127,20 +127,6 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
             merged.append(float(np.mean(diffs[start:i])))
             start = i
     return FrequencySet(tuple(merged))
-
-
-def snap_to_integers(fs: FrequencySet, rel_tol: float = DEFAULT_TOL) -> FrequencySet:
-    """Round frequencies that sit within ``rel_tol`` of an integer.
-
-    Removes eigensolver round-off from integer-valued spectra so that
-    integer-only features (2*pi periodicity, closed forms) apply cleanly.
-    Frequencies that are not near an integer pass through unchanged.
-    """
-    snapped = tuple(
-        float(round(w)) if abs(w - round(w)) <= rel_tol * max(1.0, abs(w)) and round(w) >= 1 else w
-        for w in fs.frequencies
-    )
-    return FrequencySet(snapped)
 
 
 def detect_equidistant(fs: FrequencySet, rel_tol: float = DEFAULT_TOL) -> float | None:

@@ -13,6 +13,7 @@ quantum simulation in the loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -196,6 +197,16 @@ def _fornberg_weights(z: float, grid: np.ndarray, d: int) -> np.ndarray:
 _HALF_WIDTH = {1: 4, 2: 4, 3: 5, 4: 5, 5: 6, 6: 6}
 
 
+@lru_cache(maxsize=64)
+def _stencil(d: int, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """(offsets, weights) of the central stencil for f^(d) with step h; write-once, read-only."""
+    offsets = np.arange(-_HALF_WIDTH[d], _HALF_WIDTH[d] + 1) * h
+    weights = _fornberg_weights(0.0, offsets, d)
+    offsets.setflags(write=False)
+    weights.setflags(write=False)
+    return offsets, weights
+
+
 def central_difference(f, x: float, d: int, h: float = 1e-2) -> float:
     """Central finite-difference estimate of f^(d)(x), 8th-order accurate.
 
@@ -206,6 +217,5 @@ def central_difference(f, x: float, d: int, h: float = 1e-2) -> float:
     """
     if d not in _HALF_WIDTH:
         raise ValueError("central_difference supports d = 1..6")
-    k = np.arange(-_HALF_WIDTH[d], _HALF_WIDTH[d] + 1)
-    weights = _fornberg_weights(0.0, k * h, d)
-    return float(weights @ np.asarray(f(x + k * h), dtype=float))
+    offsets, weights = _stencil(d, h)
+    return float(weights @ np.asarray(f(x + offsets), dtype=float))

@@ -138,7 +138,7 @@ def test_de_sweep_quick(tmp_path):
 
 
 def test_result1_builds_each_slice_once(tmp_path):
-    # the pruning fit in slice_frequencies and the runner's own slice share
+    # the Gram readout in slice_frequencies and the runner's own slice share
     # one component build per parameter
     qsim._slice_components.cache_clear()
     run_experiment(ExperimentConfig("result1", out_dir=str(tmp_path)), reproducible=True)

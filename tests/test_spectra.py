@@ -125,15 +125,6 @@ def test_rescale_single_frequency_derivative_factor():
         assert abs(f.derivative(1, x) - 2 * g.derivative(1, 2 * x)) < 1e-12
 
 
-def test_snap_to_integers():
-    fs = spectra.FrequencySet((0.9999999999999999, 2.0, 3.9999999999999996))
-    snapped = spectra.snap_to_integers(fs)
-    assert snapped.frequencies == (1.0, 2.0, 4.0)
-    # far-from-integer values pass through
-    fs2 = spectra.snap_to_integers(spectra.FrequencySet((0.7, 1.9)))
-    assert fs2.frequencies == (0.7, 1.9)
-
-
 def test_frequency_set_validation():
     with pytest.raises(ValueError):
         spectra.FrequencySet(())
