@@ -73,8 +73,12 @@ def _cmd_freq(args) -> int:
     if (args.eigs is None) == (args.circuit is None):
         raise ValueError("give exactly one of --eigs or --circuit")
     if args.eigs is not None:
-        fs = positive_difference_frequencies(_floats(args.eigs), args.dedup_tol)
+        dedup_tol = DEFAULT_TOL if args.dedup_tol is None else args.dedup_tol
+        fs = positive_difference_frequencies(_floats(args.eigs), dedup_tol)
     else:
+        if args.dedup_tol is not None:
+            raise ConfigError("--dedup-tol applies to --eigs only; --circuit reads the "
+                              "frequencies off the slice amplitudes")
         circuit, obs, theta = _build_circuit_context(args)
         if args.param is None:
             raise ValueError("--circuit mode needs --param")
@@ -94,19 +98,25 @@ def _cmd_freq(args) -> int:
 # ---------------------------------------------------------------------------
 # rule
 
-def _rule_from_args(args, fs: FrequencySet):
+def _nodes_from_flags(args, fs: FrequencySet) -> epsr.ShiftNodes | None:
+    """The nodes ``--equidistant`` or ``--nodes`` names for order ``--d``, or None."""
     parity = "odd" if args.d % 2 else "even"
+    if args.equidistant:
+        if not fs.is_consecutive_integers():
+            raise ValueError("equidistant nodes require the integer frequencies 1..r")
+        return epsr.equidistant_nodes(fs.r, parity)
+    if args.nodes is not None:
+        return epsr.ShiftNodes(parity, _floats(args.nodes))
+    return None
+
+
+def _rule_from_args(args, fs: FrequencySet):
     sources = [args.equidistant, args.nodes is not None, args.optimize is not None]
     if sum(sources) != 1:
         raise ValueError("give exactly one of --equidistant, --nodes or --optimize")
     extra = {}
-    if args.equidistant:
-        if not fs.is_consecutive_integers():
-            raise ValueError("equidistant nodes require the integer frequencies 1..r")
-        nodes = epsr.equidistant_nodes(fs.r, parity)
-    elif args.nodes is not None:
-        nodes = epsr.ShiftNodes(parity, _floats(args.nodes))
-    else:
+    nodes = _nodes_from_flags(args, fs)
+    if nodes is None:
         generations = args.generations if args.generations is not None else _de_generations(fs.r)
         res = variance.optimize_shifts_global(
             fs, args.d, args.optimize,
@@ -157,6 +167,8 @@ def _cmd_rule(args) -> int:
 # estimate
 
 def _cmd_estimate(args) -> int:
+    if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
+        raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
     circuit, obs, theta = _build_circuit_context(args)
     if args.param is None:
         raise ValueError("--param is required")
@@ -173,11 +185,8 @@ def _cmd_estimate(args) -> int:
             raise ValueError(f"rule frequencies {rule.frequencies.frequencies} do not cover the "
                              f"frequencies {fs.frequencies} of parameter {args.param}")
     else:
-        if args.nodes is not None:
-            parity = "odd" if args.d % 2 else "even"
-            nodes = epsr.ShiftNodes(parity, _floats(args.nodes))
-        else:
-            # --equidistant and the default both take the validated standard nodes
+        nodes = _nodes_from_flags(args, fs)
+        if nodes is None:
             nodes = valid_nodes_for(fs, args.d, seed=args.seed)
         rule = epsr.make_rule(nodes, fs, args.d)
 
@@ -235,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eigs", help="comma-separated eigenvalues")
     _add_circuit_flags(p)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dedup-tol", type=float, default=1e-9)
+    p.add_argument("--dedup-tol", type=float, default=None,
+                   help=f"gap deduplication tolerance of --eigs (default {DEFAULT_TOL:g})")
     p.add_argument("--no-prune", action="store_true",
                    help="report the superset {1..k} from the bound-gate count without amplitude pruning")
     p.set_defaults(func=_cmd_freq)

@@ -8,11 +8,13 @@ column of ones and uses cos(Omega_k x_i) over r+1 nodes.  Any node set works
 as long as that matrix is nonsingular, which is what gives room to optimize
 the nodes for derivative variance (see :mod:`shiftrules.variance`).
 
-This module builds the matrices, solves for coefficients with diagnostics
-(one node set at a time, or a whole stack of node sets at once), provides
-the classical fixed-node closed forms for first and second derivatives,
-evaluates the determinant factorizations used to certify node validity
-under integer frequencies, and applies rules to arbitrary evaluators.
+This module builds that matrix for either parity with one builder,
+:func:`build_A` (the node derivatives of one parity's matrix are read off
+the other's), solves for coefficients with diagnostics (one node set at a
+time, or a whole stack of node sets at once), provides the classical
+fixed-node closed forms for first and second derivatives, evaluates the
+determinant factorizations used to certify node validity under integer
+frequencies, and applies rules to arbitrary evaluators.
 """
 
 from __future__ import annotations
@@ -30,10 +32,7 @@ __all__ = [
     "PSRRule",
     "RuleDiagnostics",
     "SingularNodesError",
-    "build_A_odd",
-    "build_A_even",
-    "build_A_odd_deriv",
-    "build_A_even_deriv",
+    "build_A",
     "rhs_vector",
     "solve_coefficients",
     "solve_coefficients_stacked",
@@ -153,34 +152,19 @@ def _node_array(nodes) -> np.ndarray:
     return nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
 
 
-def build_A_odd(nodes, fs: FrequencySet) -> np.ndarray:
-    """r x r matrix with entries sin(Omega_k x_i); rows follow node order.
+def build_A(nodes, fs: FrequencySet, parity: str) -> np.ndarray:
+    """Interpolation matrix: sin(Omega_k x_i) for odd parity, [1 | cos(Omega_k x_i)] for even.
 
-    A stack of node vectors of shape (..., r) gives a stack of matrices of
-    shape (..., r, r); the same holds for the other builders.
+    Rows follow node order.  A stack of node vectors of shape (..., m) gives
+    a stack of matrices of shape (..., m, r) (odd) or (..., m, r+1) (even).
+    The node derivatives of one parity's matrix are read off the other's:
+    Omega_k cos(Omega_k x_i) and -Omega_k sin(Omega_k x_i).
     """
-    return np.sin(np.multiply.outer(_node_array(nodes), fs.as_array()))
-
-
-def build_A_even(nodes, fs: FrequencySet) -> np.ndarray:
-    """(r+1) x (r+1) matrix [1 | cos(Omega_k x_i)]."""
     x = _node_array(nodes)
-    cos = np.cos(np.multiply.outer(x, fs.as_array()))
-    return np.concatenate([np.ones(x.shape + (1,)), cos], axis=-1)
-
-
-def build_A_odd_deriv(nodes, fs: FrequencySet) -> np.ndarray:
-    """Component-wise node derivative of the odd matrix: Omega_k cos(Omega_k x_i)."""
-    w = fs.as_array()
-    return w * np.cos(np.multiply.outer(_node_array(nodes), w))
-
-
-def build_A_even_deriv(nodes, fs: FrequencySet) -> np.ndarray:
-    """Component-wise node derivative of the even matrix: [0 | -Omega_k sin(Omega_k x_i)]."""
-    x = _node_array(nodes)
-    w = fs.as_array()
-    sin = -w * np.sin(np.multiply.outer(x, w))
-    return np.concatenate([np.zeros(x.shape + (1,)), sin], axis=-1)
+    wx = np.multiply.outer(x, fs.as_array())
+    if _check_parity(parity) == "odd":
+        return np.sin(wx)
+    return np.concatenate([np.ones(x.shape + (1,)), np.cos(wx)], axis=-1)
 
 
 def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
@@ -240,7 +224,7 @@ def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.
         raise ValueError(f"order {d} needs {parity} nodes, got {nodes.parity}")
     if nodes.r != fs.r:
         raise ValueError(f"node count sized for r={nodes.r}, frequency set has r={fs.r}")
-    a = build_A_odd(nodes, fs) if parity == "odd" else build_A_even(nodes, fs)
+    a = build_A(nodes, fs, parity)
     diag = _diagnose(a)
     if not diag.nonsingular:
         raise SingularNodesError(
@@ -272,7 +256,7 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     m = fs.r if parity == "odd" else fs.r + 1
     if x.ndim != 2 or x.shape[1] != m:
         raise ValueError(f"order {d} with r={fs.r} needs a node stack of shape (n, {m}), got {x.shape}")
-    a = build_A_odd(x, fs) if parity == "odd" else build_A_even(x, fs)
+    a = build_A(x, fs, parity)
     s = np.sqrt(np.einsum("nij,nij->n", a, a))
     with np.errstate(divide="ignore", invalid="ignore"):
         smin_bound = np.abs(np.linalg.det(a)) / s ** (m - 1) / _SCREEN_MARGIN

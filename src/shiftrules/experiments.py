@@ -129,22 +129,30 @@ def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
     conditioning check passes (the pattern can be singular off the integer
     grid, e.g. duplicated cosine columns).
     """
-    parity = "odd" if d % 2 else "even"
-    r = fs.r
+    equidistant = epsr.equidistant_nodes(fs.r, "odd" if d % 2 else "even")
     if fs.is_consecutive_integers():
-        return epsr.equidistant_nodes(r, parity)
-    candidates = epsr.equidistant_nodes(r, parity).values
-    rng = np.random.default_rng(seed)
+        return equidistant
+    return _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=equidistant)
+
+
+def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | None = None) -> epsr.ShiftNodes:
+    """``first``, if given, then seeded random node sets until one passes the conditioning check.
+
+    Odd draws are r sorted uniforms on [0.05, pi - 0.05]; even draws pin
+    x_0 = 0 and sort r uniforms on [0.05, pi).  The search gives up after
+    200 tries, ``first`` included.
+    """
+    parity = "odd" if d % 2 else "even"
+    nodes = first
     for _ in range(200):
-        nodes = epsr.ShiftNodes(parity, tuple(candidates))
+        if nodes is None:
+            vals = tuple(sorted(rng.uniform(0.05, np.pi - 0.05 if parity == "odd" else np.pi, fs.r)))
+            nodes = epsr.ShiftNodes(parity, vals if parity == "odd" else (0.0, *vals))
         try:
             epsr.solve_coefficients(nodes, fs, d)
             return nodes
         except epsr.SingularNodesError:
-            if parity == "odd":
-                candidates = tuple(sorted(rng.uniform(0.05, np.pi - 0.05, r)))
-            else:
-                candidates = (0.0, *sorted(rng.uniform(0.05, np.pi, r)))
+            nodes = None
     raise RuntimeError(f"could not find valid nodes for frequencies {fs.frequencies}, d={d}")
 
 
@@ -317,14 +325,7 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             randoms = RESULT3_RANDOM_NODES[r]
         else:
             rng = np.random.default_rng([cfg.seed, 3, r])
-            randoms = []
-            while len(randoms) < 2:
-                vals = tuple(sorted(rng.uniform(0.05, np.pi - 0.05, r)))
-                try:
-                    epsr.solve_coefficients(epsr.ShiftNodes("odd", vals), fs, 1)
-                    randoms.append(vals)
-                except epsr.SingularNodesError:
-                    continue
+            randoms = [_draw_valid_nodes(fs, 1, rng).values for _ in range(2)]
         node_sets = {"equidistant": epsr.equidistant_nodes(r, "odd").values,
                      "random1": tuple(randoms[0]), "random2": tuple(randoms[1])}
         node_echo[names[j]] = {k: list(v) for k, v in node_sets.items()}

@@ -12,7 +12,7 @@ their frequency sets off their Fourier components instead (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +36,11 @@ class FrequencySet:
 
     Attributes:
         frequencies: the sorted positive frequencies (Omega_1 < ... < Omega_r).
-        equidistant_step: step Omega such that Omega_k = k * Omega, when the
-            set has been certified equidistant; None otherwise.
+
+    :func:`detect_equidistant` tells whether the set is {Omega, 2 Omega, ...}.
     """
 
     frequencies: tuple[float, ...]
-    equidistant_step: float | None = field(default=None)
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
@@ -53,14 +52,6 @@ class FrequencySet:
             raise ValueError("frequencies must be finite")
         if arr[0] <= 0.0 or np.any(np.diff(arr) <= 0.0):
             raise ValueError("frequencies must be strictly increasing and positive")
-        if self.equidistant_step is not None:
-            step = float(self.equidistant_step)
-            if step <= 0.0:
-                raise ValueError("equidistant step must be positive")
-            k = np.arange(1, len(freqs) + 1)
-            if np.max(np.abs(arr - k * step)) > 1e-6 * step:
-                raise ValueError("frequencies are not multiples of the claimed step")
-            object.__setattr__(self, "equidistant_step", step)
 
     @property
     def r(self) -> int:
@@ -84,7 +75,7 @@ def integer_frequencies(r: int) -> FrequencySet:
     """The canonical integer set {1, ..., r}."""
     if r < 1:
         raise ValueError("r must be >= 1")
-    return FrequencySet(tuple(float(k) for k in range(1, r + 1)), equidistant_step=1.0)
+    return FrequencySet(tuple(float(k) for k in range(1, r + 1)))
 
 
 def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL) -> FrequencySet:

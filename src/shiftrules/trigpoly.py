@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .epsr import build_A_even, build_A_odd
+from .epsr import build_A
 from .spectra import FrequencySet
 
 __all__ = [
@@ -132,7 +132,7 @@ def fit_from_samples(fs: FrequencySet, xs, ys) -> TrigPoly:
     sx = np.sort(xs)
     if np.min(np.diff(sx)) < 1e-12 * max(1.0, float(np.max(np.abs(xs)))):
         raise ValueError("duplicate sample points make the interpolation system singular")
-    m = np.hstack([build_A_even(xs, fs), build_A_odd(xs, fs)])
+    m = np.hstack([build_A(xs, fs, "even"), build_A(xs, fs, "odd")])
     cond = np.linalg.cond(m)
     if not np.isfinite(cond) or cond > 1e12:
         raise ValueError(
@@ -157,7 +157,7 @@ def fit_least_squares(fs: FrequencySet, xs, ys) -> tuple[TrigPoly, float]:
     ys = np.asarray(ys, dtype=float).ravel()
     if xs.size < 2 * fs.r + 1:
         raise ValueError("need at least 2r+1 samples")
-    m = np.hstack([build_A_even(xs, fs), build_A_odd(xs, fs)])
+    m = np.hstack([build_A(xs, fs, "even"), build_A(xs, fs, "odd")])
     z, *_ = np.linalg.lstsq(m, ys, rcond=None)
     resid = float(np.max(np.abs(m @ z - ys)))
     return TrigPoly(z[0], tuple(z[1 : fs.r + 1]), tuple(z[fs.r + 1 :]), fs), resid

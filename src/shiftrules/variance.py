@@ -7,9 +7,10 @@ the proportional split is optimal among all allocations (Cauchy-Schwarz).
 Node selection therefore minimizes F_unif = ||b||_2^2 / 2 or F_wgt = ||b||_1
 over the node box.  This module provides both objectives (per node set and
 over stacks of node sets), their analytic (sub)gradients, a projected
-(sub)gradient descent, a differential-evolution global search, shot-allocation
-helpers and the optimality certificate for the classical equidistant nodes
-under the weighted scheme.
+(sub)gradient descent whose every iteration walks one halving step ladder,
+a differential-evolution global search that scores each generation in one
+stacked solve, shot-allocation helpers and the optimality certificate for
+the classical equidistant nodes under the weighted scheme.
 """
 
 from __future__ import annotations
@@ -23,10 +24,7 @@ import numpy as np
 from .epsr import (
     ShiftNodes,
     SingularNodesError,
-    build_A_even,
-    build_A_even_deriv,
-    build_A_odd,
-    build_A_odd_deriv,
+    build_A,
     equidistant_nodes,
     rhs_vector,
     solve_coefficients,
@@ -56,6 +54,20 @@ __all__ = [
 
 #: Margin keeping optimizer iterates away from the singular box edges.
 EPS_BOX = 1e-3
+
+#: First step of the local descent per scheme, and the rungs of its halving
+#: ladder c * 0.5**k: uniform backtracking tries steps down to 1e-14, the
+#: weighted move halves c / sqrt(t) at most 29 times.
+_LOCAL_STEP = {"uniform": 0.25, "weighted": 0.1}
+_LOCAL_RUNGS = {"uniform": 45, "weighted": 30}
+
+#: Gradient norm at which the local descent stops as converged.
+_LOCAL_GTOL = 1e-8
+
+#: Differential-evolution weight, drawn once per generation from this range
+#: (dither), and crossover probability.
+_DE_MUTATION = (0.5, 1.0)
+_DE_CROSSOVER = 0.9
 
 
 def _norm_scheme(scheme: str) -> str:
@@ -101,7 +113,6 @@ class VarianceReport:
 
     predicted_scaled_variance: float
     scheme: str
-    objective_value: float
 
 
 @dataclass(frozen=True)
@@ -133,13 +144,19 @@ def F_wgt(nodes: ShiftNodes, fs: FrequencySet, d: int) -> float:
 
 
 def _grad_matrices(nodes: ShiftNodes, fs: FrequencySet, d: int):
+    """A, its component-wise node derivative A' and b at one node set.
+
+    Odd A' = Omega_k cos(Omega_k x_i) and even A' = [0 | -Omega_k sin(Omega_k x_i)]
+    are read off the matrix of the other parity.
+    """
     b, _ = solve_coefficients(nodes, fs, d)
+    a = build_A(nodes, fs, nodes.parity)
+    w = fs.as_array()
     if nodes.parity == "odd":
-        a = build_A_odd(nodes, fs)
-        a1 = build_A_odd_deriv(nodes, fs)
+        a1 = w * build_A(nodes, fs, "even")[:, 1:]
     else:
-        a = build_A_even(nodes, fs)
-        a1 = build_A_even_deriv(nodes, fs)
+        a1 = np.zeros_like(a)
+        a1[:, 1:] = -w * build_A(nodes, fs, "odd")
     return a, a1, b
 
 
@@ -230,14 +247,14 @@ def predicted_variance(b, parity: str, scheme: str, gamma=None, counts=None,
     if scheme == "uniform":
         m = b.size  # r for odd parity, r+1 for even
         scaled = m * float(b @ b)
-        return VarianceReport(scaled, scheme, 0.5 * float(b @ b))
+        return VarianceReport(scaled, scheme)
     if scheme == "weighted":
         l1 = float(np.sum(np.abs(b)))
-        return VarianceReport(l1 * l1, scheme, l1)
+        return VarianceReport(l1 * l1, scheme)
     if gamma is None or counts is None or total is None:
         raise ValueError("custom scheme needs gamma, counts and total")
     scaled = allocation_variance(gamma, np.asarray(counts) / float(total))
-    return VarianceReport(scaled, scheme, math.nan)
+    return VarianceReport(scaled, scheme)
 
 
 def canonical_nodes(values) -> np.ndarray:
@@ -260,10 +277,12 @@ def _node_scheme(scheme: str) -> str:
     return scheme
 
 
-def _objective_fn(fs: FrequencySet, d: int, scheme: str):
-    if _node_scheme(scheme) == "uniform":
-        return lambda nodes: F_unif(nodes, fs, d)
-    return lambda nodes: F_wgt(nodes, fs, d)
+def _score(objective, nodes: ShiftNodes, fs: FrequencySet, d: int) -> float:
+    """``objective(nodes, fs, d)``, or +inf where the nodes are singular."""
+    try:
+        return objective(nodes, fs, d)
+    except SingularNodesError:
+        return math.inf
 
 
 def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray:
@@ -304,84 +323,66 @@ def _free_from_nodes(nodes: ShiftNodes) -> np.ndarray:
 
 
 def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNodes,
-                          max_iters: int = 5000, step_size: float | None = None,
-                          gtol: float = 1e-8, trace_path=None) -> OptimizeResult:
+                          max_iters: int = 5000, trace_path=None) -> OptimizeResult:
     """Projected (sub)gradient descent on F_unif or F_wgt.
 
     Odd-parity nodes live in (EPS_BOX, pi - EPS_BOX), even-parity nodes keep
     x_0 pinned at 0 with the rest in [EPS_BOX, pi]; iterates are re-sorted to
-    canonical ascending order after every step.  F_unif uses backtracking
-    line search, F_wgt the diminishing step rule c / sqrt(t).  The best
-    iterate seen is returned, so the reported objective is monotone in the
-    iteration budget.
+    canonical ascending order after every step.  Each iteration walks one
+    halving ladder of steps and takes the first rung whose objective (+inf
+    when singular) is below a bound.  F_unif backtracks from 0.25 and needs
+    a decrease (bound: the current value); F_wgt moves by the diminishing
+    step 0.1 / sqrt(t) and only needs nonsingular nodes (bound: +inf).  The
+    best iterate seen is returned, so the reported objective is monotone in
+    the iteration budget.
 
     Raises:
         SingularNodesError: when the start nodes are singular.
     """
-    scheme = _norm_scheme(scheme)
+    scheme = _node_scheme(scheme)
+    uniform = scheme == "uniform"
     parity = _parity_of(d)
     if start.parity != parity:
         raise ValueError(f"order {d} needs {parity} start nodes")
-    objective = _objective_fn(fs, d, scheme)
-    grad = grad_F_unif if scheme == "uniform" else subgrad_F_wgt
+    objective = F_unif if uniform else F_wgt
+    grad = grad_F_unif if uniform else subgrad_F_wgt
 
-    objective(start)  # raises on a singular start, before any projection
+    objective(start, fs, d)  # raises on a singular start, before any projection
     free = _project(parity, _free_from_nodes(start))
     nodes = _nodes_from_free(parity, free)
-    f = objective(nodes)
+    f = objective(nodes, fs, d)
     best_f, best_free = f, free.copy()
 
     trace = open(trace_path, "w") if trace_path is not None else None
     try:
         if trace:
             trace.write(json.dumps({"iter": 0, "objective": f, "nodes": list(nodes.values)}) + "\n")
-        c = step_size if step_size is not None else (0.25 if scheme == "uniform" else 0.1)
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
             g_full = grad(nodes, fs, d)
             g = g_full if parity == "odd" else g_full[1:]
             gnorm = float(np.linalg.norm(g))
-            if gnorm <= gtol:
+            if gnorm <= _LOCAL_GTOL:
                 converged = True
                 break
-            if scheme == "uniform":
-                # monotone backtracking on the projected gradient step
-                step = c
-                moved = False
-                while step > 1e-14:
-                    cand = _project(parity, free - step * g)
-                    try:
-                        f_cand = objective(_nodes_from_free(parity, cand))
-                    except SingularNodesError:
-                        f_cand = math.inf
-                    if f_cand < f:
-                        free, f = cand, f_cand
-                        moved = True
-                        break
-                    step *= 0.5
-                if not moved:
-                    converged = gnorm <= 1e-5
+            if uniform:
+                step, direction, bound = _LOCAL_STEP[scheme], g, f
+            else:
+                # the subgradient move is bounded to at most c/sqrt(t) so that
+                # near-singular iterates (enormous subgradients) cannot
+                # catapult the iterate
+                step = _LOCAL_STEP[scheme] / math.sqrt(it)
+                direction, bound = (g if gnorm <= 1.0 else g / gnorm), math.inf
+            for k in range(_LOCAL_RUNGS[scheme]):
+                cand = _project(parity, free - step * 0.5**k * direction)
+                f_cand = _score(objective, _nodes_from_free(parity, cand), fs, d)
+                if f_cand < bound:
+                    free, f = cand, f_cand
                     break
             else:
-                # diminishing-step subgradient move, bounded to at most c/sqrt(t)
-                # so that near-singular iterates (enormous subgradients) cannot
-                # catapult the iterate; singular candidates halve the step
-                step = c / math.sqrt(it)
-                direction = g if gnorm <= 1.0 else g / gnorm
-                moved = False
-                for _ in range(30):
-                    cand = _project(parity, free - step * direction)
-                    try:
-                        f_cand = objective(_nodes_from_free(parity, cand))
-                    except SingularNodesError:
-                        step *= 0.5
-                        continue
-                    free, f = cand, f_cand
-                    moved = True
-                    break
-                if not moved:
-                    break
+                converged = uniform and gnorm <= 1e-5
+                break
             nodes = _nodes_from_free(parity, free)
             if f < best_f:
                 best_f, best_free = f, free.copy()
@@ -395,18 +396,15 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     if not converged:
         # the subgradient iterates hover around a stationary point instead of
         # landing on it; declare convergence from the best iterate's residual
-        try:
-            g_full = grad(best_nodes, fs, d)
-            g = g_full if parity == "odd" else g_full[1:]
-            converged = float(np.linalg.norm(g)) <= max(gtol, 1e-3)
-        except SingularNodesError:
-            converged = False
+        # (every iterate kept had a finite objective, so its gradient exists)
+        g_full = grad(best_nodes, fs, d)
+        g = g_full if parity == "odd" else g_full[1:]
+        converged = float(np.linalg.norm(g)) <= 1e-3
     return OptimizeResult(best_nodes, best_f, it, converged)
 
 
 def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: int | None = None,
-                           generations: int = 300, seed=0, mutation=(0.5, 1.0),
-                           crossover: float = 0.9) -> OptimizeResult:
+                           generations: int = 300, seed=0) -> OptimizeResult:
     """Differential evolution (rand/1/bin) over the node box, deferred updating.
 
     Each generation draws one trial per population member from the current
@@ -414,9 +412,9 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     then scores all trials in one :func:`stacked_objective` call, so a
     generation is a single stacked solve; a trial replaces its member when
     it is no worse.  Singular candidates get objective +inf.  Deterministic
-    for a given seed.  ``mutation`` is either a fixed differential weight or
-    a (low, high) pair sampled once per generation (dither); dither converges
-    markedly faster at dimension >= 4 while keeping the strategy rand/1/bin.
+    for a given seed.  The differential weight is drawn once per generation
+    from ``_DE_MUTATION`` (dither), which converges markedly faster at
+    dimension >= 4 while keeping the strategy rand/1/bin.
     The search stops early once the population's objective spread falls to
     1e-12 of the best value; ``iterations`` counts the generations run.
     When the frequencies are the integer set {1..r}, the result carries the
@@ -424,7 +422,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     form on both sides), and the weighted-scheme result is tagged
     "global-equidistant" when it lands on them.
     """
-    scheme = _norm_scheme(scheme)
+    scheme = _node_scheme(scheme)
     parity = _parity_of(d)
     dim = fs.r
     npop = population if population is not None else 15 * dim
@@ -432,7 +430,6 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
         raise ValueError(f"population must be at least 4 * dimension = {4 * dim}")
     lo = EPS_BOX
     hi = np.pi - EPS_BOX if parity == "odd" else np.pi
-    objective = _objective_fn(fs, d, scheme)
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=(npop, dim))
@@ -441,17 +438,14 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     gens_run = 0
     for gen in range(generations):
         gens_run = gen + 1
-        if np.ndim(mutation) == 0:
-            f_weight = float(mutation)
-        else:
-            f_weight = float(rng.uniform(mutation[0], mutation[1]))
+        f_weight = float(rng.uniform(*_DE_MUTATION))
         # three distinct partners per member, none of them the member itself
         picks = np.argsort(rng.random((npop, npop - 1)), axis=1)[:, :3]
         picks += picks >= members[:, None]
         mutant = pop[picks[:, 0]] + f_weight * (pop[picks[:, 1]] - pop[picks[:, 2]])
         outside = (mutant < lo) | (mutant > hi)
         mutant[outside] = rng.uniform(lo, hi, size=int(outside.sum()))
-        cross = rng.random((npop, dim)) < crossover
+        cross = rng.random((npop, dim)) < _DE_CROSSOVER
         cross[members, rng.integers(dim, size=npop)] = True
         trial = np.where(cross, mutant, pop)
         f_trial = stacked_objective(trial, fs, d, scheme)
@@ -462,18 +456,11 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
         if np.isfinite(spread) and spread <= 1e-12 * max(1.0, abs(float(np.min(fit)))):
             break
 
-    best_idx = int(np.argmin(fit))
-    best_free = canonical_nodes(pop[best_idx])
-    if parity == "even":
-        best_free = np.clip(best_free, EPS_BOX, np.pi)
-    # canonical folding is an exact symmetry of the objective; recompute with
-    # the scalar objective so the reported value belongs to the returned nodes
-    try:
-        best_f = objective(_nodes_from_free(parity, best_free))
-    except SingularNodesError:
-        best_free = np.sort(pop[best_idx])
-        best_f = float(fit[best_idx])
-    best_nodes = _nodes_from_free(parity, best_free)
+    # members never leave [lo, hi], so their canonical form is the sorted
+    # vector; rescore it with the scalar objective so the reported value
+    # belongs to the returned nodes
+    best_nodes = _nodes_from_free(parity, np.sort(pop[int(np.argmin(fit))]))
+    best_f = _score(F_unif if scheme == "uniform" else F_wgt, best_nodes, fs, d)
 
     equi_err = None
     certificate = None

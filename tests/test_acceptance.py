@@ -120,7 +120,7 @@ def test_criterion_3_closed_form_equivalence():
             for k in want:
                 worst_coeff = max(worst_coeff, abs(got[k] - want[k]))
                 assert abs(got[k] - want[k]) <= 1e-10, (r, d, k)
-        a = epsr.build_A_odd(epsr.equidistant_nodes(r, "odd"), fs)
+        a = epsr.build_A(epsr.equidistant_nodes(r, "odd"), fs, "odd")
         gram = a.T @ a - r * np.diag([0.5] * (r - 1) + [1.0])
         worst_gram = max(worst_gram, float(np.max(np.abs(gram))))
         assert worst_gram <= 1e-10, r
@@ -200,7 +200,7 @@ def test_criterion_6_determinant_formulas():
             fs = integer_frequencies(r)
             n = r if parity == "odd" else r + 1
             nodes = ShiftNodes(parity, tuple(rng.uniform(0.05, math.pi - 0.05, n)))
-            a = epsr.build_A_odd(nodes, fs) if parity == "odd" else epsr.build_A_even(nodes, fs)
+            a = epsr.build_A(nodes, fs, parity)
             closed = epsr.determinant_closed_form(nodes, fs)
             numeric = float(np.linalg.det(a))
             dev = abs(closed - numeric) / max(abs(numeric), 1e-12)

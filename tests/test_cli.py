@@ -44,6 +44,22 @@ def test_freq_circuit_no_prune_superset(capsys):
     assert json.loads(out)["frequencies"] == [1.0, 2.0, 3.0, 4.0]
 
 
+def test_freq_dedup_tol_is_rejected_with_circuit(capsys):
+    code, out, err = run(capsys, "freq", "--circuit", "xxz-hva", "--q", "5", "--p", "2",
+                         "--param", "7", "--dedup-tol", "0.9")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--dedup-tol" in err
+
+
+def test_freq_dedup_tol_merges_eigenvalue_gaps(capsys):
+    code, out, _ = run(capsys, "freq", "--eigs", "0,1,2.01")
+    assert code == EXIT_OK
+    assert json.loads(out)["frequencies"] == pytest.approx([1.0, 1.01, 2.01], abs=1e-12)
+    code, out, _ = run(capsys, "freq", "--eigs", "0,1,2.01", "--dedup-tol", "0.01")
+    assert code == EXIT_OK
+    assert json.loads(out)["frequencies"] == pytest.approx([1.005, 2.01], abs=1e-12)
+
+
 def test_freq_requires_one_source(capsys):
     code, _, err = run(capsys, "freq")
     assert code == EXIT_VALIDATION
@@ -152,6 +168,23 @@ def test_estimate_exact_matches_reference(capsys):
     sl = cost_slice(circuit, obs, theta, 0)
     ref = central_difference(sl, theta[0], 1, 1e-2)
     assert value == pytest.approx(ref, abs=1e-9)
+
+
+def test_estimate_equidistant_needs_integer_frequencies(capsys):
+    # parameter 7 has slice frequencies {1, 2, 4}
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "7", "--equidistant",
+                         "--exact")
+    assert code == EXIT_VALIDATION
+    assert out == "" and "equidistant nodes require the integer frequencies 1..r" in err
+
+
+@pytest.mark.parametrize("flags", [("--equidistant", "--nodes", "0.5,1.5"),
+                                   ("--equidistant", "--rule-json", "rule.json"),
+                                   ("--nodes", "0.5,1.5", "--rule-json", "rule.json")])
+def test_estimate_takes_at_most_one_node_source(capsys, flags):
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--exact", *flags)
+    assert code == EXIT_VALIDATION
+    assert out == "" and "at most one of --equidistant, --nodes or --rule-json" in err
 
 
 def test_estimate_shots_inf_is_exact_alias(capsys):

@@ -12,8 +12,7 @@ from shiftrules.epsr import (
     ShiftNodes,
     SingularNodesError,
     apply_rule,
-    build_A_even,
-    build_A_odd,
+    build_A,
     determinant_closed_form,
     equidistant_coefficients_closed_form,
     equidistant_nodes,
@@ -50,33 +49,33 @@ def random_valid_nodes(fs, d, rng, tries=100):
 # --- matrices -------------------------------------------------------------
 
 def test_A_odd_single_frequency():
-    a = build_A_odd(ShiftNodes("odd", (math.pi / 2,)), integer_frequencies(1))
+    a = build_A(ShiftNodes("odd", (math.pi / 2,)), integer_frequencies(1), "odd")
     assert np.allclose(a, [[1.0]])
 
 
 def test_A_odd_example_matrix():
-    a = build_A_odd(ShiftNodes("odd", (math.pi / 4, 3 * math.pi / 4)), FS12)
+    a = build_A(ShiftNodes("odd", (math.pi / 4, 3 * math.pi / 4)), FS12, "odd")
     s = math.sqrt(2) / 2
     assert np.allclose(a, [[s, 1.0], [s, -1.0]], atol=1e-15)
 
 
 def test_A_odd_zero_node_gives_zero_row():
-    a = build_A_odd(ShiftNodes("odd", (0.0, 1.0)), FS12)
+    a = build_A(ShiftNodes("odd", (0.0, 1.0)), FS12, "odd")
     assert np.all(a[0] == 0.0)
 
 
 def test_A_even_single_frequency():
-    a = build_A_even(ShiftNodes("even", (0.0, math.pi)), integer_frequencies(1))
+    a = build_A(ShiftNodes("even", (0.0, math.pi)), integer_frequencies(1), "even")
     assert np.allclose(a, [[1, 1], [1, -1]], atol=1e-15)
 
 
 def test_A_even_example_matrix():
-    a = build_A_even(ShiftNodes("even", (0.0, math.pi / 2, math.pi)), FS12)
+    a = build_A(ShiftNodes("even", (0.0, math.pi / 2, math.pi)), FS12, "even")
     assert np.allclose(a, [[1, 1, 1], [1, 0, -1], [1, -1, 1]], atol=1e-15)
 
 
 def test_A_even_duplicate_cosines_duplicate_rows():
-    a = build_A_even(ShiftNodes("even", (1.0, 2 * math.pi - 1.0, 2.0)), FS12)
+    a = build_A(ShiftNodes("even", (1.0, 2 * math.pi - 1.0, 2.0)), FS12, "even")
     assert np.allclose(a[0], a[1], atol=1e-12)
 
 
@@ -174,7 +173,7 @@ def test_stacked_solve_matches_scalar_across_the_condition_limit(case):
     parity = "odd" if d % 2 else "even"
     b, nonsingular = epsr.solve_coefficients_stacked(x, fs, d)
     for row, got, ok in zip(x, b, nonsingular):
-        a = build_A_odd(row, fs) if parity == "odd" else build_A_even(row, fs)
+        a = build_A(row, fs, parity)
         assert ok == epsr._diagnose(a).nonsingular
         if ok:
             want, _ = solve_coefficients(ShiftNodes(parity, tuple(row)), fs, d)
@@ -210,7 +209,7 @@ def test_stacked_solve_sends_only_uncertified_rows_to_the_svd(monkeypatch):
     _, nonsingular = epsr.solve_coefficients_stacked(x, fs, 1)
     assert nonsingular.tolist() == [True, True, False, True]
     assert len(seen) == 1 and seen[0].shape == (1, 3, 3)
-    assert np.array_equal(seen[0][0], build_A_odd(x[2], fs))
+    assert np.array_equal(seen[0][0], build_A(x[2], fs, "odd"))
 
 
 # --- equidistant nodes and closed forms ------------------------------------
@@ -277,7 +276,7 @@ def test_closed_form_agrees_with_solve(r, d):
 
 @pytest.mark.parametrize("r", range(1, 9))
 def test_equidistant_gram_matrix_identity(r):
-    a = build_A_odd(equidistant_nodes(r, "odd"), integer_frequencies(r))
+    a = build_A(equidistant_nodes(r, "odd"), integer_frequencies(r), "odd")
     want = r * np.diag([0.5] * (r - 1) + [1.0])
     assert np.max(np.abs(a.T @ a - want)) < 1e-10
 
@@ -312,7 +311,7 @@ def test_determinant_matches_numeric(parity):
         fs = integer_frequencies(r)
         n = r if parity == "odd" else r + 1
         nodes = ShiftNodes(parity, tuple(rng.uniform(0.05, math.pi - 0.05, n)))
-        a = build_A_odd(nodes, fs) if parity == "odd" else build_A_even(nodes, fs)
+        a = build_A(nodes, fs, parity)
         closed = determinant_closed_form(nodes, fs)
         numeric = np.linalg.det(a)
         assert closed == pytest.approx(numeric, rel=1e-9, abs=1e-12)

@@ -132,14 +132,11 @@ def test_frequency_set_validation():
         spectra.FrequencySet((2.0, 1.0))
     with pytest.raises(ValueError):
         spectra.FrequencySet((-1.0, 2.0))
-    with pytest.raises(ValueError):
-        spectra.FrequencySet((1.0, 2.0), equidistant_step=0.7)
 
 
 def test_integer_frequencies_builder():
     fs = spectra.integer_frequencies(3)
     assert fs.frequencies == (1.0, 2.0, 3.0)
-    assert fs.equidistant_step == 1.0
     assert fs.is_consecutive_integers() and fs.is_all_integer()
     assert not spectra.FrequencySet((1.0, 2.0, 4.0)).is_consecutive_integers()
     assert spectra.FrequencySet((1.0, 2.0, 4.0)).is_all_integer()

@@ -363,6 +363,20 @@ def test_local_weighted_reaches_equidistant():
     assert res.objective == pytest.approx(2.0, abs=1e-6)
 
 
+@pytest.mark.parametrize("fs, d, scheme, start, iterations, objective, nodes", [
+    (integer_frequencies(3), 1, "uniform", (0.3, 1.1, 2.6), 48, 2.756803168905492,
+     (0.6439195635754595, 1.7982472235505553, 2.686508644070871)),
+    (FrequencySet((1.0, 2.0, 4.0)), 2, "weighted", (0.0, 0.4, 1.3, 2.2), 229, 15.999999999999998,
+     (0.0, 0.7853981633974483, 1.5707963267948963, 2.3561944833107353)),
+])
+def test_local_trajectory_is_pinned(fs, d, scheme, start, iterations, objective, nodes):
+    # exact figures of the backtracking (uniform) and diminishing-step
+    # (weighted) descents; any change to the step ladder or its scoring shows
+    res = optimize_shifts_local(fs, d, scheme, ShiftNodes("odd" if d % 2 else "even", start))
+    assert (res.iterations, res.objective, res.nodes.values) == (iterations, objective, nodes)
+    assert res.converged
+
+
 def test_local_start_at_optimum_returns_immediately():
     res = optimize_shifts_local(FS12, 1, "weighted", EQUI2)
     assert res.iterations <= 1 and res.converged
