@@ -58,6 +58,11 @@ def _floats(text: str) -> tuple[float, ...]:
         raise ValueError(f"could not parse number list {text!r}") from exc
 
 
+#: Defaults of the circuit flags.  ``freq`` parses them as None so that it can
+#: tell a given flag from an absent one; its circuit mode fills these in.
+_CIRCUIT_DEFAULTS = {"q": 5, "p": 2, "delta": 0.5, "seed": 0}
+
+
 def _build_circuit_context(args):
     if args.circuit != "xxz-hva":
         raise ConfigError(f"unknown circuit {args.circuit!r}; available: xxz-hva")
@@ -73,12 +78,20 @@ def _cmd_freq(args) -> int:
     if (args.eigs is None) == (args.circuit is None):
         raise ValueError("give exactly one of --eigs or --circuit")
     if args.eigs is not None:
+        given = ["--" + f.replace("_", "-") for f in ("no_prune", "param", *_CIRCUIT_DEFAULTS)
+                 if getattr(args, f) is not None]
+        if given:
+            raise ConfigError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} to --circuit "
+                              "only; --eigs reads the frequencies off the eigenvalue gaps")
         dedup_tol = DEFAULT_TOL if args.dedup_tol is None else args.dedup_tol
         fs = positive_difference_frequencies(_floats(args.eigs), dedup_tol)
     else:
         if args.dedup_tol is not None:
             raise ConfigError("--dedup-tol applies to --eigs only; --circuit reads the "
                               "frequencies off the slice amplitudes")
+        for flag, default in _CIRCUIT_DEFAULTS.items():
+            if getattr(args, flag) is None:
+                setattr(args, flag, default)
         circuit, obs, theta = _build_circuit_context(args)
         if args.param is None:
             raise ValueError("--circuit mode needs --param")
@@ -166,7 +179,37 @@ def _cmd_rule(args) -> int:
 # ---------------------------------------------------------------------------
 # estimate
 
+def _shot_total(args) -> int | None:
+    """The total shots ``estimate`` draws, or None in exact mode.
+
+    Checks --scheme, --repetitions, --n-total and --shots in either mode,
+    before anything is built.
+    """
+    try:
+        scheme = variance._norm_scheme(args.scheme)
+    except ValueError as exc:
+        raise ConfigError(f"--scheme: {exc}") from None
+    if scheme == "custom":
+        raise ConfigError("--scheme: estimate draws the uniform or weighted split, not custom")
+    if args.repetitions <= 0:
+        raise ConfigError("--repetitions must be positive")
+    if args.n_total <= 0:
+        raise ConfigError("--n-total must be positive")
+    if args.shots is None:
+        return None if args.exact else args.n_total
+    if args.shots.lower() in ("inf", "infinity"):
+        return None
+    try:
+        shots = int(args.shots)
+    except ValueError:
+        raise ConfigError(f"--shots must be a positive integer or 'inf', not {args.shots!r}") from None
+    if shots <= 0:
+        raise ConfigError("--shots must be positive")
+    return None if args.exact else shots
+
+
 def _cmd_estimate(args) -> int:
+    n_total = _shot_total(args)
     if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
         raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
     circuit, obs, theta = _build_circuit_context(args)
@@ -190,18 +233,16 @@ def _cmd_estimate(args) -> int:
             nodes = valid_nodes_for(fs, args.d, seed=args.seed)
         rule = epsr.make_rule(nodes, fs, args.d)
 
-    exact_mode = args.exact or (args.shots is not None and args.shots.lower() in ("inf", "infinity"))
-    if exact_mode:
+    if n_total is None:
         value = epsr.apply_rule(rule, sl, xbar)
         rows = [(0, value)]
     else:
-        n_total = int(args.shots) if args.shots is not None else args.n_total
         ests = sampled_estimates(sl, rule, xbar, (args.scheme,), n_total,
                                  args.repetitions, [args.seed, 9, args.param], args.method)
         rows = list(enumerate(ests[args.scheme]))
 
     # stdout never carries the timestamp line
-    plot = args.out and args.emit_gnuplot and not exact_mode
+    plot = args.out and args.emit_gnuplot and n_total is not None
     _write_csv(args.out or sys.stdout, ["repetition", "estimate"], rows, args.reproducible or not args.out,
                [_kdensity(os.path.basename(args.out), ("estimates",))] if plot else None)
     return EXIT_OK
@@ -229,9 +270,9 @@ def _cmd_experiment(args) -> int:
 
 def _add_circuit_flags(p: argparse.ArgumentParser):
     p.add_argument("--circuit", help="circuit family (xxz-hva)")
-    p.add_argument("--q", type=int, default=5, help="qubit count")
-    p.add_argument("--p", type=int, default=2, help="ansatz depth")
-    p.add_argument("--delta", type=float, default=0.5, help="ZZ anisotropy")
+    p.add_argument("--q", type=int, default=_CIRCUIT_DEFAULTS["q"], help="qubit count")
+    p.add_argument("--p", type=int, default=_CIRCUIT_DEFAULTS["p"], help="ansatz depth")
+    p.add_argument("--delta", type=float, default=_CIRCUIT_DEFAULTS["delta"], help="ZZ anisotropy")
     p.add_argument("--param", type=int, help="parameter index (0-based)")
 
 
@@ -243,10 +284,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("freq", help="frequency set of a spectrum or circuit parameter")
     p.add_argument("--eigs", help="comma-separated eigenvalues")
     _add_circuit_flags(p)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int)
     p.add_argument("--dedup-tol", type=float, default=None,
                    help=f"gap deduplication tolerance of --eigs (default {DEFAULT_TOL:g})")
-    p.add_argument("--no-prune", action="store_true",
+    p.set_defaults(**dict.fromkeys(_CIRCUIT_DEFAULTS))
+    p.add_argument("--no-prune", action="store_true", default=None,
                    help="report the superset {1..k} from the bound-gate count without amplitude pruning")
     p.set_defaults(func=_cmd_freq)
 
@@ -275,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", help="total shots; 'inf' for exact mode")
     p.add_argument("--exact", action="store_true", help="no sampling, exact value")
     p.add_argument("--method", default="multinomial", choices=("multinomial", "gaussian"))
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=_CIRCUIT_DEFAULTS["seed"])
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--reproducible", action="store_true")
     p.add_argument("--emit-gnuplot", action="store_true")

@@ -65,14 +65,16 @@ RESULT3_RANDOM_NODES: dict[int, tuple[tuple[float, ...], ...]] = {
 #: round-off amplification (which grows as h**-d).
 _FD_STEPS = {1: 1e-2, 2: 1e-2, 3: 2e-2, 4: 3e-2, 5: 2e-2, 6: 4e-2}
 
-#: Outcome probabilities below this are set to exactly 0 before multinomial
-#: sampling.  An outcome that is impossible by symmetry still gets a
-#: round-off probability |<v|psi>|^2 from the eigenvectors and states; the
+#: Level probabilities below this are set to exactly 0 before multinomial
+#: sampling.  A level that is impossible by symmetry still gets a round-off
+#: probability ||P_lambda psi||^2 from the eigenvectors and states; the
 #: generator skips exact zeros but draws for any positive entry, so without
 #: the floor a round-off change in a state rewrites every later draw.  In
-#: the testbed tables (q = 5, 6, 8) round-off entries stay below 1e-26 and
-#: the smallest genuine entries are 2e-5 at q = 5, 6 and 4.3e-21 at q = 8, so
-#: 1e-23 sits in that gap with a factor >= 400 to spare on either side.  The
+#: the testbed level tables (all 8 parameters, d = 1, 2, base seeds 0-2, at
+#: the result1/result2 nodes and result3's random nodes) round-off entries
+#: stay below 5.6e-29, 4.3e-27 and 6.6e-26 at q = 5, 8, 10, and genuine
+#: entries stay above 4.3e-5, 5.2e-6 and 1.0e-5, so 1e-23 sits in that gap
+#: with a factor >= 150 to spare below and >= 1e17 above.  The
 #: floor drops a mass of at most 2**q * 1e-23 per table: below 1e-7 shots
 #: in expectation at 10**12 shots and q = 12, which no statistic can see.
 _PROBABILITY_FLOOR = 1e-23
@@ -212,16 +214,32 @@ def _write_config_echo(cfg: ExperimentConfig, theta, extra: dict | None = None) 
 # ---------------------------------------------------------------------------
 # sampled derivative estimates shared by result2 / result3 / the CLI
 
+def _level_tables(observable: qsim.PauliSumObservable, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The observable's eigenvalue levels and one outcome table per state.
+
+    Row i holds ||P_lambda psi_i||^2 per level (see
+    :func:`qsim._eigensystem`), entries below ``_PROBABILITY_FLOOR`` set to
+    0, normalised to sum 1.
+    """
+    levels, starts, evecs = qsim._eigensystem(observable.terms)
+    pr = np.add.reduceat(np.abs(states @ evecs.conj()) ** 2, starts, axis=1)
+    pr[pr < _PROBABILITY_FLOOR] = 0.0
+    return levels, pr / pr.sum(axis=1, keepdims=True)
+
+
 def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schemes,
                       n_total: int, repetitions: int, seed_key,
                       method: str = "multinomial") -> dict[str, np.ndarray]:
     """Repeated sampled derivative estimates, one column per allocation scheme.
 
-    This is the package's shot model.  ``multinomial`` draws each shift's
-    shots from its outcome distribution in the observable eigenbasis (the
-    eigensystem is cached per observable; outcome probabilities below
-    ``_PROBABILITY_FLOOR`` count as 0); ``gaussian`` replaces each shift's
-    shot mean by a normal draw with the exact mean and one-shot variance.
+    This is the package's shot model.  ``multinomial`` measures the
+    observable projectively: each shift's shots are a multinomial draw over
+    its eigenvalue levels with probabilities ||P_lambda psi||^2 (see
+    :func:`_level_tables`; the levels are cached per observable, and
+    probabilities below ``_PROBABILITY_FLOOR`` count as 0), so the draws do
+    not depend on the basis ``eigh`` picks inside a degenerate eigenspace.
+    ``gaussian`` replaces each shift's shot mean by a normal draw with the
+    exact mean and one-shot variance.
 
     Stream layout: one generator ``np.random.default_rng(seed_key)`` per
     call; for each scheme in order, then each expanded shift in rule order
@@ -231,10 +249,7 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     gamma = np.asarray(rule.expanded_coeffs)
     points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     if method == "multinomial":
-        evals, evecs = qsim._eigensystem(sl.observable.terms)
-        pr = np.abs(sl.state(points) @ evecs.conj()) ** 2
-        pr[pr < _PROBABILITY_FLOOR] = 0.0
-        tables = pr / pr.sum(axis=1, keepdims=True)
+        levels, tables = _level_tables(sl.observable, sl.state(points))
     elif method == "gaussian":
         tables = list(zip(sl(points), sl.one_shot_variance(points)))
     else:
@@ -250,7 +265,7 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
                 continue
             n = int(n)
             if method == "multinomial":
-                acc += g * (rng.multinomial(n, table, size=repetitions) @ evals) / n
+                acc += g * (rng.multinomial(n, table, size=repetitions) @ levels) / n
             else:
                 mean, var = table
                 acc += g * rng.normal(mean, np.sqrt(var / n), size=repetitions)

@@ -17,7 +17,7 @@ G_il e^{i(i-l)x}, so the amplitude at frequency s is twice the modulus of
 the sum along G's s-th subdiagonal, and {1, ..., k} bounds the set for any
 gate order, input state and observable (the general parameter-shift setting
 of Wierichs, Izaac, Wang & Lin, Quantum 6, 677, 2022).  The observable
-eigensystem behind multinomial sampling is cached per observable; the
+eigenvalue levels behind multinomial sampling are cached per observable; the
 shot-noise model that samples these slices is
 :func:`shiftrules.experiments.sampled_estimates`.
 
@@ -35,7 +35,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import FrequencySet
+from .spectra import DEFAULT_TOL, FrequencySet
 
 __all__ = [
     "MAX_QUBITS",
@@ -163,13 +163,25 @@ class PauliSumObservable:
 
 
 @lru_cache(maxsize=64)
-def _eigensystem(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray]:
-    # write-once cache per observable; read-only afterwards
+def _eigensystem(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The observable's distinct eigenvalue levels, their first columns, and its eigenvectors.
+
+    One dense ``eigh``.  Sorted eigenvalues whose gap is within
+    ``DEFAULT_TOL * max(1, max |lambda|)`` form one level, valued at the
+    group's mean; ``starts[k]`` is the first eigenvector column of level k,
+    so ``np.add.reduceat(|psi @ conj(evecs)|**2, starts, axis=-1)`` is
+    ||P_lambda psi||^2 per level, whatever basis ``eigh`` picks inside a
+    degenerate eigenspace.  Write-once cache per observable; read-only
+    afterwards.
+    """
     mat = PauliSumObservable(terms).to_matrix()
     evals, evecs = np.linalg.eigh(mat)
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return evals, evecs
+    tol = DEFAULT_TOL * max(1.0, float(np.abs(evals).max()))
+    starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
+    levels = np.add.reduceat(evals, starts) / np.diff(np.r_[starts, evals.size])
+    for a in (levels, starts, evecs):
+        a.setflags(write=False)
+    return levels, starts, evecs
 
 
 @lru_cache(maxsize=256)

@@ -51,6 +51,21 @@ def test_freq_dedup_tol_is_rejected_with_circuit(capsys):
     assert out == "" and "--dedup-tol" in err
 
 
+@pytest.mark.parametrize("flags", [("--no-prune",), ("--param", "3"), ("--q", "5"), ("--p", "2"),
+                                   ("--delta", "0.5"), ("--seed", "0")])
+def test_freq_circuit_flags_are_rejected_with_eigs(capsys, flags):
+    # the default values too: what counts is that the flag was given
+    code, out, err = run(capsys, "freq", "--eigs", "-1,1", *flags)
+    assert code == EXIT_CONFIG
+    assert out == "" and f"{flags[0]} applies to --circuit only" in err
+
+
+def test_freq_eigs_names_every_circuit_flag_given(capsys):
+    code, out, err = run(capsys, "freq", "--eigs", "-1,1", "--no-prune", "--param", "3")
+    assert code == EXIT_CONFIG
+    assert out == "" and "--no-prune, --param apply to --circuit only" in err
+
+
 def test_freq_dedup_tol_merges_eigenvalue_gaps(capsys):
     code, out, _ = run(capsys, "freq", "--eigs", "0,1,2.01")
     assert code == EXIT_OK
@@ -185,6 +200,21 @@ def test_estimate_takes_at_most_one_node_source(capsys, flags):
     code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--exact", *flags)
     assert code == EXIT_VALIDATION
     assert out == "" and "at most one of --equidistant, --nodes or --rule-json" in err
+
+
+@pytest.mark.parametrize("mode", [("--exact",), ("--repetitions", "5")])
+@pytest.mark.parametrize("flags,message", [
+    (("--scheme", "bogus"), "--scheme: unknown scheme 'bogus'"),
+    (("--scheme", "custom"), "--scheme: estimate draws the uniform or weighted split"),
+    (("--repetitions", "0"), "--repetitions must be positive"),
+    (("--n-total", "0"), "--n-total must be positive"),
+    (("--shots", "0"), "--shots must be positive"),
+    (("--shots", "many"), "--shots must be a positive integer or 'inf'"),
+])
+def test_estimate_rejects_bad_sampling_flags(capsys, mode, flags, message):
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *mode, *flags)
+    assert code == EXIT_CONFIG
+    assert out == "" and message in err
 
 
 def test_estimate_shots_inf_is_exact_alias(capsys):

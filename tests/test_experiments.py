@@ -3,11 +3,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from shiftrules import epsr, qsim, variance
+from shiftrules import epsr, experiments, qsim, variance
 from shiftrules.experiments import (
     RESULT3_RANDOM_NODES,
     ExperimentConfig,
+    _level_tables,
     _write_csv,
     random_base_params,
     run_experiment,
@@ -186,6 +189,78 @@ def test_multinomial_draws_ignore_round_off_in_the_states(monkeypatch):
     got = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, j, 1])
     for s in schemes:
         assert got[s].tobytes() == want[s].tobytes()
+
+
+def test_xxz_q5_eigenvalue_levels():
+    levels, starts, evecs = qsim._eigensystem(qsim.build_xxz_hamiltonian(5, 0.5).terms)
+    assert len(levels) == 10 and np.all(np.diff(levels) > 0)
+    assert np.diff(np.r_[starts, evecs.shape[0]]).tolist() == [4, 4, 2, 4, 4, 4, 4, 2, 2, 2]
+
+
+def test_multinomial_draws_ignore_the_basis_of_degenerate_eigenspaces(monkeypatch):
+    # eigh's basis inside a degenerate eigenspace is arbitrary; a measurement
+    # of the observable only sees the eigenspace, and so must the draws
+    sl, rule, xbar = _xxz_slice_and_rule()
+    schemes = ("uniform", "weighted")
+    want = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, 0, 1])
+    levels, starts, evecs = qsim._eigensystem(sl.observable.terms)
+    rng = np.random.default_rng(5)
+    rotated = evecs.copy()
+    for a, b in zip(starts, [*starts[1:], evecs.shape[0]]):
+        z = rng.standard_normal((b - a, b - a)) + 1j * rng.standard_normal((b - a, b - a))
+        rotated[:, a:b] = evecs[:, a:b] @ np.linalg.qr(z)[0]
+    assert np.max(np.abs(rotated - evecs)) > 0.1
+    monkeypatch.setattr(qsim, "_eigensystem", lambda terms: (levels, starts, rotated))
+    got = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, 0, 1])
+    for s in schemes:
+        assert got[s].tobytes() == want[s].tobytes()
+
+
+@st.composite
+def _pauli_sums(draw):
+    q = draw(st.integers(1, 4))
+    pauli = st.text("IXYZ", min_size=q, max_size=q)
+    coeff = st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0))
+    return qsim.PauliSumObservable(tuple(draw(st.lists(st.tuples(coeff, pauli), min_size=1, max_size=6))))
+
+
+@given(obs=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
+def test_level_tables_are_eigenspace_projections(obs, seed):
+    mat = obs.to_matrix()
+    dim = mat.shape[0]
+    scale = max(1.0, np.linalg.norm(mat, 2))
+    levels, _, _ = qsim._eigensystem(obs.terms)
+    # well-separated levels keep the null-space projectors below accurate to 1e-12
+    assume(np.all(np.diff(levels) > 1e-3 * scale))
+    rng = np.random.default_rng(seed)
+    psi = rng.standard_normal((3, dim)) + 1j * rng.standard_normal((3, dim))
+    psi = np.vstack([psi / np.linalg.norm(psi, axis=1, keepdims=True), np.eye(1, dim)])
+    want, nullity = [], 0
+    for lam in levels:
+        _, sv, vh = np.linalg.svd(mat - lam * np.eye(dim))
+        null = vh[sv < 1e-8 * scale].conj().T
+        nullity += null.shape[1]
+        want.append(np.linalg.norm(psi @ null.conj(), axis=1) ** 2)
+    # the levels are all of the distinct eigenvalues
+    assert nullity == dim
+    got_levels, tables = _level_tables(obs, psi)
+    assert np.array_equal(got_levels, levels)
+    assert np.max(np.abs(tables.sum(axis=1) - 1.0)) <= 1e-12
+    assert np.max(np.abs(tables - np.array(want).T)) <= 1e-12
+
+
+def test_q8_level_tables_separate_round_off_from_genuine_entries(monkeypatch):
+    # the floor must sit in a gap: round-off entries below it, genuine ones far above
+    monkeypatch.setattr(experiments, "_PROBABILITY_FLOOR", 0.0)
+    circuit, obs = xxz_hva_setup(8, 2, 0.5)
+    theta = random_base_params(8, 2, 0)
+    for j in range(circuit.n_params):
+        sl = qsim.cost_slice(circuit, obs, theta, j)
+        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        for d in (1, 2):
+            rule = epsr.make_rule(valid_nodes_for(fs, d), fs, d)
+            _, tables = _level_tables(obs, sl.state(theta[j] + np.asarray(rule.expanded_shifts)))
+            assert np.all((tables < 1e-23) | (tables > 1e-8))
 
 
 @pytest.mark.parametrize("method", ["multinomial", "gaussian"])
