@@ -31,7 +31,7 @@ from .spectra import (
     positive_difference_frequencies,
     rescale_to_integer,
 )
-from .trigpoly import TrigPoly, fit_from_samples, random_trigpoly
+from .trigpoly import TrigPoly, random_trigpoly
 from .variance import (
     OptimizeResult,
     ShotAllocation,
@@ -64,7 +64,6 @@ __all__ = [
     "rescale_to_integer",
     "integer_frequencies",
     "random_trigpoly",
-    "fit_from_samples",
     "solve_coefficients",
     "make_rule",
     "apply_rule",

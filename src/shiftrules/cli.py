@@ -66,6 +66,8 @@ _CIRCUIT_DEFAULTS = {"q": 5, "p": 2, "delta": 0.5, "seed": 0}
 def _build_circuit_context(args):
     if args.circuit != "xxz-hva":
         raise ConfigError(f"unknown circuit {args.circuit!r}; available: xxz-hva")
+    if not np.isfinite(args.delta):
+        raise ConfigError(f"--delta must be finite, not {args.delta}")
     circuit, obs = xxz_hva_setup(args.q, args.p, args.delta)
     theta = random_base_params(args.q, args.p, args.seed)
     return circuit, obs, theta
@@ -210,6 +212,8 @@ def _shot_total(args) -> int | None:
 
 def _cmd_estimate(args) -> int:
     n_total = _shot_total(args)
+    if args.xbar is not None and not np.isfinite(args.xbar):
+        raise ConfigError(f"--xbar must be finite, not {args.xbar}")
     if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
         raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
     circuit, obs, theta = _build_circuit_context(args)

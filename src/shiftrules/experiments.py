@@ -4,7 +4,8 @@ Five canned experiments, each emitting machine-readable CSV (and optionally a
 companion gnuplot script):
 
 * ``result1``   -- noise-free check: shift-rule derivatives of every circuit
-  parameter against high-order finite differences, orders 1..6.
+  parameter against the exact slice derivative read off the slice's
+  Fourier-component Grams, orders 1..6.
 * ``result2``   -- uniform vs weighted shot allocation at the classical
   equidistant nodes: repeated sampled derivative estimates for the first two
   parameters.
@@ -31,7 +32,6 @@ import numpy as np
 
 from . import epsr, qsim, variance
 from .spectra import FrequencySet, integer_frequencies
-from .trigpoly import central_difference
 
 __all__ = [
     "ExperimentConfig",
@@ -60,10 +60,6 @@ RESULT3_RANDOM_NODES: dict[int, tuple[tuple[float, ...], ...]] = {
         (0.065752000218, 0.465980534447, 2.340250843261, 2.51529245263),
     ),
 }
-
-#: Finite-difference steps per derivative order, balancing truncation against
-#: round-off amplification (which grows as h**-d).
-_FD_STEPS = {1: 1e-2, 2: 1e-2, 3: 2e-2, 4: 3e-2, 5: 2e-2, 6: 4e-2}
 
 #: Level probabilities below this are set to exactly 0 before multinomial
 #: sampling.  A level that is impossible by symmetry still gets a round-off
@@ -99,9 +95,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.experiment not in EXPERIMENT_IDS:
             raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_IDS}")
-        for name in ("q", "p", "n_total", "repetitions", "r_max", "d_max"):
+        for name in ("p", "n_total", "repetitions", "r_max", "d_max"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
+        if not 3 <= self.q <= qsim.MAX_QUBITS:
+            raise ValueError(f"q must be in 3..{qsim.MAX_QUBITS}, not {self.q}")
+        if not np.isfinite(self.delta):
+            raise ValueError(f"delta must be finite, not {self.delta}")
         variance._node_scheme(self.scheme)
         if self.method not in ("multinomial", "gaussian"):
             raise ValueError(f"unknown sampling method {self.method!r}")
@@ -287,9 +287,9 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
         for d in range(1, 7):
             rule = epsr.make_rule(valid_nodes_for(fs, d, seed=cfg.seed + 31 * j + d), fs, d)
             got = epsr.apply_rule(rule, sl, theta[j])
-            ref = central_difference(sl, theta[j], d, _FD_STEPS[d])
+            ref = sl.derivative(d, theta[j])
             rows.append((j, names[j], d, got, ref, abs(got - ref)))
-    plot = ["set logscale y", "set xlabel 'derivative order d'", "set ylabel '|rule - finite difference|'",
+    plot = ["set logscale y", "set xlabel 'derivative order d'", "set ylabel '|rule - exact|'",
             "plot 'result1_errors.csv' using 3:6 skip 1 with points title 'error'"]
     _write_csv(os.path.join(cfg.out_dir, "result1_errors.csv"),
                ["param_index", "param_name", "d", "epsr", "reference", "abs_error"], rows, reproducible,

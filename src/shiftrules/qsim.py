@@ -9,8 +9,8 @@ is a trigonometric polynomial: each rotation exp(-i x/2 P) is
 e^{-ix/2} Pi+ + e^{+ix/2} Pi- with Pi+- = (I +- P)/2, so the slice state is
 a sum of k+1 Fourier components.  The circuit runs once per slice over those
 components; every point is then a (k+1)-term sum for its state and a
-quadratic form in the components' (k+1, k+1) Grams for its value and
-one-shot variance.
+quadratic form in the components' (k+1, k+1) Grams for its value, its
+exact derivatives and its one-shot variance.
 
 The same Grams give each slice's frequency set: the value is a sum of
 G_il e^{i(i-l)x}, so the amplitude at frequency s is twice the modulus of
@@ -454,14 +454,16 @@ def build_hva_circuit(q: int, p: int) -> CircuitSpec:
 class CostSlice:
     """Univariate view x -> f(theta with component j replaced by x).
 
-    ``state``, ``__call__`` and ``one_shot_variance`` take a scalar x (one
-    state, a float) or a 1-D array of B points (a (B, 2**q) batch, an array).
+    ``state``, ``__call__``, ``derivative`` and ``one_shot_variance`` take a
+    scalar x (one state, a float) or a 1-D array of B points (a (B, 2**q)
+    batch, an array).
     Each gate bound to ``index`` is a Pauli rotation, so the slice state is a
     sum of k+1 Fourier components (see :func:`_slice_components`): the
     circuit runs once per slice over those components, shared through a
     cache with every other slice of the same circuit, base point, index and
-    observable.  A state is then E(x) @ W, and a value or variance is a
-    quadratic form in the (k+1, k+1) Grams, with no 2**q work per point.
+    observable.  A state is then E(x) @ W, and a value, derivative or
+    variance is a quadratic form in the (k+1, k+1) Grams, with no 2**q work
+    per point.
     Norms, imaginary residues and negative variances are still checked at
     every point.
     """
@@ -505,7 +507,19 @@ class CostSlice:
         return psi[0] if np.ndim(x) == 0 else psi
 
     def __call__(self, x):
-        (val,) = self._forms(x, self._components.mean)
+        return self.derivative(0, x)
+
+    def derivative(self, d: int, x):
+        """Exact d-th derivative at ``x``; the argument order of ``TrigPoly.derivative``.
+
+        The value is sum_il G_il e^{i(i-l)x}, so the d-th derivative is the
+        same quadratic form in G o D^d with D_il = 1j (i - l): exact to round-off
+        for any order, with the norm and imaginary-residue checks of a value.
+        """
+        if d < 0:
+            raise ValueError("derivative order must be >= 0")
+        i = np.arange(self._components.mean.shape[0], dtype=float)
+        (val,) = self._forms(x, self._components.mean * (1j**d * np.subtract.outer(i, i) ** d))
         return _batch_result(_real_values(val), np.ndim(x) == 0)
 
     def one_shot_variance(self, x):

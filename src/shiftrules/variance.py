@@ -428,6 +428,8 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     npop = population if population is not None else 15 * dim
     if npop < 4 * dim:
         raise ValueError(f"population must be at least 4 * dimension = {4 * dim}")
+    if generations < 1:
+        raise ValueError(f"generations must be at least 1, not {generations}")
     lo = EPS_BOX
     hi = np.pi - EPS_BOX if parity == "odd" else np.pi
 

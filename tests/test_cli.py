@@ -111,6 +111,17 @@ def test_rule_optimized(capsys):
     assert doc["equidistant_error"] <= 1e-3
 
 
+@pytest.mark.parametrize("flags,message", [
+    (("--generations", "0"), "generations must be at least 1, not 0"),
+    (("--generations", "-5"), "generations must be at least 1, not -5"),
+    (("--population", "4"), "population must be at least 4 * dimension = 12"),
+])
+def test_rule_optimize_rejects_a_too_small_search(capsys, flags, message):
+    code, out, err = run(capsys, "rule", "--freqs", "1,2,3", "--d", "1", "--optimize", "wgt", *flags)
+    assert code == EXIT_VALIDATION
+    assert out == "" and message in err
+
+
 def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
     from shiftrules import epsr, variance
     from shiftrules.spectra import integer_frequencies
@@ -176,7 +187,7 @@ def test_estimate_exact_matches_reference(capsys):
 
     from shiftrules.experiments import random_base_params, xxz_hva_setup
     from shiftrules.qsim import cost_slice
-    from shiftrules.trigpoly import central_difference
+    from oracles import central_difference
 
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)
@@ -212,6 +223,19 @@ def test_estimate_takes_at_most_one_node_source(capsys, flags):
     (("--shots", "many"), "--shots must be a positive integer or 'inf'"),
 ])
 def test_estimate_rejects_bad_sampling_flags(capsys, mode, flags, message):
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *mode, *flags)
+    assert code == EXIT_CONFIG
+    assert out == "" and message in err
+
+
+@pytest.mark.parametrize("mode", [("--exact",), ("--repetitions", "5")])
+@pytest.mark.parametrize("flags,message", [
+    (("--xbar", "nan"), "--xbar must be finite, not nan"),
+    (("--xbar", "inf"), "--xbar must be finite, not inf"),
+    (("--delta", "nan"), "--delta must be finite, not nan"),
+    (("--delta", "-inf"), "--delta must be finite, not -inf"),
+])
+def test_estimate_rejects_non_finite_flags(capsys, mode, flags, message):
     code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *mode, *flags)
     assert code == EXIT_CONFIG
     assert out == "" and message in err
@@ -290,6 +314,19 @@ def test_experiment_param_out_of_range_is_config_error(tmp_path, capsys, param):
                        "--out-dir", str(out_dir))
     assert code == EXIT_CONFIG
     assert f"params [{param}] out of range" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--q", "2"), "q must be in 3..12, not 2"),
+    (("--q", "13"), "q must be in 3..12, not 13"),
+    (("--delta", "nan"), "delta must be finite, not nan"),
+])
+def test_experiment_bad_circuit_is_config_error(tmp_path, capsys, flags, message):
+    out_dir = tmp_path / "o"
+    code, _, err = run(capsys, "experiment", "--id", "result1", *flags, "--out-dir", str(out_dir))
+    assert code == EXIT_CONFIG
+    assert message in err
     assert not out_dir.exists()
 
 

@@ -20,12 +20,20 @@ from shiftrules.experiments import (
 )
 from shiftrules.spectra import FrequencySet, integer_frequencies
 
+from oracles import rule_error_bound
+
 
 def test_config_validation():
     with pytest.raises(ValueError, match="unknown experiment"):
         ExperimentConfig("nope")
     with pytest.raises(ValueError, match="positive"):
         ExperimentConfig("result1", repetitions=0)
+    for q in (0, 2, qsim.MAX_QUBITS + 1):
+        with pytest.raises(ValueError, match=f"q must be in 3..{qsim.MAX_QUBITS}, not {q}"):
+            ExperimentConfig("result1", q=q)
+    for delta in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="delta must be finite"):
+            ExperimentConfig("result1", delta=delta)
 
 
 def test_config_scheme_validation():
@@ -92,8 +100,15 @@ def test_result1_quick(tmp_path):
     cfg = ExperimentConfig("result1", out_dir=str(tmp_path))
     rows = run_experiment(cfg, reproducible=True)
     assert len(rows) == 8 * 6
-    worst_low_order = max(row[5] for row in rows if row[2] <= 2)
-    assert worst_low_order < 1e-9
+    circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
+    theta = random_base_params(cfg.q, cfg.p, cfg.seed)
+    for j, _, d, got, ref, err in rows:
+        sl = qsim.cost_slice(circuit, obs, theta, j)
+        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        rule = epsr.make_rule(valid_nodes_for(fs, d, seed=cfg.seed + 31 * j + d), fs, d)
+        assert got == epsr.apply_rule(rule, sl, theta[j])
+        assert ref == sl.derivative(d, theta[j])
+        assert err <= rule_error_bound(rule, sl), (j, d, err)
     header = (tmp_path / "result1_errors.csv").read_text().splitlines()[0]
     assert header == "param_index,param_name,d,epsr,reference,abs_error"
 

@@ -26,7 +26,8 @@ from shiftrules.qsim import (
     slice_frequencies,
 )
 from shiftrules.spectra import FrequencySet, positive_difference_frequencies
-from shiftrules.trigpoly import central_difference, fit_from_samples
+
+from oracles import central_difference, fit_least_squares, rule_error_bound
 
 
 @pytest.fixture(scope="module")
@@ -230,7 +231,7 @@ def test_slice_fits_with_its_frequencies(xxz_setup):
     fs = slice_frequencies(circuit, 0, obs, theta)
     assert fs.frequencies == (1.0, 2.0)
     xs = np.linspace(0.1, 2.8, 2 * fs.r + 1)
-    poly = fit_from_samples(fs, xs, np.array([sl(x) for x in xs]))
+    poly, _ = fit_least_squares(fs, xs, np.array([sl(x) for x in xs]))
     grid = np.linspace(-math.pi, math.pi, 17)
     resid = max(abs(poly(x) - sl(x)) for x in grid)
     assert resid < 1e-9
@@ -238,8 +239,6 @@ def test_slice_fits_with_its_frequencies(xxz_setup):
 
 def test_gamma2_slice_needs_frequency_four(xxz_setup):
     circuit, obs, theta = xxz_setup
-    from shiftrules.trigpoly import fit_least_squares
-
     sl = cost_slice(circuit, obs, theta, 7)
     grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     ys = np.array([sl(x) for x in grid])
@@ -342,13 +341,32 @@ def test_slice_frequencies_keep_an_amplitude_of_3e_minus_9():
     fs = slice_frequencies(circuit, 3, obs, theta)
     assert 8.0 in fs.frequencies
     sl = cost_slice(circuit, obs, theta, 3)
-    # the slice is sum_il G_il e^{i(i-l)x} in the Gram G of its Fourier components
-    gram = sl._components.mean
-    i = np.arange(gram.shape[0])
-    s = i[:, None] - i[None, :]
-    exact = float(np.sum(gram * (1j * s) ** 4 * np.exp(1j * s * theta[3])).real)
     rule = epsr.make_rule(valid_nodes_for(fs, 4, seed=0), fs, 4)
-    assert epsr.apply_rule(rule, sl, theta[3]) == pytest.approx(exact, abs=1e-10)
+    assert epsr.apply_rule(rule, sl, theta[3]) == pytest.approx(sl.derivative(4, theta[3]), abs=1e-10)
+
+
+@pytest.mark.parametrize("q", range(3, 9))
+@pytest.mark.parametrize("p", [1, 2])
+def test_rules_match_exact_slice_derivatives_to_round_off(q, p):
+    # orders up to 8, beyond the central difference's 6
+    circuit, obs = build_hva_circuit(q, p), build_xxz_hamiltonian(q, 0.5)
+    theta = np.random.default_rng(q).uniform(-np.pi, np.pi, circuit.n_params)
+    for j in range(circuit.n_params):
+        sl = cost_slice(circuit, obs, theta, j)
+        fs = slice_frequencies(circuit, j, obs, theta)
+        for d in range(1, 9):
+            rule = epsr.make_rule(valid_nodes_for(fs, d, seed=j + d), fs, d)
+            err = abs(epsr.apply_rule(rule, sl, theta[j]) - sl.derivative(d, theta[j]))
+            assert err <= rule_error_bound(rule, sl), (j, d, err)
+
+
+def test_slice_derivative_validates_order(xxz_setup):
+    circuit, obs, theta = xxz_setup
+    sl = cost_slice(circuit, obs, theta, 0)
+    assert type(sl.derivative(2, 0.3)) is float
+    assert sl.derivative(1, np.array([0.3, 0.4])).shape == (2,)
+    with pytest.raises(ValueError, match="order"):
+        sl.derivative(-1, 0.3)
 
 
 def _stacked_apply(psi, kernel, qubits):
@@ -420,6 +438,7 @@ def test_component_slice_equals_pointwise_evolution(case, seed):
     psi = _pointwise_states(circuit, theta, j, xs)
     np.testing.assert_allclose(sl.state(xs), psi, rtol=0, atol=1e-14)
     np.testing.assert_allclose(sl(xs), expectation(psi, obs), rtol=0, atol=1e-12)
+    np.testing.assert_allclose(sl.derivative(0, xs), expectation(psi, obs), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sl.one_shot_variance(xs), one_shot_variance(psi, obs), rtol=0, atol=1e-12)
     assert sl(xs[0]) == pytest.approx(expectation(psi[0], obs), rel=0, abs=1e-12)
 
@@ -458,6 +477,14 @@ def test_slice_frequencies_equal_fft_of_statevector_samples(case, seed):
     amps = 2 * np.abs(np.fft.rfft(ys)[1:k + 1]) / xs.size
     rel = amps / max(1.0, np.max(amps))
     assume(not np.any((rel > 1e-14) & (rel < 1e-10)))
+    # f^(d)(x) = sum_s 2 Re((is)^d c_s e^{isx}) over the spectrum c_s of the samples
+    coeffs = np.fft.rfft(ys)[1:k + 1] / xs.size
+    s = np.arange(1.0, k + 1)
+    sl = cost_slice(circuit, obs, theta, 0)
+    for d in range(1, 5):
+        spectral = 2 * (np.exp(1j * np.outer(xs, s)) @ ((1j * s) ** d * coeffs)).real
+        scale = k ** d * max(1.0, np.max(np.abs(ys)))
+        np.testing.assert_allclose(sl.derivative(d, xs), spectral, rtol=0, atol=1e-13 * scale)
     assert slice_frequencies(circuit, 0).frequencies == tuple(range(1, k + 1))
     want = tuple(np.flatnonzero(rel > 1e-12) + 1.0)
     if not want:

@@ -406,11 +406,11 @@ def test_global_weighted_finds_equidistant():
     assert res.objective == pytest.approx(2.0, abs=1e-4)
 
 
-def test_global_zero_generations_returns_initial_best():
-    res = optimize_shifts_global(FS12, 1, "weighted", generations=0, seed=4)
-    assert res.iterations == 0
-    assert not res.converged
-    assert np.isfinite(res.objective)
+@pytest.mark.parametrize("generations", [0, -5])
+def test_global_generations_floor(generations):
+    # zero generations would return the best initial member as the result
+    with pytest.raises(ValueError, match="generations must be at least 1"):
+        optimize_shifts_global(FS12, 1, "weighted", generations=generations, seed=4)
 
 
 def test_global_population_floor():
