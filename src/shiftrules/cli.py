@@ -137,8 +137,14 @@ def _rule_from_args(args, fs: FrequencySet):
             fs, args.d, args.optimize,
             population=args.population, generations=generations, seed=args.seed)
         nodes = res.nodes
-        extra = {"objective": res.objective, "scheme": args.optimize,
-                 "equidistant_error": res.equidistant_error, "certificate": res.certificate}
+        extra = {"objective": res.objective}
+        if variance._norm_scheme(args.optimize) == "weighted":
+            # weak duality: the objective lies at most ``gap`` (relative)
+            # above the optimum
+            bound = variance.weighted_lower_bound(fs, args.d)
+            extra.update(dual_bound=bound, gap=(res.objective - bound) / bound)
+        extra.update(scheme=args.optimize, equidistant_error=res.equidistant_error,
+                     certificate=res.certificate)
     return epsr.make_rule(nodes, fs, args.d), extra
 
 

@@ -187,10 +187,11 @@ def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
     return (-1.0) ** (d // 2) * np.concatenate([[lead], w**d])
 
 
-def _conditioning(sv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Condition estimates and the nonsingularity test of singular-value stacks.
+def _conditioning(smax: np.ndarray, smin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Condition estimates and the nonsingularity test from singular-value bounds.
 
-    ``sv`` holds descending singular values along its last axis.  The
+    ``smax`` and ``smin`` are the largest and smallest singular values (or
+    an upper and a lower bound on them) of one matrix or of a stack.  The
     condition ratio alone misses uniformly tiny matrices (e.g. the 1x1
     [sin pi]), so the smallest singular value is also held to an absolute
     floor relative to the entry scale.  A matrix that passes has
@@ -199,15 +200,19 @@ def _conditioning(sv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     The test only gets harder as smax grows or smin shrinks, so an upper
     bound on smax and a lower bound on smin that pass certify the matrix.
     """
-    smax, smin = sv[..., 0], sv[..., -1]
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         cond = np.where(smin == 0.0, np.inf, smax / smin)
     nonsingular = np.isfinite(cond) & (cond <= CONDITION_LIMIT) & (smin > 1e-12 * np.maximum(1.0, smax))
     return cond, nonsingular
 
 
+def _svd_conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    sv = np.linalg.svd(a, compute_uv=False)
+    return _conditioning(sv[..., 0], sv[..., -1])
+
+
 def _diagnose(a: np.ndarray) -> RuleDiagnostics:
-    cond, nonsingular = _conditioning(np.linalg.svd(a, compute_uv=False))
+    cond, nonsingular = _svd_conditioning(a)
     return RuleDiagnostics(float(np.linalg.det(a)), float(cond), bool(nonsingular))
 
 
@@ -247,7 +252,8 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     einsum and one batched LU determinant).  A row whose bounds pass
     :func:`_conditioning` with sigma_min shrunk by ``_SCREEN_MARGIN`` is
     certified without an SVD; only the other rows go through the SVD and
-    the same predicate.  Returns ``(b, nonsingular)``: b has shape (n, m)
+    the same predicate; when every row is certified, the whole stack is
+    solved as it is.  Returns ``(b, nonsingular)``: b has shape (n, m)
     with NaN rows where ``nonsingular`` is False, so a row is rejected here
     exactly when :func:`solve_coefficients` raises SingularNodesError for it.
     """
@@ -260,15 +266,16 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     s = np.sqrt(np.einsum("nij,nij->n", a, a))
     with np.errstate(divide="ignore", invalid="ignore"):
         smin_bound = np.abs(np.linalg.det(a)) / s ** (m - 1) / _SCREEN_MARGIN
-    _, nonsingular = _conditioning(np.stack([s, smin_bound], axis=-1))
+    _, nonsingular = _conditioning(s, smin_bound)
+    at = np.swapaxes(a, -1, -2)
+    rhs = rhs_vector(d, fs, parity)[:, None]
+    if nonsingular.all():
+        return np.linalg.solve(at, rhs)[..., 0], nonsingular
     unsure = ~nonsingular
-    if np.any(unsure):
-        _, nonsingular[unsure] = _conditioning(np.linalg.svd(a[unsure], compute_uv=False))
+    _, nonsingular[unsure] = _svd_conditioning(a[unsure])
     b = np.full(x.shape, np.nan)
     if np.any(nonsingular):
-        at = np.swapaxes(a[nonsingular], -1, -2)
-        rhs = np.broadcast_to(rhs_vector(d, fs, parity), at.shape[:-1])
-        b[nonsingular] = np.linalg.solve(at, rhs[..., None])[..., 0]
+        b[nonsingular] = np.linalg.solve(at[nonsingular], rhs)[..., 0]
     return b, nonsingular
 
 

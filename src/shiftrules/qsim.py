@@ -332,9 +332,15 @@ def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
     return out
 
 
-def _real_values(val: np.ndarray) -> np.ndarray:
-    """Real parts of expectation values; asserts each imaginary residue is round-off."""
-    bad = np.abs(val.imag) > 1e-10 * (1.0 + np.abs(val.real))
+def _real_values(val: np.ndarray, scale: float | None = None) -> np.ndarray:
+    """Real parts of expectation values; asserts each imaginary residue is round-off.
+
+    Round-off is measured against 1 + |value|, or against 1 + ``scale`` for
+    a value summed from terms whose magnitudes add up to ``scale`` (its
+    round-off grows with the terms, not with the sum).
+    """
+    bound = 1.0 + (np.abs(val.real) if scale is None else scale)
+    bad = np.abs(val.imag) > 1e-10 * bound
     if np.any(bad):
         raise AssertionError(f"expectation has imaginary residue {val.imag[bad][0]:.3e}")
     return val.real
@@ -515,12 +521,17 @@ class CostSlice:
         The value is sum_il G_il e^{i(i-l)x}, so the d-th derivative is the
         same quadratic form in G o D^d with D_il = 1j (i - l): exact to round-off
         for any order, with the norm and imaginary-residue checks of a value.
+        For d >= 1 the residue is measured against sum_il |G_il| |i - l|^d,
+        the size of the terms, which can dwarf the derivative itself.
         """
         if d < 0:
             raise ValueError("derivative order must be >= 0")
-        i = np.arange(self._components.mean.shape[0], dtype=float)
-        (val,) = self._forms(x, self._components.mean * (1j**d * np.subtract.outer(i, i) ** d))
-        return _batch_result(_real_values(val), np.ndim(x) == 0)
+        gram = self._components.mean
+        i = np.arange(gram.shape[0], dtype=float)
+        weights = np.subtract.outer(i, i) ** d
+        (val,) = self._forms(x, gram * (1j**d * weights))
+        scale = float(np.sum(np.abs(gram) * np.abs(weights))) if d else None
+        return _batch_result(_real_values(val, scale), np.ndim(x) == 0)
 
     def one_shot_variance(self, x):
         mean, m2 = self._forms(x, self._components.mean, self._components.square)

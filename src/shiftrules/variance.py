@@ -6,11 +6,15 @@ With finite measurement shots, a shift-rule derivative estimate has variance
 the proportional split is optimal among all allocations (Cauchy-Schwarz).
 Node selection therefore minimizes F_unif = ||b||_2^2 / 2 or F_wgt = ||b||_1
 over the node box.  This module provides both objectives (per node set and
-over stacks of node sets), their analytic (sub)gradients, a projected
-(sub)gradient descent whose every iteration walks one halving step ladder,
-a differential-evolution global search that scores each generation in one
-stacked solve, shot-allocation helpers and the optimality certificate for
-the classical equidistant nodes under the weighted scheme.
+over stacks of node sets), their analytic (sub)gradients, the weak-duality
+lower bound Omega_max^d of F_wgt, a local descent whose every iteration
+tries a Newton step (Hessian by central differences of the analytic
+gradient) before a (sub)gradient step, each on one halving step ladder, a
+differential-evolution global search that scores each generation in one
+stacked solve, stops a weighted search once it is certified within a
+relative gap of the bound and polishes its best member with the local
+descent, shot-allocation helpers and the optimality certificate for the
+classical equidistant nodes under the weighted scheme.
 """
 
 from __future__ import annotations
@@ -47,6 +51,7 @@ __all__ = [
     "predicted_variance",
     "optimize_shifts_local",
     "optimize_shifts_global",
+    "weighted_lower_bound",
     "certify_equidistant_optimality",
     "canonical_nodes",
     "scan_landscape",
@@ -63,6 +68,27 @@ _LOCAL_RUNGS = {"uniform": 45, "weighted": 30}
 
 #: Gradient norm at which the local descent stops as converged.
 _LOCAL_GTOL = 1e-8
+
+#: Step of the central differences of the analytic (sub)gradient that give
+#: the Hessian of the local descent's Newton step, and the floor of the
+#: Hessian's eigenvalue magnitudes relative to the largest one.
+_HESSIAN_STEP = 1e-5
+_HESSIAN_FLOOR = 1e-8
+
+#: The local descent stops as converged when no Newton rung lowers the
+#: objective and the Newton decrement g . |H|^-1 g is below this fraction of
+#: max(1, |objective|): what is left to gain is round-off.
+_NEWTON_DECREMENT = 1e-13
+
+#: Relative gap to the dual bound Omega_max^d (:func:`weighted_lower_bound`)
+#: at which a weighted global search stops: its best member is then
+#: certified within this fraction of the optimum.
+DUAL_GAP = 1e-6
+
+#: Even-parity nodes this close to pi are snapped to pi for integer
+#: frequencies (where the rule then merges +-pi into one evaluation), unless
+#: that raises the objective.
+_PI_SNAP = 1e-6
 
 #: Differential-evolution weight, drawn once per generation from this range
 #: (dither), and crossover probability.
@@ -301,14 +327,17 @@ def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray
         values = 0.5 * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
     else:
         values = np.sum(np.abs(b), axis=1)
-    return np.where(nonsingular, values, np.inf)
+    return values if nonsingular.all() else np.where(nonsingular, values, np.inf)
+
+
+def _box(parity: str) -> tuple[float, float]:
+    """Bounds of the free node coordinates."""
+    return EPS_BOX, (np.pi - EPS_BOX if parity == "odd" else np.pi)
 
 
 def _project(parity: str, free: np.ndarray) -> np.ndarray:
     """Clamp free coordinates into the node box and sort ascending."""
-    if parity == "odd":
-        return np.sort(np.clip(free, EPS_BOX, np.pi - EPS_BOX))
-    return np.sort(np.clip(free, EPS_BOX, np.pi))
+    return np.sort(np.clip(free, *_box(parity)))
 
 
 def _nodes_from_free(parity: str, free: np.ndarray) -> ShiftNodes:
@@ -322,19 +351,79 @@ def _free_from_nodes(nodes: ShiftNodes) -> np.ndarray:
     return vals if nodes.parity == "odd" else vals[1:]
 
 
+def _free_grad(grad, parity: str, free: np.ndarray, fs: FrequencySet, d: int) -> np.ndarray:
+    """``grad`` at the free coordinates (x_0 = 0 is not free for even parity)."""
+    g = grad(_nodes_from_free(parity, free), fs, d)
+    return g if parity == "odd" else g[1:]
+
+
+def _projected_grad(grad, parity: str, free: np.ndarray, fs: FrequencySet,
+                    d: int) -> tuple[np.ndarray, np.ndarray]:
+    """The projected (sub)gradient and the mask of pinned coordinates.
+
+    A coordinate on a face of the node box whose descent direction points
+    out of the box is pinned: the projected gradient is zero there.
+    """
+    g = _free_grad(grad, parity, free, fs, d)
+    lo, hi = _box(parity)
+    pinned = ((free <= lo) & (g > 0.0)) | ((free >= hi) & (g < 0.0))
+    g[pinned] = 0.0
+    return g, pinned
+
+
+def _newton_step(grad, parity: str, free: np.ndarray, g: np.ndarray, pinned: np.ndarray,
+                 fs: FrequencySet, d: int) -> np.ndarray | None:
+    """|H|^-1 g over the unpinned coordinates (0 on pinned ones); None when it fails.
+
+    H comes from central differences of ``grad``; its eigenvalues, after
+    symmetrizing, are taken in magnitude and floored at ``_HESSIAN_FLOOR``
+    of the largest, so the step descends also where H is indefinite (a
+    saddle or a kink of F_wgt) and stays finite where it is flat.  None when
+    a probe is singular or H vanishes.
+    """
+    idx = np.flatnonzero(~pinned)
+    hess = np.empty((idx.size, idx.size))
+    for col, j in enumerate(idx):
+        e = np.zeros(free.size)
+        e[j] = _HESSIAN_STEP
+        try:
+            up = _free_grad(grad, parity, free + e, fs, d)
+            down = _free_grad(grad, parity, free - e, fs, d)
+        except SingularNodesError:
+            return None
+        hess[:, col] = (up[idx] - down[idx]) / (2 * _HESSIAN_STEP)
+    hess = 0.5 * (hess + hess.T)
+    if not (np.all(np.isfinite(hess)) and np.any(hess)):
+        return None
+    w, v = np.linalg.eigh(hess)
+    mag = np.maximum(np.abs(w), _HESSIAN_FLOOR * np.max(np.abs(w)))
+    step = np.zeros(free.size)
+    step[idx] = v @ ((v.T @ g[idx]) / mag)
+    return step
+
+
 def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNodes,
                           max_iters: int = 5000, trace_path=None) -> OptimizeResult:
-    """Projected (sub)gradient descent on F_unif or F_wgt.
+    """Projected Newton and (sub)gradient descent on F_unif or F_wgt.
 
     Odd-parity nodes live in (EPS_BOX, pi - EPS_BOX), even-parity nodes keep
     x_0 pinned at 0 with the rest in [EPS_BOX, pi]; iterates are re-sorted to
-    canonical ascending order after every step.  Each iteration walks one
-    halving ladder of steps and takes the first rung whose objective (+inf
-    when singular) is below a bound.  F_unif backtracks from 0.25 and needs
-    a decrease (bound: the current value); F_wgt moves by the diminishing
-    step 0.1 / sqrt(t) and only needs nonsingular nodes (bound: +inf).  The
-    best iterate seen is returned, so the reported objective is monotone in
-    the iteration budget.
+    canonical ascending order after every step.  Each iteration first tries
+    the Newton step |H|^-1 g, H by central differences of the analytic
+    (sub)gradient with its eigenvalues taken in magnitude (floored), on the
+    halving ladder 0.5**k: the first rung whose objective (+inf when
+    singular) is below the current value is taken.  Only when no Newton rung
+    lowers the objective does the iteration walk the (sub)gradient ladder
+    c * 0.5**k and take the first rung whose objective is below a bound:
+    F_unif backtracks from 0.25 and needs a decrease (bound: the current
+    value); F_wgt moves by the diminishing step 0.1 / sqrt(t) and only needs
+    nonsingular nodes (bound: +inf).  Both steps use the projected
+    gradient: a coordinate on a box face whose descent direction points out
+    of the box is held there.  The descent stops when the projected gradient
+    norm reaches ``_LOCAL_GTOL``, when a failed Newton ladder leaves only
+    round-off to gain (``_NEWTON_DECREMENT``) or when a uniform ladder
+    fails.  The best iterate seen is returned, so the reported objective is
+    monotone in the iteration budget and never above the projected start's.
 
     Raises:
         SingularNodesError: when the start nodes are singular.
@@ -346,12 +435,21 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         raise ValueError(f"order {d} needs {parity} start nodes")
     objective = F_unif if uniform else F_wgt
     grad = grad_F_unif if uniform else subgrad_F_wgt
+    rungs = _LOCAL_RUNGS[scheme]
 
     objective(start, fs, d)  # raises on a singular start, before any projection
     free = _project(parity, _free_from_nodes(start))
     nodes = _nodes_from_free(parity, free)
     f = objective(nodes, fs, d)
     best_f, best_free = f, free.copy()
+
+    def first_rung(step: float, direction: np.ndarray, bound: float):
+        for k in range(rungs):
+            cand = _project(parity, free - step * 0.5**k * direction)
+            f_cand = _score(objective, _nodes_from_free(parity, cand), fs, d)
+            if f_cand < bound:
+                return cand, f_cand
+        return None
 
     trace = open(trace_path, "w") if trace_path is not None else None
     try:
@@ -360,29 +458,30 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         converged = False
         it = 0
         for it in range(1, max_iters + 1):
-            g_full = grad(nodes, fs, d)
-            g = g_full if parity == "odd" else g_full[1:]
+            g, pinned = _projected_grad(grad, parity, free, fs, d)
             gnorm = float(np.linalg.norm(g))
             if gnorm <= _LOCAL_GTOL:
                 converged = True
                 break
-            if uniform:
-                step, direction, bound = _LOCAL_STEP[scheme], g, f
-            else:
-                # the subgradient move is bounded to at most c/sqrt(t) so that
-                # near-singular iterates (enormous subgradients) cannot
-                # catapult the iterate
-                step = _LOCAL_STEP[scheme] / math.sqrt(it)
-                direction, bound = (g if gnorm <= 1.0 else g / gnorm), math.inf
-            for k in range(_LOCAL_RUNGS[scheme]):
-                cand = _project(parity, free - step * 0.5**k * direction)
-                f_cand = _score(objective, _nodes_from_free(parity, cand), fs, d)
-                if f_cand < bound:
-                    free, f = cand, f_cand
-                    break
-            else:
-                converged = uniform and gnorm <= 1e-5
+            newton = _newton_step(grad, parity, free, g, pinned, fs, d)
+            taken = None if newton is None else first_rung(1.0, newton, f)
+            if taken is None and newton is not None \
+                    and float(g @ newton) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
+                converged = True
                 break
+            if taken is None:
+                if uniform:
+                    taken = first_rung(_LOCAL_STEP[scheme], g, f)
+                else:
+                    # the subgradient move is bounded to at most c/sqrt(t) so
+                    # that near-singular iterates (enormous subgradients)
+                    # cannot catapult the iterate
+                    taken = first_rung(_LOCAL_STEP[scheme] / math.sqrt(it),
+                                       g if gnorm <= 1.0 else g / gnorm, math.inf)
+                if taken is None:
+                    converged = uniform and gnorm <= 1e-5
+                    break
+            free, f = taken
             nodes = _nodes_from_free(parity, free)
             if f < best_f:
                 best_f, best_free = f, free.copy()
@@ -397,15 +496,48 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         # the subgradient iterates hover around a stationary point instead of
         # landing on it; declare convergence from the best iterate's residual
         # (every iterate kept had a finite objective, so its gradient exists)
-        g_full = grad(best_nodes, fs, d)
-        g = g_full if parity == "odd" else g_full[1:]
-        converged = float(np.linalg.norm(g)) <= 1e-3
+        converged = float(np.linalg.norm(_projected_grad(grad, parity, best_free, fs, d)[0])) <= 1e-3
     return OptimizeResult(best_nodes, best_f, it, converged)
+
+
+def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
+    """Three distinct partners per member, none of them the member itself.
+
+    Row j of the (3, npop) result holds the j-th partner of every member.
+    Member i's partners are i + o_j (mod npop) for three distinct offsets in
+    1..npop-1, drawn without replacement by one ``integers`` call: o_2 and
+    o_3 range over one and two offsets fewer and step over the offsets
+    already taken.  Needs npop >= 4.
+    """
+    offsets = rng.integers(1, np.array([[npop], [npop - 1], [npop - 2]]), size=(3, npop))
+    o1, o2, o3 = offsets
+    o2 += o2 >= o1
+    low = np.minimum(o1, o2)
+    o3 += o3 >= low
+    o3 += o3 >= o1 + o2 - low
+    offsets += np.arange(npop)
+    offsets %= npop
+    return offsets
+
+
+def _snap_to_pi(nodes: ShiftNodes, f: float, objective, fs: FrequencySet, d: int):
+    """Nodes within ``_PI_SNAP`` of pi moved onto pi, when the objective is no higher.
+
+    Only for even parity and integer frequencies, where a node at pi merges
+    its two evaluations into one.
+    """
+    vals = nodes.as_array()
+    near = np.abs(vals - np.pi) <= _PI_SNAP
+    if nodes.parity != "even" or not fs.is_all_integer() or not np.any(near & (vals != np.pi)):
+        return nodes, f
+    snapped = ShiftNodes("even", tuple(np.where(near, np.pi, vals)))
+    f_snapped = _score(objective, snapped, fs, d)
+    return (snapped, f_snapped) if f_snapped <= f else (nodes, f)
 
 
 def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: int | None = None,
                            generations: int = 300, seed=0) -> OptimizeResult:
-    """Differential evolution (rand/1/bin) over the node box, deferred updating.
+    """Differential evolution (rand/1/bin) over the node box, then a local polish.
 
     Each generation draws one trial per population member from the current
     population only (Storn & Price 1997; SciPy's ``updating='deferred'``),
@@ -415,12 +547,20 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     for a given seed.  The differential weight is drawn once per generation
     from ``_DE_MUTATION`` (dither), which converges markedly faster at
     dimension >= 4 while keeping the strategy rand/1/bin.
-    The search stops early once the population's objective spread falls to
-    1e-12 of the best value; ``iterations`` counts the generations run.
-    When the frequencies are the integer set {1..r}, the result carries the
-    max-component error against the equidistant reference nodes (canonical
-    form on both sides), and the weighted-scheme result is tagged
-    "global-equidistant" when it lands on them.
+    A weighted search stops as soon as its best member is within the
+    relative gap ``DUAL_GAP`` of :func:`weighted_lower_bound`, which
+    certifies it near-optimal; every search stops once the population's
+    objective spread falls to 1e-12 of the best value.  ``iterations``
+    counts the generations run.  The best member is then polished by
+    :func:`optimize_shifts_local` (as SciPy's ``polish=True``), which never
+    raises its objective, and for integer frequencies an even-parity node
+    within ``_PI_SNAP`` of pi is moved onto pi unless that raises it.
+    ``converged`` is set when the polish converged or the result is within
+    ``DUAL_GAP`` of the bound.  When the frequencies are the integer set
+    {1..r}, the result carries the max-component error against the
+    equidistant reference nodes (canonical form on both sides), and the
+    weighted-scheme result is tagged "global-equidistant" when it lands on
+    them.
     """
     scheme = _node_scheme(scheme)
     parity = _parity_of(d)
@@ -430,8 +570,10 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
         raise ValueError(f"population must be at least 4 * dimension = {4 * dim}")
     if generations < 1:
         raise ValueError(f"generations must be at least 1, not {generations}")
-    lo = EPS_BOX
-    hi = np.pi - EPS_BOX if parity == "odd" else np.pi
+    lo, hi = _box(parity)
+    objective = F_unif if scheme == "uniform" else F_wgt
+    # the uniform scheme has no bound; -inf never certifies a member
+    bound = weighted_lower_bound(fs, d) if scheme == "weighted" else -math.inf
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=(npop, dim))
@@ -441,10 +583,8 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     for gen in range(generations):
         gens_run = gen + 1
         f_weight = float(rng.uniform(*_DE_MUTATION))
-        # three distinct partners per member, none of them the member itself
-        picks = np.argsort(rng.random((npop, npop - 1)), axis=1)[:, :3]
-        picks += picks >= members[:, None]
-        mutant = pop[picks[:, 0]] + f_weight * (pop[picks[:, 1]] - pop[picks[:, 2]])
+        p1, p2, p3 = _partners(rng, npop)
+        mutant = pop[p1] + f_weight * (pop[p2] - pop[p3])
         outside = (mutant < lo) | (mutant > hi)
         mutant[outside] = rng.uniform(lo, hi, size=int(outside.sum()))
         cross = rng.random((npop, dim)) < _DE_CROSSOVER
@@ -454,15 +594,26 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
         better = f_trial <= fit
         pop[better] = trial[better]
         fit[better] = f_trial[better]
-        spread = float(np.max(fit) - np.min(fit))
-        if np.isfinite(spread) and spread <= 1e-12 * max(1.0, abs(float(np.min(fit)))):
+        best = float(np.min(fit))
+        if best - bound <= DUAL_GAP * bound:
+            break
+        spread = float(np.max(fit)) - best
+        if np.isfinite(spread) and spread <= 1e-12 * max(1.0, abs(best)):
             break
 
     # members never leave [lo, hi], so their canonical form is the sorted
     # vector; rescore it with the scalar objective so the reported value
     # belongs to the returned nodes
     best_nodes = _nodes_from_free(parity, np.sort(pop[int(np.argmin(fit))]))
-    best_f = _score(F_unif if scheme == "uniform" else F_wgt, best_nodes, fs, d)
+    best_f = _score(objective, best_nodes, fs, d)
+    converged = False
+    if math.isfinite(best_f):
+        polished = optimize_shifts_local(fs, d, scheme, best_nodes)
+        converged = polished.converged
+        if polished.objective < best_f:
+            best_nodes, best_f = polished.nodes, polished.objective
+        best_nodes, best_f = _snap_to_pi(best_nodes, best_f, objective, fs, d)
+    converged = converged or best_f - bound <= DUAL_GAP * bound
 
     equi_err = None
     certificate = None
@@ -472,26 +623,36 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
         equi_err = float(np.max(np.abs(canonical_nodes(full) - canonical_nodes(ref))))
         if scheme == "weighted" and equi_err <= 1e-3:
             certificate = "global-equidistant"
-    spread = float(np.max(fit) - np.min(fit)) if npop > 1 else 0.0
-    converged = bool(np.isfinite(spread) and spread <= 1e-10 * max(1.0, abs(best_f)))
-    return OptimizeResult(best_nodes, best_f, gens_run, converged, certificate, equi_err)
+    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), certificate, equi_err)
+
+
+def weighted_lower_bound(fs: FrequencySet, d: int) -> float:
+    """Omega_max^d, a lower bound of F_wgt at every node set (weak duality).
+
+    At any nodes x the coefficients satisfy A(x)^T b = rhs, so every y with
+    ||A(x) y||_inf <= 1 gives rhs . y = b . A(x) y <= ||b||_1 = F_wgt(x)
+    (Theis, Quantum 7, 1070, 2023).  For y = +-e_max, the unit vector of the
+    largest frequency's column, A(x) y is +-sin(Omega_max x_i) or
+    +-cos(Omega_max x_i), bounded by 1 for every x, so y is feasible at
+    every node set; with the sign of the rhs entry its dual value is
+    Omega_max^d, for any frequency set.
+    """
+    _parity_of(d)
+    return fs.frequencies[-1] ** d
 
 
 def certify_equidistant_optimality(r: int, d: int) -> bool:
     """Certify that equidistant nodes solve the weighted-scheme problem.
 
-    Weak duality (Theis, Quantum 7, 1070, 2023): at any nodes x the
-    coefficients satisfy A(x)^T b = rhs, so every y with ||A(x) y||_inf <= 1
-    gives rhs . y = b . A(x) y <= ||b||_1 = F_wgt(x).  For y = +-e_r the
-    product A(x) y is the last column +-sin(r x_i) or +-cos(r x_i), bounded
-    by 1 for every x, so y is feasible at every node set and its dual value
-    rhs . y = r**d bounds F_wgt from below everywhere.  The certificate
-    checks that dual value and that F_wgt at the equidistant nodes attains
-    it.
+    The dual value of y = +-e_r, the largest frequency's unit vector, is
+    :func:`weighted_lower_bound` = r**d for the frequencies {1..r}; it
+    bounds F_wgt from below at every node set.  The certificate checks that
+    dual value against the rhs and that F_wgt at the equidistant nodes
+    attains it.
     """
     parity = _parity_of(d)
     fs = integer_frequencies(r)
-    target = float(r) ** d
+    target = weighted_lower_bound(fs, d)
     b, _ = solve_coefficients(equidistant_nodes(r, parity), fs, d)
     y = np.zeros(b.size)
     y[-1] = (-1.0) ** ((d - 1) // 2) if parity == "odd" else (-1.0) ** (d // 2)

@@ -109,6 +109,21 @@ def test_rule_optimized(capsys):
     assert doc["objective"] == pytest.approx(2.0, abs=1e-4)
     assert doc["certificate"] == "global-equidistant"
     assert doc["equidistant_error"] <= 1e-3
+    # weak duality: objective >= dual_bound = Omega_max^d, gap relative
+    keys = list(doc)
+    assert keys[keys.index("objective"):][:3] == ["objective", "dual_bound", "gap"]
+    assert doc["dual_bound"] == 2.0
+    assert doc["gap"] == (doc["objective"] - 2.0) / 2.0 and 0 <= doc["gap"] <= 1e-12
+
+
+def test_rule_optimized_uniform_has_no_dual_bound(capsys):
+    code, out, _ = run(capsys, "rule", "--freqs", "1,2,3", "--d", "2", "--optimize", "unif")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert "dual_bound" not in doc and "gap" not in doc
+    # the last node lands on pi, where +-pi merge into one evaluation
+    assert doc["nodes"][-1] == math.pi
+    assert doc["diagnostics"]["evaluation_count"] == 6
 
 
 @pytest.mark.parametrize("flags,message", [

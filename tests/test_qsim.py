@@ -7,7 +7,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from shiftrules import epsr, qsim
-from shiftrules.experiments import valid_nodes_for
+from shiftrules.experiments import random_base_params, valid_nodes_for, xxz_hva_setup
 from shiftrules.qsim import (
     CircuitSpec,
     Gate,
@@ -367,6 +367,41 @@ def test_slice_derivative_validates_order(xxz_setup):
     assert sl.derivative(1, np.array([0.3, 0.4])).shape == (2,)
     with pytest.raises(ValueError, match="order"):
         sl.derivative(-1, 0.3)
+
+
+def _beta2_slice_q8():
+    circuit, obs = xxz_hva_setup(8, 2, 0.5)
+    theta = random_base_params(8, 2, 0)
+    return cost_slice(circuit, obs, theta, 4), slice_frequencies(circuit, 4, obs, theta), theta[4]
+
+
+def test_high_order_slice_derivative_passes_the_residue_check():
+    # the 16th derivative sums terms of size sum |G_il| |i - l|^16 ~ 4e4 into
+    # values ~1e4; their imaginary round-off (1.7e-7) failed a check
+    # against 1 + |value|
+    sl, _, _ = _beta2_slice_q8()
+    xs = np.linspace(0, 6, 50)
+    got = sl.derivative(16, xs)
+    # the same derivative summed per frequency s: c_s is the sum of the
+    # Gram's s-th diagonal (i - l = s), differentiated as (i s)^16
+    gram = sl._components.mean
+    k = gram.shape[0] - 1
+    s = np.arange(-k, k + 1)
+    c = np.array([np.trace(gram, offset=-v) for v in s])
+    want = (np.exp(1j * np.outer(xs, s)) @ (c * (1j * s) ** 16)).real
+    scale = np.sum(np.abs(gram) * np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1))) ** 16)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("d", [0, 1, 16])
+def test_slice_derivative_rejects_a_genuine_imaginary_part(d):
+    sl, _, _ = _beta2_slice_q8()
+    comps = sl._components
+    bump = np.zeros_like(comps.mean)
+    bump[0, 1] = bump[1, 0] = 1e-3j  # an anti-Hermitian part: imaginary values
+    sl.__dict__["_components"] = comps._replace(mean=comps.mean + bump)
+    with pytest.raises(AssertionError, match="imaginary residue"):
+        sl.derivative(d, np.linspace(0.1, 6, 50))
 
 
 def _stacked_apply(psi, kernel, qubits):

@@ -7,7 +7,15 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from shiftrules import variance
-from shiftrules.epsr import ShiftNodes, SingularNodesError, equidistant_nodes, make_rule, solve_coefficients
+from shiftrules.epsr import (
+    ShiftNodes,
+    SingularNodesError,
+    equidistant_nodes,
+    evaluation_count,
+    make_rule,
+    solve_coefficients,
+)
+from shiftrules.experiments import _de_generations
 from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.variance import (
     F_unif,
@@ -363,18 +371,83 @@ def test_local_weighted_reaches_equidistant():
     assert res.objective == pytest.approx(2.0, abs=1e-6)
 
 
-@pytest.mark.parametrize("fs, d, scheme, start, iterations, objective, nodes", [
-    (integer_frequencies(3), 1, "uniform", (0.3, 1.1, 2.6), 48, 2.756803168905492,
-     (0.6439195635754595, 1.7982472235505553, 2.686508644070871)),
-    (FrequencySet((1.0, 2.0, 4.0)), 2, "weighted", (0.0, 0.4, 1.3, 2.2), 229, 15.999999999999998,
-     (0.0, 0.7853981633974483, 1.5707963267948963, 2.3561944833107353)),
-])
-def test_local_trajectory_is_pinned(fs, d, scheme, start, iterations, objective, nodes):
-    # exact figures of the backtracking (uniform) and diminishing-step
-    # (weighted) descents; any change to the step ladder or its scoring shows
+@pytest.mark.parametrize("fs, d, scheme, start, iterations, objective, nodes, old_objective, old_nodes", [
+    (integer_frequencies(3), 1, "uniform", (0.3, 1.1, 2.6), 10, 2.756803168905494,
+     (0.6439195647405194, 1.7982472220714834, 2.68650865257359),
+     2.756803168905492, (0.6439195635754595, 1.7982472235505553, 2.686508644070871)),
+    (FrequencySet((1.0, 2.0, 4.0)), 2, "weighted", (0.0, 0.4, 1.3, 2.2), 7, 16.0,
+     (0.0, 0.7853981633974484, 1.570796326794897, 2.3561944901923426),
+     15.999999999999998, (0.0, 0.7853981633974483, 1.5707963267948963, 2.3561944833107353)),
+], ids=["uniform", "weighted"])
+def test_local_trajectory_is_pinned(fs, d, scheme, start, iterations, objective, nodes,
+                                    old_objective, old_nodes):
+    # exact figures of the Newton-first descent; any change to the Newton
+    # step, the step ladders or their scoring shows
     res = optimize_shifts_local(fs, d, scheme, ShiftNodes("odd" if d % 2 else "even", start))
     assert (res.iterations, res.objective, res.nodes.values) == (iterations, objective, nodes)
     assert res.converged
+    # the gradient-only descent (48 and 229 iterations) ended at the same
+    # optimum, but only to ~1e-8 in the nodes: its last weighted node is
+    # 6.9e-9 from 3 pi / 4, where the Newton polish lands within 1e-15
+    assert abs(res.objective - old_objective) <= 1e-9 * old_objective
+    assert np.max(np.abs(np.subtract(res.nodes.values, old_nodes))) <= 1e-8
+    if scheme == "weighted":
+        assert np.allclose(res.nodes.values, np.arange(4) * math.pi / 4, rtol=0, atol=1e-14)
+    else:
+        assert np.linalg.norm(grad_F_unif(res.nodes, fs, d)) <= 1e-12
+
+
+def test_local_newton_step_is_tried_first(monkeypatch):
+    # a single frequency at d = 1: F_unif = 1 / (2 sin^2 x), minimum at pi/2;
+    # from 0.4 the Newton steps land there in 9 iterations, where the
+    # gradient ladder alone took 60 and stopped 2e-8 short
+    calls = []
+    real = variance._newton_step
+
+    def counting(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(variance, "_newton_step", counting)
+    res = optimize_shifts_local(integer_frequencies(1), 1, "uniform", ShiftNodes("odd", (0.4,)))
+    assert res.converged and res.iterations <= 10 and len(calls) == res.iterations - 1
+    assert abs(res.nodes.values[0] - math.pi / 2) < 1e-12
+
+
+def test_local_holds_a_node_on_the_box_face():
+    # the uniform optimum for {0.7, 1.9, 3.2} has its last node on the face
+    # pi - EPS_BOX; the projected gradient vanishes there, so the descent
+    # converges instead of backtracking against the face
+    fs = FrequencySet((0.7, 1.9, 3.2))
+    res = optimize_shifts_local(fs, 1, "uniform", ShiftNodes("odd", (0.55, 2.45, 3.1)))
+    assert res.converged and res.iterations <= 10
+    assert res.nodes.values[-1] == math.pi - variance.EPS_BOX
+    assert res.objective == pytest.approx(3.2120300281836, rel=1e-12)
+
+
+@pytest.mark.parametrize("freqs, start", [
+    ((1.0, 2.0, 4.0), (0.4, 1.9, 2.7)),
+    ((1.0, 2.0, 4.0), (0.3, 1.1, 2.6)),
+    ((0.7, 1.9, 3.2), (0.5, 1.5, 2.5)),
+    ((0.7, 1.9, 3.2), (0.7, 2.5, 3.1)),
+])
+def test_polished_uniform_optimum_matches_lbfgsb(freqs, start):
+    # SciPy (a test dependency only) minimizes F_unif over the same box with
+    # the analytic gradient from the same start
+    optimize = pytest.importorskip("scipy.optimize")
+    fs = FrequencySet(freqs)
+
+    def value_and_gradient(x):
+        nodes = ShiftNodes("odd", tuple(x))
+        return F_unif(nodes, fs, 1), grad_F_unif(nodes, fs, 1)
+
+    ref = optimize.minimize(value_and_gradient, start, jac=True, method="L-BFGS-B",
+                            bounds=[(variance.EPS_BOX, math.pi - variance.EPS_BOX)] * 3,
+                            options={"ftol": 1e-15, "gtol": 1e-12, "maxiter": 1000})
+    res = optimize_shifts_local(fs, 1, "uniform", ShiftNodes("odd", start))
+    assert ref.success and res.converged
+    assert abs(res.objective - ref.fun) <= 1e-9 * ref.fun
+    assert np.allclose(res.nodes.values, ref.x, rtol=0, atol=1e-5)
 
 
 def test_local_start_at_optimum_returns_immediately():
@@ -397,6 +470,84 @@ def test_local_trace_jsonl(tmp_path):
         rec = json.loads(line)
         assert set(rec) == {"iter", "objective", "nodes"}
         assert len(rec["nodes"]) == 2
+
+
+def test_global_weighted_search_stops_at_the_certified_gap(monkeypatch):
+    scored = []
+    real = variance.stacked_objective
+
+    def recording(free, *args):
+        values = real(free, *args)
+        scored.append(values.min())  # the search updates its first array in place
+        return values
+
+    monkeypatch.setattr(variance, "stacked_objective", recording)
+    fs = integer_frequencies(3)
+    res = optimize_shifts_global(fs, 1, "weighted", generations=5000, seed=2)
+    bound = variance.weighted_lower_bound(fs, 1)
+    # a trial below the best member always replaces its member, so the best
+    # member is the running minimum of everything scored
+    gap = (np.minimum.accumulate(scored) - bound) / bound
+    assert len(scored) == 1 + res.iterations
+    assert gap[-1] <= variance.DUAL_GAP < gap[-2]
+    assert res.converged and res.objective <= bound * (1 + 1e-14)
+
+
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+@pytest.mark.parametrize("d", (1, 2))
+def test_global_polish_never_raises_the_objective(monkeypatch, scheme, d):
+    starts = []
+    real = variance.optimize_shifts_local
+
+    def recording(fs, d, scheme, start, **kwargs):
+        starts.append((F_unif if scheme == "uniform" else F_wgt)(start, fs, d))
+        return real(fs, d, scheme, start, **kwargs)
+
+    monkeypatch.setattr(variance, "optimize_shifts_local", recording)
+    fs = FrequencySet((0.7, 1.9, 3.2))
+    res = optimize_shifts_global(fs, d, scheme, generations=30, seed=3)
+    assert len(starts) == 1 and res.objective <= starts[0]
+
+
+def test_partner_draw_gives_three_distinct_other_members():
+    rng = np.random.default_rng(0)
+    for npop in range(4, 130):  # every population from the floor 4 * dim at dim 1 to 15 * 8 + 9
+        members = np.arange(npop)
+        for _ in range(20):
+            p1, p2, p3 = variance._partners(rng, npop)
+            for p in (p1, p2, p3):
+                assert np.all((0 <= p) & (p < npop) & (p != members))
+            assert np.all((p1 != p2) & (p1 != p3) & (p2 != p3))
+    # at the floor npop = 4 every other member is a partner; at npop = 5 each
+    # is drawn with probability 3/4
+    chosen = np.zeros((5, 5))
+    for _ in range(4000):
+        for p in variance._partners(rng, 5):
+            chosen[np.arange(5), p] += 1
+    assert np.all(np.abs(chosen[~np.eye(5, dtype=bool)] / 4000 - 0.75) < 0.04)
+
+
+def test_global_snaps_an_even_node_onto_pi():
+    # the uniform d = 2 optimum for {1, 2, 3} has its last node at pi, where
+    # the rule merges +-pi into one evaluation
+    fs = integer_frequencies(3)
+    res = optimize_shifts_global(fs, 2, "uniform", generations=_de_generations(3), seed=0)
+    assert res.nodes.values[-1] == math.pi
+    assert evaluation_count(make_rule(res.nodes, fs, 2)) == 6
+
+
+def test_snap_to_pi_keeps_the_nodes_when_the_objective_rises():
+    fs = integer_frequencies(2)
+    nodes = ShiftNodes("even", (0.0, 1.0, math.pi - 5e-7))
+    f = F_unif(nodes, fs, 2)
+    snapped, f_snapped = variance._snap_to_pi(nodes, f, F_unif, fs, 2)
+    want = F_unif(ShiftNodes("even", (0.0, 1.0, math.pi)), fs, 2)
+    assert (snapped.values[-1] == math.pi) == (want <= f)
+    assert f_snapped == min(f, want)
+    # nothing to snap for non-integer frequencies or odd parity
+    assert variance._snap_to_pi(nodes, f, F_unif, FrequencySet((1.0, 2.5)), 2) == (nodes, f)
+    odd = ShiftNodes("odd", (1.0, math.pi - 5e-7))
+    assert variance._snap_to_pi(odd, 1.0, F_unif, fs, 1) == (odd, 1.0)
 
 
 def test_global_weighted_finds_equidistant():
@@ -462,6 +613,35 @@ def test_global_scores_each_generation_in_one_stacked_call(monkeypatch):
     res = optimize_shifts_global(FS12, 1, "weighted", generations=25, seed=5)
     # the initial population, then one call per generation run
     assert calls == [30] * (1 + res.iterations)
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), d=st.integers(1, 6), integer=st.booleans())
+def test_weighted_lower_bound_holds_at_random_nodes(seed, r, d, integer):
+    # weak duality: F_wgt >= Omega_max^d at every nonsingular node set of
+    # every frequency set, nodes anywhere on the line
+    rng = np.random.default_rng(seed)
+    if integer:
+        freqs = np.sort(rng.choice(np.arange(1, 13), r, replace=False)).astype(float)
+    else:
+        freqs = np.cumsum(rng.uniform(0.05, 2.0, r))
+    fs = FrequencySet(tuple(freqs))
+    parity = "odd" if d % 2 else "even"
+    for _ in range(20):
+        nodes = ShiftNodes(parity, tuple(rng.uniform(-3 * math.pi, 3 * math.pi, r + (parity == "even"))))
+        try:
+            value = F_wgt(nodes, fs, d)
+        except SingularNodesError:
+            continue
+        assert value >= variance.weighted_lower_bound(fs, d) * (1 - 1e-12)
+        return
+    assume(False)
+
+
+def test_weighted_lower_bound_values():
+    assert variance.weighted_lower_bound(integer_frequencies(3), 2) == 9.0
+    assert variance.weighted_lower_bound(FrequencySet((0.7, 1.9, 3.2)), 3) == 3.2**3
+    with pytest.raises(ValueError, match="order"):
+        variance.weighted_lower_bound(FS12, 0)
 
 
 def test_certify_equidistant_optimality():
