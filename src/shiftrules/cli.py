@@ -11,6 +11,11 @@ Subcommands:
 * ``experiment`` -- the canned reproduction experiments (see
   :mod:`shiftrules.experiments`).
 
+``freq --circuit``, ``estimate`` and ``experiment`` read the
+:class:`ExperimentConfig` field defaults, overlaid by the ``experiment
+--config`` JSON object, overlaid by the flags given, and check the result
+once, before anything is built.
+
 Every command is deterministic given ``--seed``; CSV bodies are byte-stable.
 CSV files carry a timestamped comment line unless ``--reproducible`` is set;
 CSV printed to stdout never does.  Exit codes: 0 success, 2 validation
@@ -21,16 +26,21 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
+from dataclasses import MISSING, fields
 
 import numpy as np
 
 from . import epsr, qsim, variance
 from .experiments import (
     EXPERIMENT_IDS,
+    ConfigError,
     ExperimentConfig,
+    _check_run_settings,
     _de_generations,
+    _flag,
     _kdensity,
     _write_csv,
     random_base_params,
@@ -46,9 +56,8 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_CONFIG = 4
 
-
-class ConfigError(Exception):
-    pass
+#: The only defaults of the run settings; an absent flag leaves its field here.
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig) if f.default is not MISSING}
 
 
 def _floats(text: str) -> tuple[float, ...]:
@@ -58,49 +67,44 @@ def _floats(text: str) -> tuple[float, ...]:
         raise ValueError(f"could not parse number list {text!r}") from exc
 
 
-#: Defaults of the circuit flags.  ``freq`` parses them as None so that it can
-#: tell a given flag from an absent one; its circuit mode fills these in.
-_CIRCUIT_DEFAULTS = {"q": 5, "p": 2, "delta": 0.5, "seed": 0}
-
-
-def _build_circuit_context(args):
-    if args.circuit != "xxz-hva":
-        raise ConfigError(f"unknown circuit {args.circuit!r}; available: xxz-hva")
-    if not np.isfinite(args.delta):
-        raise ConfigError(f"--delta must be finite, not {args.delta}")
-    circuit, obs = xxz_hva_setup(args.q, args.p, args.delta)
-    theta = random_base_params(args.q, args.p, args.seed)
-    return circuit, obs, theta
+def _circuit_run(args):
+    """Checked settings of ``freq --circuit`` or ``estimate``, and their circuit, observable and theta."""
+    s = argparse.Namespace(**{**_FIELD_DEFAULTS, **vars(args)})
+    if s.circuit != "xxz-hva":
+        raise ConfigError(f"unknown circuit {s.circuit!r}; available: xxz-hva")
+    if getattr(s, "param", None) is None:
+        raise ValueError("--circuit needs --param")
+    _check_run_settings(vars(s))
+    circuit, obs = xxz_hva_setup(s.q, s.p, s.delta)
+    return s, circuit, obs, random_base_params(s.q, s.p, s.seed)
 
 
 # ---------------------------------------------------------------------------
 # freq
 
+#: Per ``freq`` mode: the flags it rejects, the mode they belong to, and why.
+_FREQ_MODES = {
+    "eigs": (("no_prune", "param", "q", "p", "delta", "seed"), "--circuit",
+             "--eigs reads the frequencies off the eigenvalue gaps"),
+    "circuit": (("dedup_tol",), "--eigs", "--circuit reads the frequencies off the slice amplitudes"),
+}
+
+
 def _cmd_freq(args) -> int:
-    if (args.eigs is None) == (args.circuit is None):
+    given = vars(args)
+    modes = [mode for mode in _FREQ_MODES if mode in given]
+    if len(modes) != 1:
         raise ValueError("give exactly one of --eigs or --circuit")
-    if args.eigs is not None:
-        given = ["--" + f.replace("_", "-") for f in ("no_prune", "param", *_CIRCUIT_DEFAULTS)
-                 if getattr(args, f) is not None]
-        if given:
-            raise ConfigError(f"{', '.join(given)} appl{'ies' if len(given) == 1 else 'y'} to --circuit "
-                              "only; --eigs reads the frequencies off the eigenvalue gaps")
-        dedup_tol = DEFAULT_TOL if args.dedup_tol is None else args.dedup_tol
-        fs = positive_difference_frequencies(_floats(args.eigs), dedup_tol)
+    rejected, owner, why = _FREQ_MODES[modes[0]]
+    bad = [_flag(name) for name in rejected if name in given]
+    if bad:
+        raise ConfigError(f"{', '.join(bad)} appl{'ies' if len(bad) == 1 else 'y'} to {owner} only; {why}")
+    if modes[0] == "eigs":
+        fs = positive_difference_frequencies(_floats(args.eigs), given.get("dedup_tol", DEFAULT_TOL))
     else:
-        if args.dedup_tol is not None:
-            raise ConfigError("--dedup-tol applies to --eigs only; --circuit reads the "
-                              "frequencies off the slice amplitudes")
-        for flag, default in _CIRCUIT_DEFAULTS.items():
-            if getattr(args, flag) is None:
-                setattr(args, flag, default)
-        circuit, obs, theta = _build_circuit_context(args)
-        if args.param is None:
-            raise ValueError("--circuit mode needs --param")
-        if args.no_prune:
-            fs = qsim.slice_frequencies(circuit, args.param)
-        else:
-            fs = qsim.slice_frequencies(circuit, args.param, obs, theta)
+        s, circuit, obs, theta = _circuit_run(args)
+        fs = (qsim.slice_frequencies(circuit, s.param) if given.get("no_prune")
+              else qsim.slice_frequencies(circuit, s.param, obs, theta))
     doc = {
         "frequencies": list(fs.frequencies),
         "r": fs.r,
@@ -187,102 +191,113 @@ def _cmd_rule(args) -> int:
 # ---------------------------------------------------------------------------
 # estimate
 
-def _shot_total(args) -> int | None:
-    """The total shots ``estimate`` draws, or None in exact mode.
-
-    Checks --scheme, --repetitions, --n-total and --shots in either mode,
-    before anything is built.
-    """
+def _shots(text: str) -> float:
+    """``--shots`` as a number: an integer, or inf for exact mode."""
+    if text.lower() in ("inf", "infinity"):
+        return math.inf
     try:
-        scheme = variance._norm_scheme(args.scheme)
-    except ValueError as exc:
-        raise ConfigError(f"--scheme: {exc}") from None
-    if scheme == "custom":
-        raise ConfigError("--scheme: estimate draws the uniform or weighted split, not custom")
-    if args.repetitions <= 0:
-        raise ConfigError("--repetitions must be positive")
-    if args.n_total <= 0:
-        raise ConfigError("--n-total must be positive")
-    if args.shots is None:
-        return None if args.exact else args.n_total
-    if args.shots.lower() in ("inf", "infinity"):
-        return None
-    try:
-        shots = int(args.shots)
+        return int(text)
     except ValueError:
-        raise ConfigError(f"--shots must be a positive integer or 'inf', not {args.shots!r}") from None
-    if shots <= 0:
-        raise ConfigError("--shots must be positive")
-    return None if args.exact else shots
+        raise ConfigError(f"--shots must be a positive integer or 'inf', not {text!r}") from None
 
 
 def _cmd_estimate(args) -> int:
-    n_total = _shot_total(args)
-    if args.xbar is not None and not np.isfinite(args.xbar):
-        raise ConfigError(f"--xbar must be finite, not {args.xbar}")
+    if args.shots is not None:
+        args.shots = _shots(args.shots)
     if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
         raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
-    circuit, obs, theta = _build_circuit_context(args)
-    if args.param is None:
-        raise ValueError("--param is required")
-    sl = qsim.cost_slice(circuit, obs, theta, args.param)
-    xbar = args.xbar if args.xbar is not None else float(theta[args.param])
+    s, circuit, obs, theta = _circuit_run(args)
+    sl = qsim.cost_slice(circuit, obs, theta, s.param)
+    xbar = s.xbar if s.xbar is not None else float(theta[s.param])
 
-    fs = qsim.slice_frequencies(circuit, args.param, obs, theta)
-    if args.rule_json:
-        with open(args.rule_json) as fh:
+    fs = qsim.slice_frequencies(circuit, s.param, obs, theta)
+    if s.rule_json:
+        with open(s.rule_json) as fh:
             rule = epsr.rule_from_json(fh.read())
         # a rule is exact only for slices whose frequencies it was solved for
         have = rule.frequencies.as_array()
         if not all(np.any(np.isclose(w, have, rtol=DEFAULT_TOL, atol=0.0)) for w in fs.frequencies):
             raise ValueError(f"rule frequencies {rule.frequencies.frequencies} do not cover the "
-                             f"frequencies {fs.frequencies} of parameter {args.param}")
+                             f"frequencies {fs.frequencies} of parameter {s.param}")
     else:
-        nodes = _nodes_from_flags(args, fs)
+        nodes = _nodes_from_flags(s, fs)
         if nodes is None:
-            nodes = valid_nodes_for(fs, args.d, seed=args.seed)
-        rule = epsr.make_rule(nodes, fs, args.d)
+            nodes = valid_nodes_for(fs, s.d, seed=s.seed)
+        rule = epsr.make_rule(nodes, fs, s.d)
 
-    if n_total is None:
-        value = epsr.apply_rule(rule, sl, xbar)
-        rows = [(0, value)]
+    exact = s.exact or s.shots == math.inf
+    if exact:
+        rows = [(0, epsr.apply_rule(rule, sl, xbar))]
     else:
-        ests = sampled_estimates(sl, rule, xbar, (args.scheme,), n_total,
-                                 args.repetitions, [args.seed, 9, args.param], args.method)
-        rows = list(enumerate(ests[args.scheme]))
+        n_total = s.n_total if s.shots is None else s.shots
+        ests = sampled_estimates(sl, rule, xbar, (s.scheme,), n_total, s.repetitions,
+                                 [s.seed, 9, s.param], s.method)
+        rows = list(enumerate(ests[s.scheme]))
 
     # stdout never carries the timestamp line
-    plot = args.out and args.emit_gnuplot and n_total is not None
-    _write_csv(args.out or sys.stdout, ["repetition", "estimate"], rows, args.reproducible or not args.out,
-               [_kdensity(os.path.basename(args.out), ("estimates",))] if plot else None)
+    plot = s.out and s.emit_gnuplot and not exact
+    _write_csv(s.out or sys.stdout, ["repetition", "estimate"], rows, s.reproducible or not s.out,
+               [_kdensity(os.path.basename(s.out), ("estimates",))] if plot else None)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # experiment
 
+class _ConfigFile(argparse.Action):
+    """``--config FILE``: a JSON object whose keys set the flags not given.
+
+    Keys are flag names, with dashes or underscores (``id`` or
+    ``experiment`` for ``--id``), and each value must have its flag's JSON
+    type.  A flag given before or after ``--config`` wins.
+    """
+
+    def __call__(self, parser, namespace, path, option_string=None):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(doc, dict):
+            raise ConfigError("config file must hold a JSON object")
+        actions = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", self.dest)}
+        for key, value in doc.items():
+            action = actions.get("experiment" if key == "id" else key.replace("-", "_"))
+            if action is None:
+                raise ConfigError(f"unknown config key {key!r}")
+            kind = bool if action.nargs == 0 else action.type or str
+            values = value if action.nargs == "*" else [value]
+            if not (isinstance(values, list)
+                    and all(type(v) is kind or (kind is float and type(v) is int) for v in values)):
+                what = ("a list of " if action.nargs == "*" else "") + kind.__name__
+                raise ConfigError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
+            if not hasattr(namespace, action.dest):
+                setattr(namespace, action.dest, [kind(v) for v in values] if action.nargs == "*" else kind(value))
+
+
 def _cmd_experiment(args) -> int:
-    try:
-        cfg = ExperimentConfig(
-            experiment=args.id, q=args.q, p=args.p, delta=args.delta, seed=args.seed,
-            n_total=args.n_total, repetitions=args.repetitions,
-            params=tuple(args.params) if args.params else None,
-            scheme=args.scheme, method=args.method, out_dir=args.out_dir,
-            r_max=args.r_max, d_max=args.d_max)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    run_experiment(cfg, reproducible=args.reproducible, emit_gnuplot=args.emit_gnuplot)
+    s = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    flags = {k: s.pop(k) for k in ("reproducible", "emit_gnuplot") if k in s}
+    run_experiment(ExperimentConfig(s.pop("experiment", None), **s), **flags)
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 
+_FIELD_HELP = {"q": "qubit count", "p": "ansatz depth", "delta": "ZZ anisotropy", "params": "parameter indices"}
+
+
+def _add_field_flags(p: argparse.ArgumentParser, *names: str):
+    """Flags of ExperimentConfig fields; an absent one stays out of the namespace."""
+    for name in names:
+        kind = {"type": int, "nargs": "*"} if name == "params" else {"type": type(_FIELD_DEFAULTS[name])}
+        p.add_argument(_flag(name), default=argparse.SUPPRESS, help=_FIELD_HELP.get(name), **kind)
+
+
 def _add_circuit_flags(p: argparse.ArgumentParser):
     p.add_argument("--circuit", help="circuit family (xxz-hva)")
-    p.add_argument("--q", type=int, default=_CIRCUIT_DEFAULTS["q"], help="qubit count")
-    p.add_argument("--p", type=int, default=_CIRCUIT_DEFAULTS["p"], help="ansatz depth")
-    p.add_argument("--delta", type=float, default=_CIRCUIT_DEFAULTS["delta"], help="ZZ anisotropy")
+    _add_field_flags(p, "q", "p", "delta", "seed")
     p.add_argument("--param", type=int, help="parameter index (0-based)")
 
 
@@ -291,14 +306,14 @@ def build_parser() -> argparse.ArgumentParser:
                                   formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("freq", help="frequency set of a spectrum or circuit parameter")
+    # only the flags given reach the namespace: freq's modes reject by name
+    p = sub.add_parser("freq", help="frequency set of a spectrum or circuit parameter",
+                       argument_default=argparse.SUPPRESS)
     p.add_argument("--eigs", help="comma-separated eigenvalues")
     _add_circuit_flags(p)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--dedup-tol", type=float, default=None,
+    p.add_argument("--dedup-tol", type=float,
                    help=f"gap deduplication tolerance of --eigs (default {DEFAULT_TOL:g})")
-    p.set_defaults(**dict.fromkeys(_CIRCUIT_DEFAULTS))
-    p.add_argument("--no-prune", action="store_true", default=None,
+    p.add_argument("--no-prune", action="store_true",
                    help="report the superset {1..k} from the bound-gate count without amplitude pruning")
     p.set_defaults(func=_cmd_freq)
 
@@ -321,95 +336,33 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equidistant", action="store_true")
     p.add_argument("--nodes")
     p.add_argument("--rule-json", help="load the rule from a JSON file")
-    p.add_argument("--scheme", default="weighted")
-    p.add_argument("--n-total", type=int, default=1000)
-    p.add_argument("--repetitions", type=int, default=500)
+    _add_field_flags(p, "scheme", "n_total", "repetitions")
     p.add_argument("--shots", help="total shots; 'inf' for exact mode")
     p.add_argument("--exact", action="store_true", help="no sampling, exact value")
-    p.add_argument("--method", default="multinomial", choices=("multinomial", "gaussian"))
-    p.add_argument("--seed", type=int, default=_CIRCUIT_DEFAULTS["seed"])
+    _add_field_flags(p, "method")
     p.add_argument("--out", help="CSV output path (default stdout)")
     p.add_argument("--reproducible", action="store_true")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("experiment", help="run a canned reproduction experiment")
-    p.add_argument("--id", help=f"one of {', '.join(EXPERIMENT_IDS)}")
-    p.add_argument("--config", help="JSON config file (same keys as the flags)")
-    p.add_argument("--q", type=int, default=5)
-    p.add_argument("--p", type=int, default=2)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-total", type=int, default=1000)
-    p.add_argument("--repetitions", type=int, default=500)
-    p.add_argument("--params", type=int, nargs="*", help="parameter indices")
-    p.add_argument("--scheme", default="weighted")
-    p.add_argument("--method", default="multinomial", choices=("multinomial", "gaussian"))
-    p.add_argument("--out-dir", default=".")
-    p.add_argument("--r-max", type=int, default=8)
-    p.add_argument("--d-max", type=int, default=8)
+    p = sub.add_parser("experiment", help="run a canned reproduction experiment",
+                       argument_default=argparse.SUPPRESS)
+    p.add_argument("--id", dest="experiment", metavar="ID", help=f"one of {', '.join(EXPERIMENT_IDS)}")
+    p.add_argument("--config", action=_ConfigFile, help="JSON config file (same keys as the flags)")
+    _add_field_flags(p, *_FIELD_DEFAULTS)
     p.add_argument("--reproducible", action="store_true")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=_cmd_experiment)
     return top
 
 
-def _merge_config_argv(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` into flags placed before the explicit ones.
-
-    Config keys use the flag names (dashes or underscores); explicit
-    command-line flags win because argparse keeps the last occurrence.
-    """
-    if "--config" not in argv:
-        return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ConfigError("--config needs a file path")
-    path = argv[i + 1]
-    try:
-        with open(path) as fh:
-            overrides = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(overrides, dict):
-        raise ConfigError("config file must hold a JSON object")
-    known = {
-        "id", "experiment", "q", "p", "delta", "seed", "n-total", "repetitions",
-        "params", "scheme", "method", "out-dir", "r-max", "d-max",
-        "reproducible", "emit-gnuplot",
-    }
-    flags: list[str] = []
-    for key, value in overrides.items():
-        name = key.replace("_", "-")
-        if name == "experiment":
-            name = "id"
-        if name not in known:
-            raise ConfigError(f"unknown config key {key!r}")
-        flag = f"--{name}"
-        if isinstance(value, bool):
-            if value:
-                flags.append(flag)
-        elif isinstance(value, (list, tuple)):
-            flags.append(flag)
-            flags.extend(str(v) for v in value)
-        else:
-            flags.extend([flag, str(value)])
-    rest = argv[:i] + argv[i + 2 :]
-    return rest[:1] + flags + rest[1:]
-
-
 def _glue_numeric_values(argv: list[str]) -> list[str]:
     """Join number-list values onto their flag so '--eigs -1,1' parses."""
     numeric_flags = {"--eigs", "--nodes", "--freqs", "--xbar", "--delta"}
     out: list[str] = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in numeric_flags and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in numeric_flags and tok.startswith("-"):
+            out[-1] += "=" + tok
         else:
             out.append(tok)
     return out
@@ -419,7 +372,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(_glue_numeric_values(_merge_config_argv(argv)))
+        args = parser.parse_args(_glue_numeric_values(argv))
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

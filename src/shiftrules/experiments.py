@@ -76,8 +76,62 @@ RESULT3_RANDOM_NODES: dict[int, tuple[tuple[float, ...], ...]] = {
 _PROBABILITY_FLOOR = 1e-23
 
 
+class ConfigError(ValueError):
+    """An invalid run setting: a value no run accepts, found before anything is built."""
+
+
+#: The numeric run settings: the test each value must pass and what it must be.
+_NUMERIC_CHECKS = {
+    "q": (lambda v: 3 <= v <= qsim.MAX_QUBITS, f"in 3..{qsim.MAX_QUBITS}"),
+    "seed": (lambda v: v >= 0, "non-negative"),
+    **dict.fromkeys(("delta", "xbar"), (np.isfinite, "finite")),
+    **dict.fromkeys(("p", "n_total", "repetitions", "shots", "r_max", "d_max"), (lambda v: v > 0, "positive")),
+}
+
+
+def _flag(name: str) -> str:
+    """The CLI flag of a run setting."""
+    return "--id" if name == "experiment" else "--" + name.replace("_", "-")
+
+
+def _check_run_settings(s: dict) -> None:
+    """Raise ConfigError, naming the flag, at the first invalid setting in ``s``.
+
+    ``s`` maps ExperimentConfig field names, and the ``param``, ``xbar`` and
+    ``shots`` (an integer or inf) of ``estimate``, to values; absent keys
+    and None values pass.  ``ExperimentConfig``, ``freq --circuit`` and
+    ``estimate`` check their settings here, before they build anything.
+    """
+    if "experiment" in s and s["experiment"] not in EXPERIMENT_IDS:
+        raise ConfigError(f"--id: unknown experiment {s['experiment']!r}; choose from {EXPERIMENT_IDS}")
+    for name, (ok, what) in _NUMERIC_CHECKS.items():
+        if s.get(name) is not None and not ok(s[name]):
+            raise ConfigError(f"{_flag(name)} must be {what}, not {s[name]}")
+    try:
+        scheme = variance._norm_scheme(s.get("scheme", "weighted"))
+    except ValueError as exc:
+        raise ConfigError(f"--scheme: {exc}") from None
+    if scheme == "custom":
+        raise ConfigError("--scheme: estimate draws the uniform or weighted split and experiment "
+                          "scores its variance, not custom")
+    if s.get("method", "multinomial") not in ("multinomial", "gaussian"):
+        raise ConfigError(f"--method: unknown sampling method {s['method']!r}")
+    for name in ("param", "params"):
+        if s.get(name) is None:
+            continue
+        indices = [s[name]] if name == "param" else list(s[name])
+        if not indices:
+            raise ConfigError(f"{_flag(name)} needs at least one parameter index")
+        bad = [j for j in indices if not 0 <= j < 4 * s["p"]]
+        if bad:
+            raise ConfigError(f"{_flag(name)} {bad} out of range: the p={s['p']} circuit has "
+                              f"parameters 0..{4 * s['p'] - 1}")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment run; its field defaults are the CLI's, and construction checks every field."""
+
     experiment: str
     q: int = 5
     p: int = 2
@@ -93,24 +147,9 @@ class ExperimentConfig:
     d_max: int = 8
 
     def __post_init__(self):
-        if self.experiment not in EXPERIMENT_IDS:
-            raise ValueError(f"unknown experiment {self.experiment!r}; choose from {EXPERIMENT_IDS}")
-        for name in ("p", "n_total", "repetitions", "r_max", "d_max"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-        if not 3 <= self.q <= qsim.MAX_QUBITS:
-            raise ValueError(f"q must be in 3..{qsim.MAX_QUBITS}, not {self.q}")
-        if not np.isfinite(self.delta):
-            raise ValueError(f"delta must be finite, not {self.delta}")
-        variance._node_scheme(self.scheme)
-        if self.method not in ("multinomial", "gaussian"):
-            raise ValueError(f"unknown sampling method {self.method!r}")
         if self.params is not None:
             object.__setattr__(self, "params", tuple(int(j) for j in self.params))
-            bad = [j for j in self.params if not 0 <= j < 4 * self.p]
-            if bad:
-                raise ValueError(f"params {bad} out of range: the p={self.p} circuit has "
-                                 f"parameters 0..{4 * self.p - 1}")
+        _check_run_settings(vars(self))
 
 
 def random_base_params(q: int, p: int, seed) -> np.ndarray:

@@ -332,15 +332,15 @@ def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
     return out
 
 
-def _real_values(val: np.ndarray, scale: float | None = None) -> np.ndarray:
+def _real_values(val: np.ndarray, tol: float | None = None) -> np.ndarray:
     """Real parts of expectation values; asserts each imaginary residue is round-off.
 
-    Round-off is measured against 1 + |value|, or against 1 + ``scale`` for
-    a value summed from terms whose magnitudes add up to ``scale`` (its
-    round-off grows with the terms, not with the sum).
+    Round-off is measured against 1e-10 (1 + |value|), or against ``tol``
+    for a value whose round-off the caller bounds itself.
     """
-    bound = 1.0 + (np.abs(val.real) if scale is None else scale)
-    bad = np.abs(val.imag) > 1e-10 * bound
+    if tol is None:
+        tol = 1e-10 * (1.0 + np.abs(val.real))
+    bad = np.abs(val.imag) > tol
     if np.any(bad):
         raise AssertionError(f"expectation has imaginary residue {val.imag[bad][0]:.3e}")
     return val.real
@@ -521,17 +521,20 @@ class CostSlice:
         The value is sum_il G_il e^{i(i-l)x}, so the d-th derivative is the
         same quadratic form in G o D^d with D_il = 1j (i - l): exact to round-off
         for any order, with the norm and imaginary-residue checks of a value.
-        For d >= 1 the residue is measured against sum_il |G_il| |i - l|^d,
-        the size of the terms, which can dwarf the derivative itself.
+        For d >= 1 the residue is measured against the round-off of the
+        Gram entries, 2^q eps sqrt(N_ii M_ll) by Cauchy-Schwarz on W and CW,
+        weighted by |i - l|^d: entries that are zero up to round-off get the
+        largest weights, and the terms can dwarf the derivative itself.
         """
         if d < 0:
             raise ValueError("derivative order must be >= 0")
-        gram = self._components.mean
-        i = np.arange(gram.shape[0], dtype=float)
+        comps = self._components
+        i = np.arange(comps.mean.shape[0], dtype=float)
         weights = np.subtract.outer(i, i) ** d
-        (val,) = self._forms(x, gram * (1j**d * weights))
-        scale = float(np.sum(np.abs(gram) * np.abs(weights))) if d else None
-        return _batch_result(_real_values(val, scale), np.ndim(x) == 0)
+        (val,) = self._forms(x, comps.mean * (1j**d * weights))
+        entry = np.sqrt(np.outer(np.diag(comps.norm).real, np.diag(comps.square).real))
+        tol = 1e-10 + comps.w.shape[1] * np.finfo(float).eps * np.sum(entry * np.abs(weights)) if d else None
+        return _batch_result(_real_values(val, tol), np.ndim(x) == 0)
 
     def one_shot_variance(self, x):
         mean, m2 = self._forms(x, self._components.mean, self._components.square)

@@ -1,10 +1,13 @@
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
 
+from shiftrules import cli, experiments
 from shiftrules.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
+from shiftrules.experiments import ExperimentConfig
 
 
 def run(capsys, *argv):
@@ -473,3 +476,154 @@ def test_estimate_rule_covering_slice_frequencies_is_exact(tmp_path, capsys):
     got_value = float(out.splitlines()[1].split(",")[1])
     want_value = float(want.splitlines()[1].split(",")[1])
     assert got_value == pytest.approx(want_value, abs=1e-10)
+
+
+# --- one checked run configuration ----------------------------------------------
+
+_RUNS = {
+    "freq": ("freq", "--circuit", "xxz-hva", "--param", "0"),
+    "estimate --exact": ("estimate", "--circuit", "xxz-hva", "--param", "0", "--exact",
+                         "--out", "{tmp}/est.csv"),
+    "estimate": ("estimate", "--circuit", "xxz-hva", "--param", "0", "--repetitions", "5",
+                 "--out", "{tmp}/est.csv"),
+    "experiment": ("experiment", "--id", "result2", "--repetitions", "5", "--out-dir", "{tmp}/o"),
+}
+_CIRCUIT_RUNS = ("freq", "estimate --exact", "estimate", "experiment")
+_SHOT_RUNS = ("estimate --exact", "estimate", "experiment")
+
+#: Every validated run flag: bad values, and the runs that take the flag.
+_BAD_VALUES = [
+    ("--q", (["2"], ["13"]), _CIRCUIT_RUNS),
+    ("--p", (["0"],), _CIRCUIT_RUNS),
+    ("--delta", (["nan"], ["-inf"]), _CIRCUIT_RUNS),
+    ("--seed", (["-1"],), _CIRCUIT_RUNS),
+    ("--param", (["99"], ["8"], ["-1"]), ("freq", "estimate --exact", "estimate")),
+    ("--params", (["99"], ["0", "-1"], []), ("experiment",)),
+    ("--xbar", (["nan"], ["inf"]), ("estimate --exact", "estimate")),
+    ("--shots", (["0"], ["many"]), ("estimate --exact", "estimate")),
+    ("--scheme", (["bogus"], ["custom"]), _SHOT_RUNS),
+    ("--method", (["bogus"],), _SHOT_RUNS),
+    ("--n-total", (["0"],), _SHOT_RUNS),
+    ("--repetitions", (["0"], ["-3"]), _SHOT_RUNS),
+    ("--r-max", (["0"],), ("experiment",)),
+    ("--d-max", (["0"],), ("experiment",)),
+    ("--id", (["bogus"],), ("experiment",)),
+]
+
+#: A valid value of every flag a freq mode rejects.
+_FREQ_FLAG_VALUES = {"no_prune": [], "param": ["3"], "q": ["5"], "p": ["2"], "delta": ["0.5"],
+                     "seed": ["0"], "dedup_tol": ["0.1"]}
+
+
+def _validation_cases():
+    for flag, bad, runs in _BAD_VALUES:
+        for name in runs:
+            for values in bad:
+                yield pytest.param((*_RUNS[name], flag, *values), flag, id=f"{name} {flag} {' '.join(values)}")
+    bases = {"eigs": ("freq", "--eigs", "-1,1"), "circuit": _RUNS["freq"]}
+    for mode, (rejected, _, _) in cli._FREQ_MODES.items():
+        for name in rejected:
+            flag = cli._flag(name)
+            yield pytest.param((*bases[mode], flag, *_FREQ_FLAG_VALUES[name]), flag, id=f"freq --{mode} {flag}")
+
+
+def test_the_validation_table_covers_every_check():
+    tested = {flag for flag, _, _ in _BAD_VALUES}
+    assert {cli._flag(name) for name in experiments._NUMERIC_CHECKS} <= tested
+    assert {"--scheme", "--method", "--param", "--params", "--id"} <= tested
+    assert set(_FREQ_FLAG_VALUES) == {name for rejected, _, _ in cli._FREQ_MODES.values() for name in rejected}
+
+
+@pytest.mark.parametrize("argv,flag", _validation_cases())
+def test_a_bad_run_flag_exits_4_naming_it_before_anything_is_built(tmp_path, capsys, monkeypatch, argv, flag):
+    def built(*args, **kwargs):
+        pytest.fail("a circuit or an experiment was built before the flags were checked")
+
+    monkeypatch.setattr(cli, "xxz_hva_setup", built)
+    monkeypatch.setattr(cli, "run_experiment", built)
+    code, out, err = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == EXIT_CONFIG, err
+    assert flag in err and out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_with_a_bad_seed_creates_no_out_dir(tmp_path, capsys):
+    out_dir = tmp_path / "o"
+    code, out, err = run(capsys, "experiment", "--id", "result1", "--seed", "-1", "--out-dir", str(out_dir))
+    assert code == EXIT_CONFIG and out == ""
+    assert "--seed must be non-negative, not -1" in err
+    assert not out_dir.exists()
+
+
+_FIELD_VALUES = {"experiment": "result1", "q": 6, "p": 3, "delta": 0.25, "seed": 4, "n_total": 200,
+                 "repetitions": 7, "params": [1, 2], "scheme": "unif", "method": "gaussian",
+                 "out_dir": "elsewhere", "r_max": 3, "d_max": 2}
+
+
+def test_every_experiment_config_field_is_a_flag_and_a_config_key(tmp_path, capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, **kwargs: runs.append((cfg, kwargs)))
+    assert set(_FIELD_VALUES) == {f.name for f in dataclasses.fields(ExperimentConfig)}
+    cfg_path = tmp_path / "cfg.json"
+
+    def experiment(*argv, doc=None):
+        if doc is not None:
+            cfg_path.write_text(json.dumps(doc))
+            argv = ("--config", str(cfg_path), *argv)
+        code, _, err = run(capsys, "experiment", *argv)
+        assert code == EXIT_OK, err
+        return runs.pop()
+
+    # neither flag nor key: the dataclass defaults, and run_experiment's own
+    assert experiment("--id", "landscape") == (ExperimentConfig("landscape"), {})
+    for name, value in _FIELD_VALUES.items():
+        want = (ExperimentConfig(**{"experiment": "landscape", name: value}), {})
+        values = value if isinstance(value, list) else [value]
+        assert experiment("--id", "landscape", cli._flag(name), *map(str, values)) == want
+        keys = {name, name.replace("_", "-")} | ({"id"} if name == "experiment" else set())
+        for key in keys:
+            doc = {key: value} if name == "experiment" else {"id": "landscape", key: value}
+            assert experiment(doc=doc) == want
+    for name in ("reproducible", "emit_gnuplot"):
+        want = (ExperimentConfig("landscape"), {name: True})
+        assert experiment("--id", "landscape", cli._flag(name)) == want
+        assert experiment(doc={"id": "landscape", name.replace("_", "-"): True}) == want
+        assert experiment(doc={"id": "landscape", name: True}) == want
+    # a flag given before --config wins too
+    assert experiment("--repetitions", "9", doc={"id": "landscape", "repetitions": 3}) == (
+        ExperimentConfig("landscape", repetitions=9), {})
+
+
+@pytest.mark.parametrize("doc,key", [
+    ({"reproducible": "yes"}, "reproducible"),
+    ({"q": None}, "q"),
+    ({"q": 5.5}, "q"),
+    ({"q": True}, "q"),
+    ({"delta": "0.5"}, "delta"),
+    ({"params": 1}, "params"),
+    ({"params": [0, "1"]}, "params"),
+    ({"r-max": "3"}, "r-max"),
+])
+def test_config_value_of_the_wrong_json_type_is_config_error(tmp_path, capsys, doc, key):
+    out_dir = tmp_path / "o"
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"id": "result1", "out_dir": str(out_dir), **doc}))
+    code, out, err = run(capsys, "experiment", "--config", str(cfg_path))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"config key {key!r} must be" in err
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("estimate", "--circuit", "xxz-hva", "--param", "0", "--exact"),
+    ("freq", "--circuit", "xxz-hva", "--param", "0"),
+    ("rule", "--freqs", "1,2", "--d", "1", "--equidistant"),
+])
+def test_only_experiment_reads_a_config_file(tmp_path, capsys, argv):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"q": 6, "seed": 3}))
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--config", str(cfg_path)])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --config" in captured.err

@@ -62,6 +62,17 @@ def test_config_params_validation():
             ExperimentConfig("result2", p=p, params=params)
 
 
+def test_config_checks_name_the_flag_before_any_directory_exists(tmp_path):
+    out_dir = str(tmp_path / "o")
+    for kwargs, message in (({"seed": -1}, "--seed must be non-negative, not -1"),
+                            ({"params": ()}, "--params needs at least one parameter index"),
+                            ({"method": "bogus"}, "--method: unknown sampling method 'bogus'"),
+                            ({"r_max": 0}, "--r-max must be positive, not 0")):
+        with pytest.raises(experiments.ConfigError, match=message):
+            ExperimentConfig("result2", out_dir=out_dir, **kwargs)
+    assert not (tmp_path / "o").exists()
+
+
 def test_write_csv_stream_and_timestamp():
     rows = [(0, "a", 0.1, float("inf")), (1, "b", -0.0, 1 / 3)]
     buf = io.StringIO()

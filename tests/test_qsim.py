@@ -393,6 +393,23 @@ def test_high_order_slice_derivative_passes_the_residue_check():
     assert np.max(np.abs(got - want)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("d", [24, 32])
+def test_slice_derivative_residue_check_covers_round_off_zero_gram_entries(d):
+    # Gram entries that are zero up to round-off (the 4th diagonal sums to
+    # 4.4e-17 next to max |G| = 0.40) carry the weight 4^d; their residue
+    # (1.25e-2 at d = 24) exceeded 1e-10 (1 + sum |G_il| |i - l|^d)
+    sl, _, _ = _beta2_slice_q8()
+    xs = np.linspace(0, 6, 50)
+    got = sl.derivative(d, xs)
+    gram = sl._components.mean
+    k = gram.shape[0] - 1
+    s = np.arange(-k, k + 1)
+    c = np.array([np.trace(gram, offset=-v) for v in s])
+    want = (np.exp(1j * np.outer(xs, s)) @ (c * (1j * s) ** d)).real
+    scale = np.sum(np.abs(gram) * np.abs(np.subtract.outer(np.arange(k + 1), np.arange(k + 1))) ** d)
+    assert np.max(np.abs(got - want)) <= 1e-13 * scale
+
+
 @pytest.mark.parametrize("d", [0, 1, 16])
 def test_slice_derivative_rejects_a_genuine_imaginary_part(d):
     sl, _, _ = _beta2_slice_q8()
