@@ -35,6 +35,7 @@ import numpy as np
 
 from . import epsr, qsim, variance
 from .experiments import (
+    _EXPERIMENT_READS,
     EXPERIMENT_IDS,
     ConfigError,
     ExperimentConfig,
@@ -130,6 +131,10 @@ def _nodes_from_flags(args, fs: FrequencySet) -> epsr.ShiftNodes | None:
 
 
 def _rule_from_args(args, fs: FrequencySet):
+    if args.d < 1:
+        raise ValueError(f"--d must be at least 1, not {args.d}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, not {args.seed}")
     sources = [args.equidistant, args.nodes is not None, args.optimize is not None]
     if sum(sources) != 1:
         raise ValueError("give exactly one of --equidistant, --nodes or --optimize")
@@ -147,8 +152,8 @@ def _rule_from_args(args, fs: FrequencySet):
             # above the optimum
             bound = variance.weighted_lower_bound(fs, args.d)
             extra.update(dual_bound=bound, gap=(res.objective - bound) / bound)
-        extra.update(scheme=args.optimize, equidistant_error=res.equidistant_error,
-                     certificate=res.certificate)
+        extra.update(generations=res.iterations, scheme=args.optimize,
+                     equidistant_error=res.equidistant_error, certificate=res.certificate)
     return epsr.make_rule(nodes, fs, args.d), extra
 
 
@@ -249,7 +254,9 @@ class _ConfigFile(argparse.Action):
 
     Keys are flag names, with dashes or underscores (``id`` or
     ``experiment`` for ``--id``), and each value must have its flag's JSON
-    type.  A flag given before or after ``--config`` wins.
+    type.  The values are kept apart from the flags, as a dict of
+    destinations, so a flag given before or after ``--config`` wins; of two
+    files, the first one's keys win.
     """
 
     def __call__(self, parser, namespace, path, option_string=None):
@@ -261,6 +268,7 @@ class _ConfigFile(argparse.Action):
         if not isinstance(doc, dict):
             raise ConfigError("config file must hold a JSON object")
         actions = {a.dest: a for a in parser._actions if a.option_strings and a.dest not in ("help", self.dest)}
+        settings = {}
         for key, value in doc.items():
             action = actions.get("experiment" if key == "id" else key.replace("-", "_"))
             if action is None:
@@ -271,14 +279,23 @@ class _ConfigFile(argparse.Action):
                     and all(type(v) is kind or (kind is float and type(v) is int) for v in values)):
                 what = ("a list of " if action.nargs == "*" else "") + kind.__name__
                 raise ConfigError(f"config key {key!r} must be {what}, not {json.dumps(value)}")
-            if not hasattr(namespace, action.dest):
-                setattr(namespace, action.dest, [kind(v) for v in values] if action.nargs == "*" else kind(value))
+            settings[action.dest] = [kind(v) for v in values] if action.nargs == "*" else kind(value)
+        setattr(namespace, self.dest, {**settings, **getattr(namespace, self.dest, {})})
 
 
 def _cmd_experiment(args) -> int:
-    s = {k: v for k, v in vars(args).items() if k not in ("command", "func")}
+    given = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    s = {**getattr(args, "config", {}), **given}
     flags = {k: s.pop(k) for k in ("reproducible", "emit_gnuplot") if k in s}
-    run_experiment(ExperimentConfig(s.pop("experiment", None), **s), **flags)
+    cfg = ExperimentConfig(s.pop("experiment", None), **s)
+    # one config file may serve several ids, so only the flags given are
+    # held to the settings the id reads
+    reads = ("out_dir", *_EXPERIMENT_READS[cfg.experiment])
+    unread = [_flag(name) for name in given if name not in ("experiment", *flags, *reads)]
+    if unread:
+        raise ConfigError(f"--id {cfg.experiment} does not read {', '.join(unread)}; "
+                          f"it reads {', '.join(map(_flag, reads))}")
+    run_experiment(cfg, **flags)
     return EXIT_OK
 
 

@@ -44,7 +44,17 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENT_IDS = ("result1", "result2", "result3", "landscape", "de-sweep")
+#: Per experiment id: the run settings it reads besides ``experiment`` and
+#: ``out_dir``.  ``experiment`` rejects a flag for any other setting.
+_EXPERIMENT_READS = {
+    "result1": ("q", "p", "delta", "seed"),
+    "result2": ("q", "p", "delta", "seed", "n_total", "repetitions", "params", "method"),
+    "result3": ("q", "p", "delta", "seed", "n_total", "repetitions", "params", "method"),
+    "landscape": ("scheme",),
+    "de-sweep": ("scheme", "seed", "r_max", "d_max"),
+}
+
+EXPERIMENT_IDS = tuple(_EXPERIMENT_READS)
 
 #: Fixed "random" node sets compared against the equidistant nodes in
 #: result3, keyed by r.  Drawn once from a seeded stream and frozen; both are
@@ -418,8 +428,11 @@ def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool
 
 
 def _de_generations(r: int) -> int:
-    # the weighted objective flattens out near the optimum as the dimension
-    # grows; scale the generation budget accordingly
+    # the generation cap of a node search over r frequencies.  A weighted
+    # search on {1..r} stops far below it, at its first certified probe; the
+    # cap binds for uniform searches and for sets whose box optimum lies
+    # above Omega_max^d, where the population's spread shrinks more slowly
+    # as the dimension grows
     return max(400, 300 * r)
 
 

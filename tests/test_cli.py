@@ -119,6 +119,43 @@ def test_rule_optimized(capsys):
     assert doc["gap"] == (doc["objective"] - 2.0) / 2.0 and 0 <= doc["gap"] <= 1e-12
 
 
+@pytest.mark.parametrize("scheme,freqs,d", [("wgt", "1,2,4", 1), ("unif", "1,2,3", 2)])
+def test_rule_optimized_writes_its_generation_count(capsys, monkeypatch, scheme, freqs, d):
+    runs = []
+    real = cli.variance.optimize_shifts_global
+
+    def recording(*args, **kwargs):
+        runs.append(real(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(cli.variance, "optimize_shifts_global", recording)
+    code, out, _ = run(capsys, "rule", "--freqs", freqs, "--d", str(d), "--optimize", scheme, "--seed", "7")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["generations"] == runs[0].iterations >= 1
+    keys = list(doc)
+    assert keys.index("generations") == keys.index("scheme") - 1
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("--d", "1", "--optimize", "wgt", "--seed", "-1"), "--seed must be non-negative, not -1"),
+    (("--d", "1", "--equidistant", "--seed", "-3"), "--seed must be non-negative, not -3"),
+    (("--d", "0", "--equidistant"), "--d must be at least 1, not 0"),
+    (("--d", "-2", "--nodes", "0.5,1"), "--d must be at least 1, not -2"),
+    (("--d", "0", "--optimize", "wgt"), "--d must be at least 1, not 0"),
+])
+def test_rule_rejects_a_bad_order_or_seed_before_any_solve(tmp_path, capsys, monkeypatch, argv, message):
+    def solved(*args, **kwargs):
+        pytest.fail("a rule was solved before the flags were checked")
+
+    monkeypatch.setattr(cli.epsr, "make_rule", solved)
+    monkeypatch.setattr(cli.variance, "optimize_shifts_global", solved)
+    code, out, err = run(capsys, "rule", "--freqs", "1,2", *argv, "--out", str(tmp_path / "rule.json"))
+    assert code == EXIT_VALIDATION
+    assert out == "" and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_rule_optimized_uniform_has_no_dual_bound(capsys):
     code, out, _ = run(capsys, "rule", "--freqs", "1,2,3", "--d", "2", "--optimize", "unif")
     assert code == EXIT_OK
@@ -394,8 +431,9 @@ def test_experiment_result2_deterministic_and_gnuplot(tmp_path, capsys):
 @pytest.mark.parametrize("exp_id", ["result2", "landscape"])
 def test_gnuplot_script_beside_csv_when_out_dir_name_has_csv(tmp_path, capsys, exp_id):
     out_dir = tmp_path / "runs.csv"
-    code, _, err = run(capsys, "experiment", "--id", exp_id, "--out-dir", str(out_dir),
-                       "--repetitions", "10", "--params", "0", "--emit-gnuplot")
+    flags = ("--repetitions", "10", "--params", "0") if exp_id == "result2" else ()
+    code, _, err = run(capsys, "experiment", "--id", exp_id, "--out-dir", str(out_dir), *flags,
+                       "--emit-gnuplot")
     assert code == EXIT_OK, err
     csvs = sorted(out_dir.glob("*.csv"))
     assert csvs
@@ -577,9 +615,12 @@ def test_every_experiment_config_field_is_a_flag_and_a_config_key(tmp_path, caps
     # neither flag nor key: the dataclass defaults, and run_experiment's own
     assert experiment("--id", "landscape") == (ExperimentConfig("landscape"), {})
     for name, value in _FIELD_VALUES.items():
-        want = (ExperimentConfig(**{"experiment": "landscape", name: value}), {})
+        # the flag goes to an id that reads it; a config key need not
+        exp_id = next((e for e, reads in experiments._EXPERIMENT_READS.items() if name in reads), "landscape")
         values = value if isinstance(value, list) else [value]
-        assert experiment("--id", "landscape", cli._flag(name), *map(str, values)) == want
+        assert experiment("--id", exp_id, cli._flag(name), *map(str, values)) == (
+            ExperimentConfig(**{"experiment": exp_id, name: value}), {})
+        want = (ExperimentConfig(**{"experiment": "landscape", name: value}), {})
         keys = {name, name.replace("_", "-")} | ({"id"} if name == "experiment" else set())
         for key in keys:
             doc = {key: value} if name == "experiment" else {"id": "landscape", key: value}
@@ -590,8 +631,48 @@ def test_every_experiment_config_field_is_a_flag_and_a_config_key(tmp_path, caps
         assert experiment(doc={"id": "landscape", name.replace("_", "-"): True}) == want
         assert experiment(doc={"id": "landscape", name: True}) == want
     # a flag given before --config wins too
-    assert experiment("--repetitions", "9", doc={"id": "landscape", "repetitions": 3}) == (
-        ExperimentConfig("landscape", repetitions=9), {})
+    assert experiment("--repetitions", "9", doc={"id": "result2", "repetitions": 3}) == (
+        ExperimentConfig("result2", repetitions=9), {})
+
+
+def _unread_flags():
+    settings = [name for name in _FIELD_VALUES if name not in ("experiment", "out_dir")]
+    for exp_id, reads in experiments._EXPERIMENT_READS.items():
+        for name in settings:
+            if name not in reads:
+                yield pytest.param(exp_id, name, id=f"{exp_id} {cli._flag(name)}")
+
+
+@pytest.mark.parametrize("exp_id,name", _unread_flags())
+def test_experiment_rejects_a_flag_its_id_does_not_read(tmp_path, capsys, monkeypatch, exp_id, name):
+    monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("the experiment ran"))
+    value = _FIELD_VALUES[name]
+    values = value if isinstance(value, list) else [value]
+    code, out, err = run(capsys, "experiment", "--id", exp_id, cli._flag(name), *map(str, values),
+                         "--out-dir", str(tmp_path / "o"))
+    assert code == EXIT_CONFIG and out == ""
+    assert f"--id {exp_id} does not read {cli._flag(name)};" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_experiment_reads_every_flag_it_is_given_in_the_benchmark(tmp_path, capsys, monkeypatch):
+    # the benchmark's command lines stay valid under the per-id flag table
+    import sys
+    from pathlib import Path
+
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+    try:
+        from perfbench import bench
+    finally:
+        sys.path.pop(0)
+    runs = []
+    monkeypatch.setattr(cli, "run_experiment", lambda cfg, **kwargs: runs.append(cfg))
+    for workload in (w["name"] for w in bench.spec()["workloads"]):
+        for call in bench.plan(workload, 1):
+            if call.argv[0] == "experiment":
+                code, _, err = run(capsys, *(a.format(out=tmp_path) for a in call.argv))
+                assert code == EXIT_OK, (call.argv, err)
+    assert {cfg.experiment for cfg in runs} == set(experiments.EXPERIMENT_IDS)
 
 
 @pytest.mark.parametrize("doc,key", [

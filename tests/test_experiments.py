@@ -10,7 +10,6 @@ from shiftrules import epsr, experiments, qsim, variance
 from shiftrules.experiments import (
     RESULT3_RANDOM_NODES,
     ExperimentConfig,
-    _de_generations,
     _level_tables,
     _write_csv,
     random_base_params,
@@ -167,14 +166,17 @@ def test_de_sweep_quick(tmp_path):
     assert all(row[3] <= 1e-3 for row in rows)
 
 
-@pytest.mark.parametrize("r", [7, 8])
-def test_default_de_sweep_rows_at_d1_meet_the_node_error_bound(r):
-    # the default sweep's search for these rows stalls at the generation cap
-    # (node errors 0.131 and 0.110 without the polish of the best member)
-    res = variance.optimize_shifts_global(integer_frequencies(r), 1, "weighted",
-                                          generations=_de_generations(r), seed=[0, 5, r, 1])
-    assert res.equidistant_error <= 1e-3
-    assert res.certificate == "global-equidistant"
+def test_default_de_sweep_certifies_every_row(tmp_path):
+    # r, d <= 8: every weighted search ends within the dual gap of r**d, at
+    # the equidistant nodes
+    run_experiment(ExperimentConfig("de-sweep", out_dir=str(tmp_path)), reproducible=True)
+    rows = np.genfromtxt(tmp_path / "de_sweep_errors.csv", delimiter=",", names=True, dtype=None,
+                         encoding="utf-8")
+    assert sorted(zip(rows["r"], rows["d"])) == [(r, d) for r in range(1, 9) for d in range(1, 9)]
+    assert np.all(rows["max_node_error"] <= 1e-3)
+    target = rows["r"].astype(float) ** rows["d"]
+    assert np.all(rows["target"] == target)
+    assert np.all(np.abs(rows["objective"] - target) <= 1e-6 * target)
 
 
 def test_result1_builds_each_slice_once(tmp_path):

@@ -473,6 +473,9 @@ def test_local_trace_jsonl(tmp_path):
 
 
 def test_global_weighted_search_stops_at_the_certified_gap(monkeypatch):
+    # the first probe lies beyond the budget, so only the population's own
+    # gap can stop this search
+    monkeypatch.setattr(variance, "_PROBE_FIRST", 10_000)
     scored = []
     real = variance.stacked_objective
 
@@ -491,6 +494,64 @@ def test_global_weighted_search_stops_at_the_certified_gap(monkeypatch):
     assert len(scored) == 1 + res.iterations
     assert gap[-1] <= variance.DUAL_GAP < gap[-2]
     assert res.converged and res.objective <= bound * (1 + 1e-14)
+
+
+def _recording_local(monkeypatch):
+    """Record the keyword arguments and result of every local descent."""
+    calls = []
+    real = variance.optimize_shifts_local
+
+    def recording(*args, **kwargs):
+        res = real(*args, **kwargs)
+        calls.append((kwargs, res))
+        return res
+
+    monkeypatch.setattr(variance, "optimize_shifts_local", recording)
+    return calls
+
+
+def test_global_weighted_search_stops_at_the_first_certified_probe(monkeypatch):
+    scored = []
+    real = variance.stacked_objective
+
+    def recording(free, *args):
+        values = real(free, *args)
+        scored.append(values.min())
+        return values
+
+    monkeypatch.setattr(variance, "stacked_objective", recording)
+    polishes = _recording_local(monkeypatch)
+    fs = integer_frequencies(3)
+    res = optimize_shifts_global(fs, 1, "weighted", generations=5000, seed=2)
+    bound = variance.weighted_lower_bound(fs, 1)
+    gap = [(p.objective - bound) / bound for _, p in polishes]
+    # every polish was a capped probe, and only the last one was certified
+    assert all(kwargs == {"max_iters": variance._PROBE_ITERS} for kwargs, _ in polishes)
+    assert gap[-1] <= variance.DUAL_GAP < min(gap[:-1], default=math.inf)
+    assert res.iterations == variance._PROBE_FIRST * 2 ** (len(polishes) - 1)
+    # the probe, not the population, stopped the search; each generation is
+    # still one stacked call
+    assert (min(scored) - bound) / bound > variance.DUAL_GAP
+    assert len(scored) == 1 + res.iterations
+    assert res.nodes == polishes[-1][1].nodes and res.objective == polishes[-1][1].objective
+    assert res.converged and (res.objective - bound) / bound <= variance.DUAL_GAP
+
+
+def test_global_probes_leave_a_non_attainable_search_unchanged(monkeypatch):
+    # no node set in the box attains Omega_max**d here, so every probe fails
+    # and the search must return what a search without probes returns
+    fs = FrequencySet((2.7, 2.83, 3.95, 4.05, 4.22))
+    generations = 32 * variance._PROBE_FIRST  # no probe at the last generation
+    polishes = _recording_local(monkeypatch)
+    res = optimize_shifts_global(fs, 1, "weighted", generations=generations, seed=0)
+    assert res.iterations == generations
+    assert res.objective == pytest.approx(4.784186830196291, rel=1e-12)  # 1.13369... * 4.22
+    assert 1 < len(polishes) <= 1 + math.ceil(math.log2(generations / variance._PROBE_FIRST))
+    assert polishes[-1][0] == {}  # the final polish has the full budget
+    # the same search without probes: same generations, same final polish
+    monkeypatch.setattr(variance, "_PROBE_FIRST", 10 * generations)
+    plain = optimize_shifts_global(fs, 1, "weighted", generations=generations, seed=0)
+    assert plain == res
 
 
 @pytest.mark.parametrize("scheme", ("uniform", "weighted"))
@@ -576,15 +637,18 @@ def test_global_deterministic():
 
 
 def test_global_nonconsecutive_frequencies_regression():
-    # no closed form is available for {1,2,4}; the search output is frozen as
-    # a regression baseline.  The found minimum attains the dual lower bound
-    # Omega_max**d = 4 at the Omega_max-spaced node pattern (pi/8, 3pi/8, 5pi/8).
+    # no closed form is available for {1,2,4}.  The found minimum attains the
+    # dual lower bound Omega_max**d = 4 at an Omega_max-spaced node pattern:
+    # every node on a distinct odd multiple of pi/8, e.g. (pi/8, 3pi/8, 5pi/8)
+    # or (pi/8, 5pi/8, 7pi/8), which are equally optimal.
     fs = FrequencySet((1.0, 2.0, 4.0))
     res = optimize_shifts_global(fs, 1, "weighted", generations=600, seed=7)
     assert res.equidistant_error is None
     assert res.objective == pytest.approx(4.0, abs=1e-6)
-    want = np.array([math.pi / 8, 3 * math.pi / 8, 5 * math.pi / 8])
-    assert np.max(np.abs(canonical_nodes(res.nodes.values) - want)) < 1e-3
+    nodes = canonical_nodes(res.nodes.values)
+    odd = 2 * np.round((nodes / (math.pi / 8) - 1) / 2) + 1
+    assert np.max(np.abs(nodes - odd * math.pi / 8)) < 1e-3
+    assert len(set(odd)) == len(odd)
     # strictly better than heuristic valid nodes for the same set
     from shiftrules.experiments import valid_nodes_for
 
