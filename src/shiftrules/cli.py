@@ -232,16 +232,16 @@ def _cmd_estimate(args) -> int:
 
     exact = s.exact or s.shots == math.inf
     if exact:
-        rows = [(0, epsr.apply_rule(rule, sl, xbar))]
+        table = {"repetition": [0], "estimate": [epsr.apply_rule(rule, sl, xbar)]}
     else:
         n_total = s.n_total if s.shots is None else s.shots
         ests = sampled_estimates(sl, rule, xbar, (s.scheme,), n_total, s.repetitions,
                                  [s.seed, 9, s.param], s.method)
-        rows = list(enumerate(ests[s.scheme]))
+        table = {"repetition": range(s.repetitions), "estimate": ests[s.scheme]}
 
     # stdout never carries the timestamp line
     plot = s.out and s.emit_gnuplot and not exact
-    _write_csv(s.out or sys.stdout, ["repetition", "estimate"], rows, s.reproducible or not s.out,
+    _write_csv(s.out or sys.stdout, table, s.reproducible or not s.out,
                [_kdensity(os.path.basename(s.out), ("estimates",))] if plot else None)
     return EXIT_OK
 

@@ -210,33 +210,44 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
 # ---------------------------------------------------------------------------
 # output helpers
 
-def _write_csv(out, columns, rows, reproducible: bool, plot=None) -> None:
-    """The package's only CSV writer: a ``columns`` header, then one line per row.
+def _column_text(column) -> list[str]:
+    """A column's cells as text, in :func:`_write_csv`'s format; floats are formatted once per bit pattern."""
+    first = column[0] if len(column) else None
+    if isinstance(first, (int, np.integer)):
+        return list(map("%d".__mod__, column))
+    if not isinstance(first, (float, np.floating)):
+        return list(map(str, column))
+    bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
+    return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse].tolist()
 
-    ``out`` is a path or an open text stream.  Floats take 17 significant
-    digits (exact for binary64), other values ``str``; the row format is
-    built once from the first row's types, so every row must have them.  A
-    ``# generated <timestamp>`` line comes first unless ``reproducible`` is
-    set.  Given ``plot`` lines and a path, the gnuplot script ``<stem>.gp``
-    is written beside the CSV, after a ``set datafile separator ','`` line.
+
+def _write_csv(out, table: dict, reproducible: bool, plot=None) -> None:
+    """The package's only CSV writer: a header of ``table``'s keys, then one line per row.
+
+    ``table`` maps each header, in order, to a column (an ndarray or a
+    sequence) of one common length; a shorter column raises ``ValueError``
+    naming it.  A column's first value picks its format: integers ``%d``,
+    floats ``%.17g`` (exact for binary64; ``-0``, ``inf``, ``nan``), anything
+    else ``str``.  ``out`` is a path or an open text stream.  A ``# generated
+    <timestamp>`` line comes first unless ``reproducible`` is set.  Given
+    ``plot`` lines and a path, the gnuplot script ``<stem>.gp`` is written
+    beside the CSV, after a ``set datafile separator ','`` line.
     """
+    n_rows = max(map(len, table.values()), default=0)
+    for name, column in table.items():
+        if len(column) != n_rows:
+            raise ValueError(f"column {name!r} has {len(column)} rows, not {n_rows}")
     if isinstance(out, (str, os.PathLike)):
         with open(out, "w") as fh:
-            _write_csv(fh, columns, rows, reproducible)
+            _write_csv(fh, table, reproducible)
         if plot:
             with open(os.path.splitext(out)[0] + ".gp", "w") as fh:
                 fh.write("\n".join(["set datafile separator ','", *plot]) + "\n")
         return
     if not reproducible:
         out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
-    out.write(",".join(columns) + "\n")
-    rows = iter(rows)
-    first = next(rows, None)
-    if first is not None:
-        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else
-                       "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in first) + "\n"
-        out.write(fmt % first)
-        out.writelines(fmt % row for row in rows)
+    out.write(",".join(table) + "\n")
+    out.writelines(line + "\n" for line in map(",".join, zip(*map(_column_text, table.values()))))
 
 
 def _kdensity(name: str, titles) -> str:
@@ -340,8 +351,8 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             rows.append((j, names[j], d, got, ref, abs(got - ref)))
     plot = ["set logscale y", "set xlabel 'derivative order d'", "set ylabel '|rule - exact|'",
             "plot 'result1_errors.csv' using 3:6 skip 1 with points title 'error'"]
-    _write_csv(os.path.join(cfg.out_dir, "result1_errors.csv"),
-               ["param_index", "param_name", "d", "epsr", "reference", "abs_error"], rows, reproducible,
+    header = ("param_index", "param_name", "d", "epsr", "reference", "abs_error")
+    _write_csv(os.path.join(cfg.out_dir, "result1_errors.csv"), dict(zip(header, zip(*rows))), reproducible,
                plot if emit_gnuplot else None)
     _write_config_echo(cfg, theta)
     return rows
@@ -362,10 +373,9 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
         rule = epsr.make_rule(valid_nodes_for(fs, 1, seed=cfg.seed), fs, 1)
         ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
                                  cfg.repetitions, [cfg.seed, 2, j], cfg.method)
-        rows = [(i, ests["uniform"][i], ests["weighted"][i]) for i in range(cfg.repetitions)]
         name = f"result2_{names[j]}.csv"
         plot = [*_DENSITY_LABELS, _kdensity(name, ("uniform", "weighted"))]
-        _write_csv(os.path.join(cfg.out_dir, name), ["repetition", "uniform", "weighted"], rows,
+        _write_csv(os.path.join(cfg.out_dir, name), {"repetition": range(cfg.repetitions), **ests},
                    reproducible, plot if emit_gnuplot else None)
         out[j] = ests
     _write_config_echo(cfg, theta)
@@ -399,12 +409,10 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             ests = sampled_estimates(sl, rule, theta[j], ("weighted",), cfg.n_total,
                                      cfg.repetitions, [cfg.seed, 3, j, tag_idx], cfg.method)
             cols[tag] = ests["weighted"]
-        rows = [(i, cols["equidistant"][i], cols["random1"][i], cols["random2"][i])
-                for i in range(cfg.repetitions)]
         name = f"result3_{names[j]}.csv"
         plot = [*_DENSITY_LABELS, _kdensity(name, ("equidistant", "random 1", "random 2"))]
-        _write_csv(os.path.join(cfg.out_dir, name), ["repetition", "equidistant", "random1", "random2"],
-                   rows, reproducible, plot if emit_gnuplot else None)
+        _write_csv(os.path.join(cfg.out_dir, name), {"repetition": range(cfg.repetitions), **cols},
+                   reproducible, plot if emit_gnuplot else None)
         out[j] = cols
     _write_config_echo(cfg, theta, {"node_sets": node_echo})
     return out
@@ -420,8 +428,7 @@ def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool
         paths.append(os.path.join(cfg.out_dir, name))
         plot = ["set view map", "set xlabel 'x1'", "set ylabel 'x2'",
                 f"splot '{name}' using 1:2:3 skip 1 with points palette pt 5 title 'F'"]
-        _write_csv(paths[-1], ["x1", "x2", "F"],
-                   zip(x1.ravel().tolist(), x2.ravel().tolist(), values.ravel().tolist()), reproducible,
+        _write_csv(paths[-1], {"x1": x1.ravel(), "x2": x2.ravel(), "F": values.ravel()}, reproducible,
                    plot if emit_gnuplot else None)
     _write_config_echo(cfg, None)
     return paths
@@ -449,8 +456,8 @@ def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool)
     plot = ["set view map", "set xlabel 'r'", "set ylabel 'd'", "set logscale cb",
             "splot 'de_sweep_errors.csv' using 1:2:4 skip 1 with points palette pt 5 ps 4 "
             "title 'max node error'"]
-    _write_csv(os.path.join(cfg.out_dir, "de_sweep_errors.csv"),
-               ["r", "d", "parity", "max_node_error", "objective", "target"], rows, reproducible,
+    header = ("r", "d", "parity", "max_node_error", "objective", "target")
+    _write_csv(os.path.join(cfg.out_dir, "de_sweep_errors.csv"), dict(zip(header, zip(*rows))), reproducible,
                plot if emit_gnuplot else None)
     _write_config_echo(cfg, None)
     return rows

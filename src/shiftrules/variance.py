@@ -95,6 +95,11 @@ DUAL_GAP = 1e-6
 _PROBE_FIRST = 10
 _PROBE_ITERS = 30
 
+#: A weighted local descent stops once its best iterate has not improved for
+#: this many iterations: its subgradient iterates then hover at a kink, and
+#: the rest of the budget would return the same best iterate.
+_STALL_ITERS = 50
+
 #: Even-parity nodes this close to pi are snapped to pi for integer
 #: frequencies (where the rule then merges +-pi into one evaluation), unless
 #: that raises the objective.
@@ -431,8 +436,9 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     gradient: a coordinate on a box face whose descent direction points out
     of the box is held there.  The descent stops when the projected gradient
     norm reaches ``_LOCAL_GTOL``, when a failed Newton ladder leaves only
-    round-off to gain (``_NEWTON_DECREMENT``) or when a uniform ladder
-    fails.  The best iterate seen is returned, so the reported objective is
+    round-off to gain (``_NEWTON_DECREMENT``), when a uniform ladder fails
+    or when a weighted descent's best iterate is ``_STALL_ITERS`` iterations
+    old.  The best iterate seen is returned, so the reported objective is
     monotone in the iteration budget and never above the projected start's.
 
     Raises:
@@ -451,7 +457,7 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     free = _project(parity, _free_from_nodes(start))
     nodes = _nodes_from_free(parity, free)
     f = objective(nodes, fs, d)
-    best_f, best_free = f, free.copy()
+    best_f, best_free, best_it = f, free.copy(), 0
 
     def first_rung(step: float, direction: np.ndarray, bound: float):
         for k in range(rungs):
@@ -494,9 +500,11 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
             free, f = taken
             nodes = _nodes_from_free(parity, free)
             if f < best_f:
-                best_f, best_free = f, free.copy()
+                best_f, best_free, best_it = f, free.copy(), it
             if trace:
                 trace.write(json.dumps({"iter": it, "objective": f, "nodes": list(nodes.values)}) + "\n")
+            if not uniform and it - best_it >= _STALL_ITERS:
+                break
     finally:
         if trace:
             trace.close()

@@ -1,10 +1,11 @@
-"""Independent test oracles: a Fornberg central difference, a least-squares fit
-and a round-off bound for shift rules.
+"""Independent test oracles: a Fornberg central difference, a least-squares fit,
+a round-off bound for shift rules and a row-wise CSV formatter.
 
-Neither oracle shares code with the derivatives under test.  The central
+Neither oracle shares code with the code under test.  The central
 difference (Fornberg, Math. Comp. 51, 699, 1988) checks shift rules without
 the slice's Fourier components; the fit checks that a frequency set carries a
-sampled signal, through its max residual.
+sampled signal, through its max residual; the row-wise formatter checks the
+column-wise CSV writer.
 """
 
 from functools import lru_cache
@@ -81,3 +82,18 @@ def rule_error_bound(rule, f) -> float:
     """
     fmax = float(np.max(np.abs(f(np.linspace(0.0, 2 * np.pi, 64, endpoint=False)))))
     return 64 * float(np.sum(np.abs(rule.expanded_coeffs))) * np.finfo(float).eps * fmax
+
+
+def rowwise_csv(header, rows) -> str:
+    """A header line, then each row through one ``%`` format built from the first row's types.
+
+    ``int``/``np.integer`` take ``%d``, ``float``/``np.floating`` ``%.17g``
+    and anything else ``%s``: the CSV writer's number format, one row at a
+    time.
+    """
+    lines = [",".join(header) + "\n"]
+    if rows:
+        fmt = ",".join("%d" if isinstance(v, (int, np.integer)) else
+                       "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0]) + "\n"
+        lines += [fmt % tuple(row) for row in rows]
+    return "".join(lines)

@@ -1,6 +1,10 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -708,3 +712,12 @@ def test_only_experiment_reads_a_config_file(tmp_path, capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --config" in captured.err
+
+
+def test_python_m_shiftrules_runs_the_cli():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "shiftrules", "--help"], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: shiftrules")

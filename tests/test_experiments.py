@@ -1,5 +1,6 @@
 import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from shiftrules.experiments import (
 )
 from shiftrules.spectra import FrequencySet, integer_frequencies
 
-from oracles import rule_error_bound
+from oracles import rowwise_csv, rule_error_bound
 
 
 def test_config_validation():
@@ -73,16 +74,64 @@ def test_config_checks_name_the_flag_before_any_directory_exists(tmp_path):
 
 
 def test_write_csv_stream_and_timestamp():
-    rows = [(0, "a", 0.1, float("inf")), (1, "b", -0.0, 1 / 3)]
+    table = {"i": [0, 1], "s": ["a", "b"], "x": [0.1, -0.0], "y": [float("inf"), 1 / 3]}
     buf = io.StringIO()
-    _write_csv(buf, ["i", "s", "x", "y"], rows, reproducible=True)
+    _write_csv(buf, table, reproducible=True)
     assert buf.getvalue() == ("i,s,x,y\n0,a,0.10000000000000001,inf\n"
                               "1,b,-0,0.33333333333333331\n")
     stamped = io.StringIO()
-    _write_csv(stamped, ["i", "s", "x", "y"], rows, reproducible=False)
+    _write_csv(stamped, table, reproducible=False)
     first, rest = stamped.getvalue().split("\n", 1)
     assert first.startswith("# generated ")
     assert rest == buf.getvalue()
+
+
+def _float_column(pool: list, n: int):
+    # floats drawn from a small pool, so most values repeat
+    return st.lists(st.sampled_from(pool), min_size=n, max_size=n)
+
+
+_SPECIAL_FLOATS = st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan])
+
+
+@st.composite
+def _csv_tables(draw):
+    n = draw(st.integers(0, 30))
+    kinds = {
+        "int": st.lists(st.integers(-2**70, 2**70), min_size=n, max_size=n),
+        "np.int64": st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n).map(
+            lambda v: np.array(v, dtype=np.int64)),
+        "bool": st.lists(st.booleans(), min_size=n, max_size=n),
+        "np.bool_": st.lists(st.booleans(), min_size=n, max_size=n).map(np.array),
+        "str": st.lists(st.text(max_size=6), min_size=n, max_size=n),
+        "range": st.integers(-5, 5).map(lambda start: range(start, start + n)),
+        "float": st.lists(st.floats() | _SPECIAL_FLOATS, min_size=1, max_size=4).flatmap(
+            lambda pool: _float_column(pool, n)),
+        "np.float64": st.lists(st.floats() | _SPECIAL_FLOATS, min_size=1, max_size=4).flatmap(
+            lambda pool: _float_column(pool, n)).map(lambda v: np.array(v, dtype=np.float64)),
+    }
+    names = draw(st.lists(st.sampled_from(sorted(kinds)), min_size=1, max_size=6))
+    return {f"{kind}{k}": draw(kinds[kind]) for k, kind in enumerate(names)}
+
+
+@given(_csv_tables())
+def test_write_csv_equals_the_rowwise_oracle(table):
+    buf = io.StringIO()
+    _write_csv(buf, table, reproducible=True)
+    assert buf.getvalue() == rowwise_csv(list(table), list(zip(*table.values())))
+
+
+def test_write_csv_rejects_a_short_column_before_opening_the_file(tmp_path):
+    path = tmp_path / "t.csv"
+    with pytest.raises(ValueError, match="column 'b' has 1 rows, not 2"):
+        _write_csv(path, {"a": [1, 2], "b": np.array([0.5]), "c": range(2)}, reproducible=True)
+    assert not path.exists()
+
+
+def test_write_csv_without_rows_writes_the_header_alone():
+    buf = io.StringIO()
+    _write_csv(buf, {"repetition": range(0), "estimate": np.array([])}, reproducible=True)
+    assert buf.getvalue() == "repetition,estimate\n"
 
 
 def test_valid_nodes_integer_sets_are_equidistant():

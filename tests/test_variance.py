@@ -554,6 +554,19 @@ def test_global_probes_leave_a_non_attainable_search_unchanged(monkeypatch):
     assert plain == res
 
 
+def test_weighted_polish_stops_when_its_best_iterate_stalls(monkeypatch):
+    # the final polish of this search finds its best iterate at iteration 1
+    # and then hovers at a kink; without the stall stop it ran all 5000
+    # iterations (about 9 s) to return the same nodes
+    polishes = _recording_local(monkeypatch)
+    res = optimize_shifts_global(FrequencySet((1.992, 2.319)), 4, "weighted",
+                                 generations=_de_generations(2), seed=[0, 5, 2, 4])
+    assert res.objective == 31.823072938152734
+    assert res.nodes == ShiftNodes("even", (0.0, 1.2072959120339726, 2.4919084512653034))
+    kwargs, final = polishes[-1]
+    assert kwargs == {} and final.iterations <= 2 * variance._STALL_ITERS
+
+
 @pytest.mark.parametrize("scheme", ("uniform", "weighted"))
 @pytest.mark.parametrize("d", (1, 2))
 def test_global_polish_never_raises_the_objective(monkeypatch, scheme, d):
