@@ -25,8 +25,7 @@ print("1. The model")
 print("=" * 70)
 print(f"{q}-qubit XXZ chain (delta={delta}), {len(observable.terms)} Pauli terms")
 print(f"ansatz: {len(circuit.gates)} gates, {circuit.n_params} parameters: {names}")
-psi = qsim.apply_circuit(circuit, theta)
-print("energy at the base point:", qsim.expectation(psi, observable))
+print("energy at the base point:", qsim.cost_slice(circuit, observable, theta, 0)(theta[0]))
 
 print()
 print("=" * 70)

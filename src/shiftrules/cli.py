@@ -161,12 +161,10 @@ def _rule_diagnostics(rule: epsr.PSRRule) -> dict:
     """The rule's conditioning, evaluation count and predicted variance per scheme.
 
     Variances are in units of sigma^2 / N_total (see
-    :func:`variance.predicted_variance`).  ``uniform`` is the per-node split,
-    r * ||b||^2 for odd orders and (r+1) * ||b||^2 for even ones; for even
-    orders that is not the per-shift split over the merged expanded shifts
-    that ``estimate --scheme uniform`` draws (19.5 against 18.0 for
-    ``--freqs 1,2 --d 2 --equidistant``).  Loading a rule document re-solves
-    the rule, so this block is output only.
+    :func:`variance.predicted_variance`) and are those of the splits that
+    ``estimate`` draws.  ``uniform`` is the per-node split, r * ||b||^2 for
+    odd orders and (r+1) * ||b||^2 for even ones.  Loading a rule document
+    re-solves the rule, so this block is output only.
     """
     return {
         "condition_estimate": rule.diagnostics.condition_estimate,

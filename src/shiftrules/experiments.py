@@ -199,11 +199,9 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
         if nodes is None:
             vals = tuple(sorted(rng.uniform(0.05, np.pi - 0.05 if parity == "odd" else np.pi, fs.r)))
             nodes = epsr.ShiftNodes(parity, vals if parity == "odd" else (0.0, *vals))
-        try:
-            epsr.solve_coefficients(nodes, fs, d)
+        if epsr.solve_coefficients_stacked(nodes.as_array()[None], fs, d)[1][0]:
             return nodes
-        except epsr.SingularNodesError:
-            nodes = None
+        nodes = None
     raise RuntimeError(f"could not find valid nodes for frequencies {fs.frequencies}, d={d}")
 
 
@@ -301,6 +299,10 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     ``gaussian`` replaces each shift's shot mean by a normal draw with the
     exact mean and one-shot variance.
 
+    Shots are split by :func:`variance.allocate` over the rule's expanded
+    shifts: per node for ``uniform``, so the draws have the variance that
+    :func:`variance.predicted_variance` gives for both schemes.
+
     Stream layout: one generator ``np.random.default_rng(seed_key)`` per
     call; for each scheme in order, then each expanded shift in rule order
     (skipping zero coefficients and zero shot counts), all ``repetitions``
@@ -318,7 +320,7 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     rng = np.random.default_rng(seed_key)
     out = {}
     for s in schemes:
-        counts = variance.integer_shot_counts(variance.allocate(s, gamma, n_total))
+        counts = variance.integer_shot_counts(variance.allocate(s, gamma, n_total, rule.expanded_shifts))
         acc = np.zeros(repetitions)
         for g, table, n in zip(gamma, tables, counts):
             if g == 0.0 or n == 0:

@@ -44,9 +44,6 @@ __all__ = [
     "CircuitSpec",
     "PauliSumObservable",
     "CostSlice",
-    "apply_circuit",
-    "expectation",
-    "one_shot_variance",
     "build_xxz_hamiltonian",
     "build_hva_circuit",
     "hva_parameter_names",
@@ -306,23 +303,6 @@ def _check_norms(norms: np.ndarray) -> None:
         raise AssertionError(f"statevector norm drifted to {norms[bad][0]}")
 
 
-def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
-    """State U(theta)|0...0> as a complex vector of length 2**q (a batch of one)."""
-    theta = np.asarray(theta, dtype=float).ravel()
-    if theta.size != circuit.n_params:
-        raise ValueError(f"expected {circuit.n_params} parameters, got {theta.size}")
-    psi = _evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta)
-    _check_norms(np.linalg.norm(psi, axis=1))
-    return psi[0]
-
-
-def _as_batch(state, obs: PauliSumObservable) -> np.ndarray:
-    psi = np.asarray(state, dtype=complex)
-    if psi.ndim not in (1, 2) or psi.shape[-1] != 2**obs.q:
-        raise ValueError("state dimension does not match the observable")
-    return psi.reshape(-1, 2**obs.q)
-
-
 def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
     """C psi for the batch psi (B, 2^q), one gather per flip mask."""
     perms, diags = _flip_masks(obs.terms)
@@ -357,29 +337,6 @@ def _variances(mean: np.ndarray, m2: np.ndarray) -> np.ndarray:
 
 def _batch_result(values: np.ndarray, single: bool):
     return float(values[0]) if single else values
-
-
-def expectation(state, obs: PauliSumObservable):
-    """<psi| C |psi> for the Pauli sum C; asserts a real result.
-
-    ``state`` is one statevector (gives a float) or a (B, 2**q) batch (gives
-    an array of B values).
-    """
-    psi = _as_batch(state, obs)
-    val = np.einsum("bi,bi->b", psi.conj(), _apply_observable(psi, obs))
-    return _batch_result(_real_values(val), np.ndim(state) == 1)
-
-
-def one_shot_variance(state, obs: PauliSumObservable):
-    """<C^2> - <C>^2: variance of a single measurement of the observable.
-
-    Takes one statevector (gives a float) or a (B, 2**q) batch (gives an array).
-    """
-    psi = _as_batch(state, obs)
-    phi = _apply_observable(psi, obs)
-    mean = np.einsum("bi,bi->b", psi.conj(), phi).real
-    m2 = np.einsum("bi,bi->b", phi.conj(), phi).real
-    return _batch_result(_variances(mean, m2), np.ndim(state) == 1)
 
 
 def _bonds(q: int, offset: int) -> list[tuple[int, int]]:

@@ -86,20 +86,6 @@ class TrigPoly:
         out = dcos @ (w**d * a) + dsin @ (w**d * b)
         return float(out) if out.ndim == 0 else out
 
-    def odd_part(self, x):
-        """(f(x) - f(-x)) / 2 = sum_k b_k sin(Omega_k x)."""
-        x = np.asarray(x, dtype=float)
-        wx = np.multiply.outer(x, self.frequencies.as_array())
-        out = np.sin(wx) @ np.asarray(self.sin_coeffs)
-        return float(out) if out.ndim == 0 else out
-
-    def even_part(self, x):
-        """(f(x) + f(-x)) / 2 = a0 + sum_k a_k cos(Omega_k x)."""
-        x = np.asarray(x, dtype=float)
-        wx = np.multiply.outer(x, self.frequencies.as_array())
-        out = self.a0 + np.cos(wx) @ np.asarray(self.cos_coeffs)
-        return float(out) if out.ndim == 0 else out
-
 
 def random_trigpoly(fs: FrequencySet, seed) -> TrigPoly:
     """Polynomial with i.i.d. uniform[-1, 1] coefficients, reproducible per seed."""

@@ -1,9 +1,10 @@
 """Derivative-variance objectives, shot allocation and node optimization.
 
-With finite measurement shots, a shift-rule derivative estimate has variance
-(sigma^2 / N_total times) r * ||b||_2^2 under equal shots per evaluation and
-||b||_1^2 when shots are split proportionally to the coefficient magnitudes;
-the proportional split is optimal among all allocations (Cauchy-Schwarz).
+With finite measurement shots, a shift-rule derivative estimate over m
+nodes has variance (sigma^2 / N_total times) m * ||b||_2^2 under equal shots
+per node (each split evenly over the node's shifts +-x_i) and ||b||_1^2
+when shots are split proportionally to the coefficient magnitudes; the
+proportional split is optimal among all allocations (Cauchy-Schwarz).
 Node selection therefore minimizes F_unif = ||b||_2^2 / 2 or F_wgt = ||b||_1
 over the node box.  This module provides both objectives (per node set and
 over stacks of node sets), their analytic (sub)gradients, the weak-duality
@@ -16,11 +17,15 @@ best member is certified within a relative gap of the bound and otherwise
 polishes its best member with the local descent, shot-allocation helpers
 and the optimality certificate for the classical equidistant nodes under
 the weighted scheme.
+
+A node search scores through the stacked solver only: a DE generation, the
+probes of a Newton step and the rungs of a step ladder are one stacked call
+each.  Inside a search, the scalar path with its SVD diagnostics
+(:func:`F_unif`, :func:`F_wgt`) only checks that the start is nonsingular.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -28,7 +33,6 @@ import numpy as np
 
 from .epsr import (
     ShiftNodes,
-    SingularNodesError,
     build_A,
     equidistant_nodes,
     rhs_vector,
@@ -184,39 +188,56 @@ def F_wgt(nodes: ShiftNodes, fs: FrequencySet, d: int) -> float:
     return float(np.sum(np.abs(b)))
 
 
-def _grad_matrices(nodes: ShiftNodes, fs: FrequencySet, d: int):
-    """A, its component-wise node derivative A' and b at one node set.
+def _grads(nodes: np.ndarray, fs: FrequencySet, d: int, uniform: bool) -> np.ndarray:
+    """(Sub)gradients -diag(A' A^-1 w b^T) for a stack of full node vectors, shape (n, m).
 
-    Odd A' = Omega_k cos(Omega_k x_i) and even A' = [0 | -Omega_k sin(Omega_k x_i)]
-    are read off the matrix of the other parity.
+    w = b for F_unif, sgn(b) (sgn(0) = 0) for F_wgt; NaN rows where the
+    node set is singular.  Odd A' = Omega_k cos(Omega_k x_i) and even
+    A' = [0 | -Omega_k sin(Omega_k x_i)] are read off the other parity's A.
     """
-    b, _ = solve_coefficients(nodes, fs, d)
-    a = build_A(nodes, fs, nodes.parity)
+    parity = _parity_of(d)
+    b, nonsingular = solve_coefficients_stacked(nodes, fs, d)
+    x, b = nodes[nonsingular], b[nonsingular]
+    a = build_A(x, fs, parity)
     w = fs.as_array()
-    if nodes.parity == "odd":
-        a1 = w * build_A(nodes, fs, "even")[:, 1:]
+    if parity == "odd":
+        a1 = w * build_A(x, fs, "even")[..., 1:]
     else:
         a1 = np.zeros_like(a)
-        a1[:, 1:] = -w * build_A(nodes, fs, "odd")
-    return a, a1, b
+        a1[..., 1:] = -w * build_A(x, fs, "odd")
+    weights = b if uniform else np.sign(b)
+    g = np.full(nodes.shape, np.nan)
+    # matmul then diagonal, row for row the floats of the one-matrix form
+    g[nonsingular] = -np.diagonal(a1 @ np.linalg.solve(a, weights[:, :, None] * b[:, None, :]),
+                                  axis1=-2, axis2=-1)
+    return g
+
+
+def _grad(nodes: ShiftNodes, fs: FrequencySet, d: int, uniform: bool) -> np.ndarray:
+    """The one-row case of :func:`_grads`; raises where :func:`solve_coefficients` does."""
+    g = _grads(nodes.as_array()[None], fs, d, uniform)[0]
+    if nodes.parity != _parity_of(d) or np.isnan(g).any():
+        solve_coefficients(nodes, fs, d)  # raises ValueError or SingularNodesError
+    return g
 
 
 def grad_F_unif(nodes: ShiftNodes, fs: FrequencySet, d: int) -> np.ndarray:
     """Gradient of F_unif with respect to the nodes: -diag(A' A^-1 b b^T)."""
-    a, a1, b = _grad_matrices(nodes, fs, d)
-    return -np.diag(a1 @ np.linalg.solve(a, np.outer(b, b)))
+    return _grad(nodes, fs, d, True)
 
 
 def subgrad_F_wgt(nodes: ShiftNodes, fs: FrequencySet, d: int) -> np.ndarray:
     """One subgradient of F_wgt: -diag(A' A^-1 sgn(b) b^T), with sgn(0) = 0."""
-    a, a1, b = _grad_matrices(nodes, fs, d)
-    return -np.diag(a1 @ np.linalg.solve(a, np.outer(np.sign(b), b)))
+    return _grad(nodes, fs, d, False)
 
 
-def allocate(scheme: str, gamma, n_total: float) -> ShotAllocation:
+def allocate(scheme: str, gamma, n_total: float, shifts=None) -> ShotAllocation:
     """Shot allocation over expanded shifts with coefficients ``gamma``.
 
-    uniform: equal counts per shift.  weighted: counts proportional to
+    uniform: equal counts per node, split evenly over the node's shifts
+    (+-x share |phi|; a node merged at 0 or pi has one shift), the split
+    whose variance :func:`predicted_variance` gives.  Without ``shifts``
+    every shift counts as a node.  weighted: counts proportional to
     |gamma_mu|, which is the variance-optimal split for the given total.
     """
     scheme = _norm_scheme(scheme)
@@ -226,7 +247,9 @@ def allocate(scheme: str, gamma, n_total: float) -> ShotAllocation:
     if g.size == 0 or np.all(g == 0):
         raise ValueError("coefficients must not all be zero")
     if scheme == "uniform":
-        counts = np.full(g.size, n_total / g.size)
+        phi = np.arange(g.size) if shifts is None else np.abs(np.asarray(shifts, dtype=float))
+        _, node, per_node = np.unique(phi, return_inverse=True, return_counts=True)
+        counts = n_total / per_node.size / per_node[node]
     elif scheme == "weighted":
         counts = n_total * g / g.sum()
     else:
@@ -318,12 +341,20 @@ def _node_scheme(scheme: str) -> str:
     return scheme
 
 
-def _score(objective, nodes: ShiftNodes, fs: FrequencySet, d: int) -> float:
-    """``objective(nodes, fs, d)``, or +inf where the nodes are singular."""
-    try:
-        return objective(nodes, fs, d)
-    except SingularNodesError:
-        return math.inf
+def _values(nodes: np.ndarray, fs: FrequencySet, d: int, uniform: bool) -> np.ndarray:
+    """F_unif or F_wgt for a stack of full node vectors, shape (n, m); +inf where singular."""
+    b, nonsingular = solve_coefficients_stacked(nodes, fs, d)
+    if uniform:
+        # the stacked dot product sums in the order of the scalar b @ b
+        values = 0.5 * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
+    else:
+        values = np.sum(np.abs(b), axis=1)
+    return values if nonsingular.all() else np.where(nonsingular, values, np.inf)
+
+
+def _full(parity: str, free: np.ndarray) -> np.ndarray:
+    """The full node vectors of a stack of free-node vectors: x_0 = 0 prepended for even parity."""
+    return free if parity == "odd" else np.concatenate([np.zeros((len(free), 1)), free], axis=1)
 
 
 def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray:
@@ -334,15 +365,7 @@ def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray
     :func:`F_wgt` raise SingularNodesError.
     """
     uniform = _node_scheme(scheme) == "uniform"
-    free = np.asarray(free, dtype=float)
-    nodes = free if _parity_of(d) == "odd" else np.concatenate([np.zeros((len(free), 1)), free], axis=1)
-    b, nonsingular = solve_coefficients_stacked(nodes, fs, d)
-    if uniform:
-        # the stacked dot product sums in the order of the scalar b @ b
-        values = 0.5 * (b[:, None, :] @ b[:, :, None])[:, 0, 0]
-    else:
-        values = np.sum(np.abs(b), axis=1)
-    return values if nonsingular.all() else np.where(nonsingular, values, np.inf)
+    return _values(_full(_parity_of(d), np.asarray(free, dtype=float)), fs, d, uniform)
 
 
 def _box(parity: str) -> tuple[float, float]:
@@ -351,62 +374,28 @@ def _box(parity: str) -> tuple[float, float]:
 
 
 def _project(parity: str, free: np.ndarray) -> np.ndarray:
-    """Clamp free coordinates into the node box and sort ascending."""
+    """Clamp free coordinates (one vector or a stack) into the node box and sort them ascending."""
     return np.sort(np.clip(free, *_box(parity)))
 
 
 def _nodes_from_free(parity: str, free: np.ndarray) -> ShiftNodes:
-    if parity == "odd":
-        return ShiftNodes("odd", tuple(free))
-    return ShiftNodes("even", (0.0, *free))
+    return ShiftNodes(parity, tuple(free) if parity == "odd" else (0.0, *free))
 
 
-def _free_from_nodes(nodes: ShiftNodes) -> np.ndarray:
-    vals = nodes.as_array()
-    return vals if nodes.parity == "odd" else vals[1:]
-
-
-def _free_grad(grad, parity: str, free: np.ndarray, fs: FrequencySet, d: int) -> np.ndarray:
-    """``grad`` at the free coordinates (x_0 = 0 is not free for even parity)."""
-    g = grad(_nodes_from_free(parity, free), fs, d)
-    return g if parity == "odd" else g[1:]
-
-
-def _projected_grad(grad, parity: str, free: np.ndarray, fs: FrequencySet,
-                    d: int) -> tuple[np.ndarray, np.ndarray]:
-    """The projected (sub)gradient and the mask of pinned coordinates.
-
-    A coordinate on a face of the node box whose descent direction points
-    out of the box is pinned: the projected gradient is zero there.
-    """
-    g = _free_grad(grad, parity, free, fs, d)
-    lo, hi = _box(parity)
-    pinned = ((free <= lo) & (g > 0.0)) | ((free >= hi) & (g < 0.0))
-    g[pinned] = 0.0
-    return g, pinned
-
-
-def _newton_step(grad, parity: str, free: np.ndarray, g: np.ndarray, pinned: np.ndarray,
-                 fs: FrequencySet, d: int) -> np.ndarray | None:
+def _newton_step(grads, free: np.ndarray, g: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:
     """|H|^-1 g over the unpinned coordinates (0 on pinned ones); None when it fails.
 
-    H comes from central differences of ``grad``; its eigenvalues, after
+    H comes from central differences of ``grads``, all 2k probes of the k
+    unpinned coordinates in one stacked call; its eigenvalues, after
     symmetrizing, are taken in magnitude and floored at ``_HESSIAN_FLOOR``
     of the largest, so the step descends also where H is indefinite (a
     saddle or a kink of F_wgt) and stays finite where it is flat.  None when
-    a probe is singular or H vanishes.
+    a probe is singular (its gradient row is NaN) or H vanishes.
     """
     idx = np.flatnonzero(~pinned)
-    hess = np.empty((idx.size, idx.size))
-    for col, j in enumerate(idx):
-        e = np.zeros(free.size)
-        e[j] = _HESSIAN_STEP
-        try:
-            up = _free_grad(grad, parity, free + e, fs, d)
-            down = _free_grad(grad, parity, free - e, fs, d)
-        except SingularNodesError:
-            return None
-        hess[:, col] = (up[idx] - down[idx]) / (2 * _HESSIAN_STEP)
+    steps = _HESSIAN_STEP * np.eye(free.size)[idx]
+    probes = grads(np.concatenate([free + steps, free - steps]))[:, idx]
+    hess = ((probes[:idx.size] - probes[idx.size:]) / (2 * _HESSIAN_STEP)).T
     hess = 0.5 * (hess + hess.T)
     if not (np.all(np.isfinite(hess)) and np.any(hess)):
         return None
@@ -418,7 +407,7 @@ def _newton_step(grad, parity: str, free: np.ndarray, g: np.ndarray, pinned: np.
 
 
 def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNodes,
-                          max_iters: int = 5000, trace_path=None) -> OptimizeResult:
+                          max_iters: int = 5000) -> OptimizeResult:
     """Projected Newton and (sub)gradient descent on F_unif or F_wgt.
 
     Odd-parity nodes live in (EPS_BOX, pi - EPS_BOX), even-parity nodes keep
@@ -440,9 +429,12 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     or when a weighted descent's best iterate is ``_STALL_ITERS`` iterations
     old.  The best iterate seen is returned, so the reported objective is
     monotone in the iteration budget and never above the projected start's.
+    After the start check, each gradient, Newton probe set and ladder is
+    one stacked solve.
 
     Raises:
-        SingularNodesError: when the start nodes are singular.
+        SingularNodesError: when the start nodes, or their projection into
+            the box, are singular.
     """
     scheme = _node_scheme(scheme)
     uniform = scheme == "uniform"
@@ -450,72 +442,77 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     if start.parity != parity:
         raise ValueError(f"order {d} needs {parity} start nodes")
     objective = F_unif if uniform else F_wgt
-    grad = grad_F_unif if uniform else subgrad_F_wgt
     rungs = _LOCAL_RUNGS[scheme]
 
+    def score(free_stack):
+        return _values(_full(parity, free_stack), fs, d, uniform)
+
+    def grads(free_stack):
+        g = _grads(_full(parity, free_stack), fs, d, uniform)
+        return g if parity == "odd" else g[:, 1:]
+
+    lo, hi = _box(parity)
+
+    def projected_grad(x):
+        # a coordinate on a box face whose descent direction points out of
+        # the box is pinned: the projected gradient is zero there
+        g = grads(x[None])[0]
+        pinned = ((x <= lo) & (g > 0.0)) | ((x >= hi) & (g < 0.0))
+        g[pinned] = 0.0
+        return g, pinned
+
     objective(start, fs, d)  # raises on a singular start, before any projection
-    free = _project(parity, _free_from_nodes(start))
-    nodes = _nodes_from_free(parity, free)
-    f = objective(nodes, fs, d)
+    # the free nodes are the last r: all of them for odd parity, x_1..x_r for even
+    free = _project(parity, start.as_array()[-start.r:])
+    f = float(score(free[None])[0])
+    if f == math.inf:
+        objective(_nodes_from_free(parity, free), fs, d)  # raises: the projection is singular
     best_f, best_free, best_it = f, free.copy(), 0
 
     def first_rung(step: float, direction: np.ndarray, bound: float):
-        for k in range(rungs):
-            cand = _project(parity, free - step * 0.5**k * direction)
-            f_cand = _score(objective, _nodes_from_free(parity, cand), fs, d)
-            if f_cand < bound:
-                return cand, f_cand
-        return None
+        cands = _project(parity, free - (step * 0.5 ** np.arange(rungs))[:, None] * direction)
+        values = score(cands)
+        below = np.flatnonzero(values < bound)
+        return (cands[below[0]], float(values[below[0]])) if below.size else None
 
-    trace = open(trace_path, "w") if trace_path is not None else None
-    try:
-        if trace:
-            trace.write(json.dumps({"iter": 0, "objective": f, "nodes": list(nodes.values)}) + "\n")
-        converged = False
-        it = 0
-        for it in range(1, max_iters + 1):
-            g, pinned = _projected_grad(grad, parity, free, fs, d)
-            gnorm = float(np.linalg.norm(g))
-            if gnorm <= _LOCAL_GTOL:
-                converged = True
-                break
-            newton = _newton_step(grad, parity, free, g, pinned, fs, d)
-            taken = None if newton is None else first_rung(1.0, newton, f)
-            if taken is None and newton is not None \
-                    and float(g @ newton) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
-                converged = True
-                break
+    converged = False
+    it = 0
+    for it in range(1, max_iters + 1):
+        g, pinned = projected_grad(free)
+        gnorm = float(np.linalg.norm(g))
+        if gnorm <= _LOCAL_GTOL:
+            converged = True
+            break
+        newton = _newton_step(grads, free, g, pinned)
+        taken = None if newton is None else first_rung(1.0, newton, f)
+        if taken is None and newton is not None \
+                and float(g @ newton) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
+            converged = True
+            break
+        if taken is None:
+            if uniform:
+                taken = first_rung(_LOCAL_STEP[scheme], g, f)
+            else:
+                # the subgradient move is bounded to at most c/sqrt(t) so
+                # that near-singular iterates (enormous subgradients)
+                # cannot catapult the iterate
+                taken = first_rung(_LOCAL_STEP[scheme] / math.sqrt(it),
+                                   g if gnorm <= 1.0 else g / gnorm, math.inf)
             if taken is None:
-                if uniform:
-                    taken = first_rung(_LOCAL_STEP[scheme], g, f)
-                else:
-                    # the subgradient move is bounded to at most c/sqrt(t) so
-                    # that near-singular iterates (enormous subgradients)
-                    # cannot catapult the iterate
-                    taken = first_rung(_LOCAL_STEP[scheme] / math.sqrt(it),
-                                       g if gnorm <= 1.0 else g / gnorm, math.inf)
-                if taken is None:
-                    converged = uniform and gnorm <= 1e-5
-                    break
-            free, f = taken
-            nodes = _nodes_from_free(parity, free)
-            if f < best_f:
-                best_f, best_free, best_it = f, free.copy(), it
-            if trace:
-                trace.write(json.dumps({"iter": it, "objective": f, "nodes": list(nodes.values)}) + "\n")
-            if not uniform and it - best_it >= _STALL_ITERS:
+                converged = uniform and gnorm <= 1e-5
                 break
-    finally:
-        if trace:
-            trace.close()
+        free, f = taken
+        if f < best_f:
+            best_f, best_free, best_it = f, free.copy(), it
+        if not uniform and it - best_it >= _STALL_ITERS:
+            break
 
-    best_nodes = _nodes_from_free(parity, best_free)
     if not converged:
         # the subgradient iterates hover around a stationary point instead of
         # landing on it; declare convergence from the best iterate's residual
         # (every iterate kept had a finite objective, so its gradient exists)
-        converged = float(np.linalg.norm(_projected_grad(grad, parity, best_free, fs, d)[0])) <= 1e-3
-    return OptimizeResult(best_nodes, best_f, it, converged)
+        converged = float(np.linalg.norm(projected_grad(best_free)[0])) <= 1e-3
+    return OptimizeResult(_nodes_from_free(parity, best_free), best_f, it, converged)
 
 
 def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
@@ -538,7 +535,7 @@ def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
     return offsets
 
 
-def _snap_to_pi(nodes: ShiftNodes, f: float, objective, fs: FrequencySet, d: int):
+def _snap_to_pi(nodes: ShiftNodes, f: float, uniform: bool, fs: FrequencySet, d: int):
     """Nodes within ``_PI_SNAP`` of pi moved onto pi, when the objective is no higher.
 
     Only for even parity and integer frequencies, where a node at pi merges
@@ -549,7 +546,7 @@ def _snap_to_pi(nodes: ShiftNodes, f: float, objective, fs: FrequencySet, d: int
     if nodes.parity != "even" or not fs.is_all_integer() or not np.any(near & (vals != np.pi)):
         return nodes, f
     snapped = ShiftNodes("even", tuple(np.where(near, np.pi, vals)))
-    f_snapped = _score(objective, snapped, fs, d)
+    f_snapped = float(_values(snapped.as_array()[None], fs, d, uniform)[0])
     return (snapped, f_snapped) if f_snapped <= f else (nodes, f)
 
 
@@ -579,9 +576,10 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     polishes a copy of its best member with at most ``_PROBE_ITERS`` local
     iterations, and when that polish is within ``DUAL_GAP`` of the bound it
     stops and returns it (pi snap included) in place of the final polish.
-    A probe draws no random numbers and scores with the scalar objective,
-    so the generations up to the stop, and the result of a search no probe
-    certifies, are those of a search without probes.  The cost is bounded
+    A probe draws no random numbers and does not call
+    :func:`stacked_objective`, so the generations up to the stop, and the
+    result of a search no probe certifies, are those of a search without
+    probes.  The cost is bounded
     by the schedule: at most ceil(log2(generations / _PROBE_FIRST)) probes
     of at most ``_PROBE_ITERS`` iterations each, which a search whose box
     optimum lies above the bound pays in full.
@@ -602,7 +600,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     if generations < 1:
         raise ValueError(f"generations must be at least 1, not {generations}")
     lo, hi = _box(parity)
-    objective = F_unif if scheme == "uniform" else F_wgt
+    uniform = scheme == "uniform"
     # the uniform scheme has no bound; -inf never certifies a member
     bound = weighted_lower_bound(fs, d) if scheme == "weighted" else -math.inf
 
@@ -612,10 +610,11 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
 
     def polish_best(**limit):
         # members never leave [lo, hi], so their canonical form is the sorted
-        # vector; rescore it with the scalar objective so the reported value
-        # belongs to the returned nodes
-        nodes = _nodes_from_free(parity, np.sort(pop[int(np.argmin(fit))]))
-        f = _score(objective, nodes, fs, d)
+        # vector; rescore it so the reported value belongs to the returned
+        # nodes
+        free = np.sort(pop[int(np.argmin(fit))])
+        nodes = _nodes_from_free(parity, free)
+        f = float(_values(_full(parity, free[None]), fs, d, uniform)[0])
         if not math.isfinite(f):
             return nodes, f, False
         polished = optimize_shifts_local(fs, d, scheme, nodes, **limit)
@@ -657,11 +656,10 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
 
     best_nodes, best_f, converged = result if result is not None else polish_best()
     if math.isfinite(best_f):
-        best_nodes, best_f = _snap_to_pi(best_nodes, best_f, objective, fs, d)
+        best_nodes, best_f = _snap_to_pi(best_nodes, best_f, uniform, fs, d)
     converged = converged or best_f - bound <= DUAL_GAP * bound
 
-    equi_err = None
-    certificate = None
+    equi_err = certificate = None
     if fs.is_consecutive_integers():
         ref = equidistant_nodes(fs.r, parity).as_array()
         full = best_nodes.as_array()

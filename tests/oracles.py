@@ -1,11 +1,14 @@
-"""Independent test oracles: a Fornberg central difference, a least-squares fit,
-a round-off bound for shift rules and a row-wise CSV formatter.
+"""Test oracles: a Fornberg central difference, a least-squares fit, a
+round-off bound for shift rules, a row-wise CSV formatter and a per-point
+statevector simulation.
 
-Neither oracle shares code with the code under test.  The central
-difference (Fornberg, Math. Comp. 51, 699, 1988) checks shift rules without
-the slice's Fourier components; the fit checks that a frequency set carries a
-sampled signal, through its max residual; the row-wise formatter checks the
-column-wise CSV writer.
+The central difference (Fornberg, Math. Comp. 51, 699, 1988) checks shift
+rules without the slice's Fourier components; the fit checks that a
+frequency set carries a sampled signal, through its max residual; the
+row-wise formatter checks the column-wise CSV writer.  The per-point
+statevector path runs the whole circuit at one parameter vector, gate by
+gate through the simulator's kernel, with no Fourier split of the bound
+gates: it checks :class:`shiftrules.qsim.CostSlice`.
 """
 
 from functools import lru_cache
@@ -13,6 +16,16 @@ from functools import lru_cache
 import numpy as np
 
 from shiftrules.epsr import build_A
+from shiftrules.qsim import (
+    CircuitSpec,
+    PauliSumObservable,
+    _apply_observable,
+    _batch_result,
+    _check_norms,
+    _evolve,
+    _real_values,
+    _variances,
+)
 from shiftrules.trigpoly import TrigPoly
 
 
@@ -97,3 +110,43 @@ def rowwise_csv(header, rows) -> str:
                        "%.17g" if isinstance(v, (float, np.floating)) else "%s" for v in rows[0]) + "\n"
         lines += [fmt % tuple(row) for row in rows]
     return "".join(lines)
+
+
+def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
+    """State U(theta)|0...0> as a complex vector of length 2**q (a batch of one)."""
+    theta = np.asarray(theta, dtype=float).ravel()
+    if theta.size != circuit.n_params:
+        raise ValueError(f"expected {circuit.n_params} parameters, got {theta.size}")
+    psi = _evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta)
+    _check_norms(np.linalg.norm(psi, axis=1))
+    return psi[0]
+
+
+def _as_batch(state, obs: PauliSumObservable) -> np.ndarray:
+    psi = np.asarray(state, dtype=complex)
+    if psi.ndim not in (1, 2) or psi.shape[-1] != 2**obs.q:
+        raise ValueError("state dimension does not match the observable")
+    return psi.reshape(-1, 2**obs.q)
+
+
+def expectation(state, obs: PauliSumObservable):
+    """<psi| C |psi> for the Pauli sum C; asserts a real result.
+
+    ``state`` is one statevector (gives a float) or a (B, 2**q) batch (gives
+    an array of B values).
+    """
+    psi = _as_batch(state, obs)
+    val = np.einsum("bi,bi->b", psi.conj(), _apply_observable(psi, obs))
+    return _batch_result(_real_values(val), np.ndim(state) == 1)
+
+
+def one_shot_variance(state, obs: PauliSumObservable):
+    """<C^2> - <C>^2: variance of a single measurement of the observable.
+
+    Takes one statevector (gives a float) or a (B, 2**q) batch (gives an array).
+    """
+    psi = _as_batch(state, obs)
+    phi = _apply_observable(psi, obs)
+    mean = np.einsum("bi,bi->b", psi.conj(), phi).real
+    m2 = np.einsum("bi,bi->b", phi.conj(), phi).real
+    return _batch_result(_variances(mean, m2), np.ndim(state) == 1)

@@ -12,22 +12,26 @@ from shiftrules.qsim import (
     CircuitSpec,
     Gate,
     PauliSumObservable,
-    apply_circuit,
     build_hva_circuit,
     build_xxz_hamiltonian,
     circuit_from_json,
     circuit_to_json,
     cost_slice,
-    expectation,
     hva_parameter_names,
     observable_from_json,
     observable_to_json,
-    one_shot_variance,
     slice_frequencies,
 )
 from shiftrules.spectra import FrequencySet, positive_difference_frequencies
 
-from oracles import central_difference, fit_least_squares, rule_error_bound
+from oracles import (
+    apply_circuit,
+    central_difference,
+    expectation,
+    fit_least_squares,
+    one_shot_variance,
+    rule_error_bound,
+)
 
 
 @pytest.fixture(scope="module")

@@ -67,26 +67,17 @@ def test_zeroth_derivative_is_evaluate():
 def test_odd_part_of_pure_cosine_vanishes():
     p = TrigPoly(0.3, (0.5, -0.2), (0.0, 0.0), integer_frequencies(2))
     for x in (0.0, 0.9, 2.4):
-        assert p.odd_part(x) == pytest.approx(0.0, abs=1e-15)
-
-
-def test_even_part_at_zero_is_value():
-    p = random_trigpoly(integer_frequencies(2), 8)
-    assert p.even_part(0.0) == pytest.approx(p(0.0), abs=1e-14)
-
-
-def test_parts_sum_to_value():
-    p = random_trigpoly(FrequencySet((0.7, 1.9, 3.2)), 21)
-    x = 1.3
-    assert p.odd_part(x) + p.even_part(x) == pytest.approx(p(x), abs=1e-14)
+        assert p(x) - p(-x) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_parity_identity():
+    # the odd part is the sine series, the even part a0 plus the cosine series
     rng = np.random.default_rng(17)
     p = random_trigpoly(integer_frequencies(4), 99)
+    w = p.frequencies.as_array()
     for x in rng.uniform(-3, 3, 25):
-        assert p(x) - p(-x) == pytest.approx(2 * p.odd_part(x), abs=1e-13)
-        assert p(x) + p(-x) == pytest.approx(2 * p.even_part(x), abs=1e-13)
+        assert p(x) - p(-x) == pytest.approx(2 * np.sin(w * x) @ p.sin_coeffs, abs=1e-13)
+        assert p(x) + p(-x) == pytest.approx(2 * (p.a0 + np.cos(w * x) @ p.cos_coeffs), abs=1e-13)
 
 
 def test_periodicity_integer_frequencies():

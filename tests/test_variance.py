@@ -1,12 +1,12 @@
-import json
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from shiftrules import variance
+from shiftrules import epsr, variance
 from shiftrules.epsr import (
     ShiftNodes,
     SingularNodesError,
@@ -15,7 +15,7 @@ from shiftrules.epsr import (
     make_rule,
     solve_coefficients,
 )
-from shiftrules.experiments import _de_generations
+from shiftrules.experiments import _de_generations, sampled_estimates
 from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.variance import (
     F_unif,
@@ -282,9 +282,8 @@ def test_variance_ratio_formula(r):
     assert ratio == pytest.approx((2 * r * r + 1) / (3 * r), rel=1e-9)
 
 
-@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), d=st.integers(1, 4),
-       integer=st.booleans(), pin=st.booleans())
-def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin):
+def _random_rule(seed, r, d, integer, pin):
+    """Frequencies, nodes and rule at random valid nodes; ``pin`` moves even nodes onto 0 (and pi)."""
     rng = np.random.default_rng(seed)
     fs = integer_frequencies(r) if integer else FrequencySet(tuple(np.cumsum(rng.uniform(0.3, 1.5, r))))
     nodes = random_valid_nodes(fs, d, rng)
@@ -296,7 +295,13 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
             vals[-1] = math.pi
         nodes = ShiftNodes("even", tuple(vals))
         assume(np.isfinite(variance.stacked_objective([vals[1:]], fs, d, "weighted")[0]))
-    rule = make_rule(nodes, fs, d)
+    return fs, nodes, make_rule(nodes, fs, d)
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), d=st.integers(1, 4),
+       integer=st.booleans(), pin=st.booleans())
+def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin):
+    fs, nodes, rule = _random_rule(seed, r, d, integer, pin)
     b, gamma, parity = rule.solve_coeffs, np.asarray(rule.expanded_coeffs), rule.parity
     n_total = 1000.0
 
@@ -314,6 +319,41 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
     if parity == "odd":
         uniform = allocate("uniform", gamma, n_total)
         assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
+
+
+class _UnitVarianceSlice:
+    """A cost slice for the gaussian shot model: value 0 and one-shot variance 1 everywhere."""
+
+    def __call__(self, points):
+        return np.zeros(len(points))
+
+    def one_shot_variance(self, points):
+        return np.ones(len(points))
+
+
+@given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 4), d=st.integers(1, 4),
+       integer=st.booleans(), pin=st.booleans())
+def test_sampled_allocation_has_the_predicted_variance(seed, r, d, integer, pin):
+    # the split that sampled_estimates (and so estimate) draws has the
+    # variance the rule document predicts, under both schemes and for both
+    # parities, and it is the optimizers' objective up to its scale
+    fs, nodes, rule = _random_rule(seed, r, d, integer, pin)
+    gamma = np.asarray(rule.expanded_coeffs)
+    drawn = []
+    real = variance.integer_shot_counts
+
+    def recording(allocation):
+        drawn.append(allocation)
+        return real(allocation)
+
+    with mock.patch.object(variance, "integer_shot_counts", recording):
+        sampled_estimates(_UnitVarianceSlice(), rule, 0.0, ("uniform", "weighted"), 1000, 1, [0], "gaussian")
+    scale = {"uniform": 2 * len(nodes.values) * F_unif(nodes, fs, d), "weighted": F_wgt(nodes, fs, d) ** 2}
+    assert [a.scheme for a in drawn] == ["uniform", "weighted"]
+    for allocation in drawn:
+        want = predicted_variance(rule.solve_coeffs, rule.parity, allocation.scheme).predicted_scaled_variance
+        assert allocation_variance(gamma, allocation.counts) * 1000 == pytest.approx(want, rel=1e-9)
+        assert want == pytest.approx(scale[allocation.scheme], rel=1e-12)
 
 
 def test_predicted_variance_custom_matches_formula():
@@ -460,16 +500,24 @@ def test_local_singular_start_raises():
         optimize_shifts_local(FS12, 1, "weighted", ShiftNodes("odd", (0.0, 1.0)))
 
 
-def test_local_trace_jsonl(tmp_path):
-    path = tmp_path / "trace.jsonl"
-    optimize_shifts_local(FS12, 1, "weighted", ShiftNodes("odd", (0.5, 1.2)),
-                          max_iters=50, trace_path=path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) >= 2
-    for line in lines:
-        rec = json.loads(line)
-        assert set(rec) == {"iter", "objective", "nodes"}
-        assert len(rec["nodes"]) == 2
+@pytest.mark.parametrize("fs, d, scheme, start", [
+    (integer_frequencies(3), 1, "uniform", (0.3, 1.1, 2.6)),
+    (FrequencySet((1.0, 2.0, 4.0)), 2, "weighted", (0.0, 0.4, 1.3, 2.2)),
+    (FrequencySet((0.7, 1.9, 3.2)), 1, "weighted", (0.5, 1.5, 2.5)),
+], ids=["uniform", "weighted-even", "weighted-non-integer"])
+def test_local_descent_diagnoses_only_its_start(monkeypatch, fs, d, scheme, start):
+    # every step scores through the stacked solver; the scalar solve and its
+    # SVD diagnostics run once, to check that the start is nonsingular
+    calls = []
+    real = epsr._diagnose
+
+    def counting(a):
+        calls.append(a.shape)
+        return real(a)
+
+    monkeypatch.setattr(epsr, "_diagnose", counting)
+    res = optimize_shifts_local(fs, d, scheme, ShiftNodes("odd" if d % 2 else "even", start))
+    assert res.iterations > 1 and len(calls) == 1
 
 
 def test_global_weighted_search_stops_at_the_certified_gap(monkeypatch):
@@ -614,14 +662,14 @@ def test_snap_to_pi_keeps_the_nodes_when_the_objective_rises():
     fs = integer_frequencies(2)
     nodes = ShiftNodes("even", (0.0, 1.0, math.pi - 5e-7))
     f = F_unif(nodes, fs, 2)
-    snapped, f_snapped = variance._snap_to_pi(nodes, f, F_unif, fs, 2)
+    snapped, f_snapped = variance._snap_to_pi(nodes, f, True, fs, 2)
     want = F_unif(ShiftNodes("even", (0.0, 1.0, math.pi)), fs, 2)
     assert (snapped.values[-1] == math.pi) == (want <= f)
     assert f_snapped == min(f, want)
     # nothing to snap for non-integer frequencies or odd parity
-    assert variance._snap_to_pi(nodes, f, F_unif, FrequencySet((1.0, 2.5)), 2) == (nodes, f)
+    assert variance._snap_to_pi(nodes, f, True, FrequencySet((1.0, 2.5)), 2) == (nodes, f)
     odd = ShiftNodes("odd", (1.0, math.pi - 5e-7))
-    assert variance._snap_to_pi(odd, 1.0, F_unif, fs, 1) == (odd, 1.0)
+    assert variance._snap_to_pi(odd, 1.0, True, fs, 1) == (odd, 1.0)
 
 
 def test_global_weighted_finds_equidistant():
@@ -676,6 +724,31 @@ def test_global_objective_belongs_to_returned_nodes(d, scheme):
     res = optimize_shifts_global(fs, d, scheme, generations=60, seed=3)
     scalar = F_unif if scheme == "uniform" else F_wgt
     assert res.objective == scalar(res.nodes, fs, d)
+
+
+@pytest.mark.parametrize("freqs, d, scheme, generations, seed, iterations, objective, nodes", [
+    ((1.0, 2.0, 3.0), 1, "uniform", 400, 0, 153, 2.7568031689054924,
+     (0.6439195647405173, 1.7982472220715022, 2.68650865257352)),
+    ((1.0, 2.0, 4.0), 2, "weighted", 400, 1, 10, 16.0,
+     (0.0, 0.7853981642615216, 1.570796330029541, 2.3561944710499345)),
+    ((0.7, 1.9, 3.2), 3, "uniform", 200, 2, 199, 219.0000881611442,
+     (0.5304801747799975, 1.5640443672602145, 2.450563332018564)),
+    ((1.992, 2.319), 4, "uniform", 400, 3, 119, 241.9769632128098,
+     (0.0, 1.1518558226818678, 2.432170634499448)),
+    ((1.992, 2.319), 4, "weighted", 400, 4, 169, 31.823072938153175,
+     (0.0, 1.2072957691432267, 2.491908550379704)),
+    ((2.7, 2.83, 3.95, 4.05, 4.22), 1, "weighted", 100, 5, 100, 4.7841868301963055,
+     (0.3282553070795445, 0.9829923361704834, 1.6340082382817545, 2.7986119577969193, 3.1405926535897932)),
+    ((1.0, 2.0), 2, "uniform", 400, 6, 91, 3.2142077374342515,
+     (0.0, 1.6422318411729333, math.pi)),
+], ids=["unif-123-d1", "wgt-124-d2", "unif-nonint-d3", "unif-pair-d4", "wgt-pair-d4", "wgt-five-d1",
+        "unif-12-d2"])
+def test_global_search_is_pinned(freqs, d, scheme, generations, seed, iterations, objective, nodes):
+    # exact figures of seeded searches: the DE stream, its stops, the probes,
+    # the polish and the pi snap all show in them, and so does any change to
+    # the floats with which their steps are scored
+    res = optimize_shifts_global(FrequencySet(freqs), d, scheme, generations=generations, seed=seed)
+    assert (res.iterations, res.objective, res.nodes.values) == (iterations, objective, nodes)
 
 
 def test_global_scores_each_generation_in_one_stacked_call(monkeypatch):
