@@ -199,9 +199,11 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
         if nodes is None:
             vals = tuple(sorted(rng.uniform(0.05, np.pi - 0.05 if parity == "odd" else np.pi, fs.r)))
             nodes = epsr.ShiftNodes(parity, vals if parity == "odd" else (0.0, *vals))
-        if epsr.solve_coefficients_stacked(nodes.as_array()[None], fs, d)[1][0]:
+        try:
+            epsr.solve_coefficients(nodes, fs, d)
             return nodes
-        nodes = None
+        except epsr.SingularNodesError:
+            nodes = None
     raise RuntimeError(f"could not find valid nodes for frequencies {fs.frequencies}, d={d}")
 
 

@@ -231,14 +231,14 @@ def subgrad_F_wgt(nodes: ShiftNodes, fs: FrequencySet, d: int) -> np.ndarray:
     return _grad(nodes, fs, d, False)
 
 
-def allocate(scheme: str, gamma, n_total: float, shifts=None) -> ShotAllocation:
-    """Shot allocation over expanded shifts with coefficients ``gamma``.
+def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
+    """Shot allocation over expanded shifts ``shifts`` with coefficients ``gamma``.
 
     uniform: equal counts per node, split evenly over the node's shifts
     (+-x share |phi|; a node merged at 0 or pi has one shift), the split
-    whose variance :func:`predicted_variance` gives.  Without ``shifts``
-    every shift counts as a node.  weighted: counts proportional to
-    |gamma_mu|, which is the variance-optimal split for the given total.
+    whose variance :func:`predicted_variance` gives.  weighted: counts
+    proportional to |gamma_mu|, which is the variance-optimal split for the
+    given total.
     """
     scheme = _norm_scheme(scheme)
     if n_total <= 0:
@@ -247,7 +247,7 @@ def allocate(scheme: str, gamma, n_total: float, shifts=None) -> ShotAllocation:
     if g.size == 0 or np.all(g == 0):
         raise ValueError("coefficients must not all be zero")
     if scheme == "uniform":
-        phi = np.arange(g.size) if shifts is None else np.abs(np.asarray(shifts, dtype=float))
+        phi = np.abs(np.asarray(shifts, dtype=float))
         _, node, per_node = np.unique(phi, return_inverse=True, return_counts=True)
         counts = n_total / per_node.size / per_node[node]
     elif scheme == "weighted":
@@ -379,7 +379,7 @@ def _project(parity: str, free: np.ndarray) -> np.ndarray:
 
 
 def _nodes_from_free(parity: str, free: np.ndarray) -> ShiftNodes:
-    return ShiftNodes(parity, tuple(free) if parity == "odd" else (0.0, *free))
+    return ShiftNodes(parity, tuple(_full(parity, free[None])[0]))
 
 
 def _newton_step(grads, free: np.ndarray, g: np.ndarray, pinned: np.ndarray) -> np.ndarray | None:

@@ -360,7 +360,7 @@ def test_sampled_estimates_statistics(method):
     reps = 2000
     out = sampled_estimates(sl, rule, xbar, ("uniform", "weighted"), 1000, reps, [4, 4], method)
     for s, draws in out.items():
-        n = variance.integer_shot_counts(variance.allocate(s, gamma, 1000))
+        n = variance.integer_shot_counts(variance.allocate(s, gamma, 1000, rule.expanded_shifts))
         predicted = float(np.sum(gamma**2 * sigma2 / n))
         assert abs(draws.mean() - exact) < 4 * np.sqrt(predicted / reps)
         assert np.var(draws, ddof=1) == pytest.approx(predicted, rel=0.25)

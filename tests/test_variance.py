@@ -197,30 +197,30 @@ def test_subgrad_single_node_analytic():
 
 def test_allocate_uniform_example():
     rule = make_rule(EQUI2, FS12, 1)
-    alloc = allocate("uniform", rule.expanded_coeffs, 1000)
+    alloc = allocate("uniform", rule.expanded_coeffs, 1000, rule.expanded_shifts)
     assert np.allclose(alloc.counts, [250.0] * 4)
 
 
 def test_allocate_weighted_example():
     rule = make_rule(EQUI2, FS12, 1)
-    alloc = allocate("weighted", rule.expanded_coeffs, 1000)
+    alloc = allocate("weighted", rule.expanded_coeffs, 1000, rule.expanded_shifts)
     fractions = np.asarray(alloc.counts) / 1000
     assert np.allclose(sorted(fractions), sorted([0.4268, 0.0732, 0.4268, 0.0732]), atol=1e-4)
 
 
 def test_allocate_single_shift():
     for scheme in ("uniform", "weighted"):
-        alloc = allocate(scheme, [0.5], 100)
+        alloc = allocate(scheme, [0.5], 100, [1.0])
         assert alloc.counts == (100.0,)
 
 
 def test_allocate_validation():
     with pytest.raises(ValueError):
-        allocate("uniform", [0.5], 0)
+        allocate("uniform", [0.5], 0, [1.0])
     with pytest.raises(ValueError):
-        allocate("weighted", [0.0, 0.0], 100)
+        allocate("weighted", [0.0, 0.0], 100, [1.0, 2.0])
     with pytest.raises(ValueError):
-        allocate("bogus", [0.5], 100)
+        allocate("bogus", [0.5], 100, [1.0])
 
 
 def test_shot_allocation_invariants():
@@ -249,7 +249,7 @@ _COEFFS = st.lists(
 @given(gamma=_COEFFS, n_total=st.integers(1, 100_000), scheme=st.sampled_from(["uniform", "weighted"]))
 def test_integer_shot_counts_properties(gamma, n_total, scheme):
     assume(any(g != 0.0 for g in gamma))
-    alloc = allocate(scheme, gamma, n_total)
+    alloc = allocate(scheme, gamma, n_total, range(1, len(gamma) + 1))
     counts = integer_shot_counts(alloc)
     assert counts.sum() == n_total
     assert np.all(counts >= 0)
@@ -305,20 +305,19 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
     b, gamma, parity = rule.solve_coeffs, np.asarray(rule.expanded_coeffs), rule.parity
     n_total = 1000.0
 
-    weighted = allocate("weighted", gamma, n_total)
+    weighted = allocate("weighted", gamma, n_total, rule.expanded_shifts)
     want = predicted_variance(b, parity, "weighted").predicted_scaled_variance
     assert allocation_variance(gamma, weighted.counts) * n_total == pytest.approx(want, rel=1e-9)
 
     # the uniform prediction gives every node the same shots, split evenly
-    # over the node's shifts; for odd rules that is the uniform allocation
+    # over the node's shifts, which is the uniform allocation
     phi = np.abs(rule.expanded_shifts)
     shifts_per_node = np.array([np.sum(phi == p) for p in phi])
     per_node = n_total / (len(nodes.values) * shifts_per_node)
+    uniform = allocate("uniform", gamma, n_total, rule.expanded_shifts)
+    assert np.allclose(uniform.counts, per_node, rtol=1e-12, atol=0)
     want = predicted_variance(b, parity, "uniform").predicted_scaled_variance
-    assert allocation_variance(gamma, per_node) * n_total == pytest.approx(want, rel=1e-9)
-    if parity == "odd":
-        uniform = allocate("uniform", gamma, n_total)
-        assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
+    assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
 
 
 class _UnitVarianceSlice:
@@ -359,7 +358,7 @@ def test_sampled_allocation_has_the_predicted_variance(seed, r, d, integer, pin)
 def test_predicted_variance_custom_matches_formula():
     rule = make_rule(EQUI2, FS12, 1)
     gamma = np.asarray(rule.expanded_coeffs)
-    alloc = allocate("weighted", gamma, 1000)
+    alloc = allocate("weighted", gamma, 1000, rule.expanded_shifts)
     rep = predicted_variance(rule.solve_coeffs, "odd", "custom", gamma=gamma,
                              counts=alloc.counts, total=1000)
     assert rep.predicted_scaled_variance == pytest.approx(4.0, rel=1e-9)
