@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from dataclasses import MISSING, fields
@@ -40,7 +39,6 @@ from .experiments import (
     ConfigError,
     ExperimentConfig,
     _check_run_settings,
-    _de_generations,
     _flag,
     _kdensity,
     _write_csv,
@@ -141,10 +139,9 @@ def _rule_from_args(args, fs: FrequencySet):
     extra = {}
     nodes = _nodes_from_flags(args, fs)
     if nodes is None:
-        generations = args.generations if args.generations is not None else _de_generations(fs.r)
         res = variance.optimize_shifts_global(
             fs, args.d, args.optimize,
-            population=args.population, generations=generations, seed=args.seed)
+            population=args.population, generations=args.generations, seed=args.seed)
         nodes = res.nodes
         extra = {"objective": res.objective}
         if variance._norm_scheme(args.optimize) == "weighted":
@@ -194,19 +191,7 @@ def _cmd_rule(args) -> int:
 # ---------------------------------------------------------------------------
 # estimate
 
-def _shots(text: str) -> float:
-    """``--shots`` as a number: an integer, or inf for exact mode."""
-    if text.lower() in ("inf", "infinity"):
-        return math.inf
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"--shots must be a positive integer or 'inf', not {text!r}") from None
-
-
 def _cmd_estimate(args) -> int:
-    if args.shots is not None:
-        args.shots = _shots(args.shots)
     if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
         raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
     s, circuit, obs, theta = _circuit_run(args)
@@ -228,17 +213,15 @@ def _cmd_estimate(args) -> int:
             nodes = valid_nodes_for(fs, s.d, seed=s.seed)
         rule = epsr.make_rule(nodes, fs, s.d)
 
-    exact = s.exact or s.shots == math.inf
-    if exact:
+    if s.exact:
         table = {"repetition": [0], "estimate": [epsr.apply_rule(rule, sl, xbar)]}
     else:
-        n_total = s.n_total if s.shots is None else s.shots
-        ests = sampled_estimates(sl, rule, xbar, (s.scheme,), n_total, s.repetitions,
+        ests = sampled_estimates(sl, rule, xbar, (s.scheme,), s.n_total, s.repetitions,
                                  [s.seed, 9, s.param], s.method)
         table = {"repetition": range(s.repetitions), "estimate": ests[s.scheme]}
 
     # stdout never carries the timestamp line
-    plot = s.out and s.emit_gnuplot and not exact
+    plot = s.out and s.emit_gnuplot and not s.exact
     _write_csv(s.out or sys.stdout, table, s.reproducible or not s.out,
                [_kdensity(os.path.basename(s.out), ("estimates",))] if plot else None)
     return EXIT_OK
@@ -338,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--equidistant", action="store_true")
     p.add_argument("--nodes", help="comma-separated shift nodes")
     p.add_argument("--optimize", help="optimize nodes for scheme: unif|wgt")
-    p.add_argument("--generations", type=int, default=None)
+    p.add_argument("--generations", type=int, help="DE generation cap (default max(400, 300 r))")
     p.add_argument("--population", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON here instead of stdout")
@@ -352,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes")
     p.add_argument("--rule-json", help="load the rule from a JSON file")
     _add_field_flags(p, "scheme", "n_total", "repetitions")
-    p.add_argument("--shots", help="total shots; 'inf' for exact mode")
     p.add_argument("--exact", action="store_true", help="no sampling, exact value")
     _add_field_flags(p, "method")
     p.add_argument("--out", help="CSV output path (default stdout)")

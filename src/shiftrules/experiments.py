@@ -31,7 +31,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from . import epsr, qsim, variance
-from .spectra import FrequencySet, integer_frequencies
+from .spectra import FrequencySet, detect_equidistant, integer_frequencies
 
 __all__ = [
     "ExperimentConfig",
@@ -95,7 +95,7 @@ _NUMERIC_CHECKS = {
     "q": (lambda v: 3 <= v <= qsim.MAX_QUBITS, f"in 3..{qsim.MAX_QUBITS}"),
     "seed": (lambda v: v >= 0, "non-negative"),
     **dict.fromkeys(("delta", "xbar"), (np.isfinite, "finite")),
-    **dict.fromkeys(("p", "n_total", "repetitions", "shots", "r_max", "d_max"), (lambda v: v > 0, "positive")),
+    **dict.fromkeys(("p", "n_total", "repetitions", "r_max", "d_max"), (lambda v: v > 0, "positive")),
 }
 
 
@@ -107,10 +107,10 @@ def _flag(name: str) -> str:
 def _check_run_settings(s: dict) -> None:
     """Raise ConfigError, naming the flag, at the first invalid setting in ``s``.
 
-    ``s`` maps ExperimentConfig field names, and the ``param``, ``xbar`` and
-    ``shots`` (an integer or inf) of ``estimate``, to values; absent keys
-    and None values pass.  ``ExperimentConfig``, ``freq --circuit`` and
-    ``estimate`` check their settings here, before they build anything.
+    ``s`` maps ExperimentConfig field names, and the ``param`` and ``xbar``
+    of ``estimate``, to values; absent keys and None values pass.
+    ``ExperimentConfig``, ``freq --circuit`` and ``estimate`` check their
+    settings here, before they build anything.
     """
     if "experiment" in s and s["experiment"] not in EXPERIMENT_IDS:
         raise ConfigError(f"--id: unknown experiment {s['experiment']!r}; choose from {EXPERIMENT_IDS}")
@@ -118,12 +118,9 @@ def _check_run_settings(s: dict) -> None:
         if s.get(name) is not None and not ok(s[name]):
             raise ConfigError(f"{_flag(name)} must be {what}, not {s[name]}")
     try:
-        scheme = variance._norm_scheme(s.get("scheme", "weighted"))
+        variance._norm_scheme(s.get("scheme", "weighted"))
     except ValueError as exc:
         raise ConfigError(f"--scheme: {exc}") from None
-    if scheme == "custom":
-        raise ConfigError("--scheme: estimate draws the uniform or weighted split and experiment "
-                          "scores its variance, not custom")
     if s.get("method", "multinomial") not in ("multinomial", "gaussian"):
         raise ConfigError(f"--method: unknown sampling method {s['method']!r}")
     for name in ("param", "params"):
@@ -149,7 +146,7 @@ class ExperimentConfig:
     seed: int = 0
     n_total: int = 1000
     repetitions: int = 500
-    params: tuple[int, ...] | None = None
+    params: tuple[int, ...] = (0, 1)
     scheme: str = "weighted"
     method: str = "multinomial"
     out_dir: str = "."
@@ -157,8 +154,7 @@ class ExperimentConfig:
     d_max: int = 8
 
     def __post_init__(self):
-        if self.params is not None:
-            object.__setattr__(self, "params", tuple(int(j) for j in self.params))
+        object.__setattr__(self, "params", tuple(int(j) for j in self.params))
         _check_run_settings(vars(self))
 
 
@@ -175,14 +171,17 @@ def xxz_hva_setup(q: int, p: int, delta: float):
 def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
     """A nonsingular node set for the frequency set and order.
 
-    Integer sets {1..r} get the equidistant nodes.  Other sets first try the
-    same node pattern and fall back to seeded random draws until the
-    conditioning check passes (the pattern can be singular off the integer
-    grid, e.g. duplicated cosine columns).
+    An equidistant set {Omega, 2 Omega, ..., r Omega} gets the equidistant
+    nodes of {1..r} divided by Omega, with no solve: A(x / Omega) for the
+    set is A(x) for {1..r}.  Other sets first try the unscaled pattern and
+    fall back to seeded random draws until the conditioning check passes
+    (the pattern can be singular off the integer grid, e.g. duplicated
+    cosine columns).
     """
     equidistant = epsr.equidistant_nodes(fs.r, "odd" if d % 2 else "even")
-    if fs.is_consecutive_integers():
-        return equidistant
+    step = detect_equidistant(fs)
+    if step is not None:
+        return epsr.ShiftNodes(equidistant.parity, tuple(x / step for x in equidistant.values))
     return _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=equidistant)
 
 
@@ -362,16 +361,12 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     return rows
 
 
-def _estimate_params(cfg: ExperimentConfig) -> tuple[int, ...]:
-    return cfg.params if cfg.params is not None else (0, 1)
-
-
 def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
     theta = random_base_params(cfg.q, cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
     out = {}
-    for j in _estimate_params(cfg):
+    for j in cfg.params:
         sl = qsim.cost_slice(circuit, obs, theta, j)
         fs = qsim.slice_frequencies(circuit, j, obs, theta)
         rule = epsr.make_rule(valid_nodes_for(fs, 1, seed=cfg.seed), fs, 1)
@@ -392,7 +387,7 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     names = qsim.hva_parameter_names(cfg.p)
     out = {}
     node_echo = {}
-    for j in _estimate_params(cfg):
+    for j in cfg.params:
         sl = qsim.cost_slice(circuit, obs, theta, j)
         fs = qsim.slice_frequencies(circuit, j, obs, theta)
         if not fs.is_consecutive_integers():
@@ -438,23 +433,12 @@ def _run_landscape(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool
     return paths
 
 
-def _de_generations(r: int) -> int:
-    # the generation cap of a node search over r frequencies.  A weighted
-    # search on {1..r} stops far below it, at its first certified probe; the
-    # cap binds for uniform searches and for sets whose box optimum lies
-    # above Omega_max^d, where the population's spread shrinks more slowly
-    # as the dimension grows
-    return max(400, 300 * r)
-
-
 def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     rows = []
     for r in range(1, cfg.r_max + 1):
         fs = integer_frequencies(r)
         for d in range(1, cfg.d_max + 1):
-            res = variance.optimize_shifts_global(
-                fs, d, cfg.scheme, generations=_de_generations(r),
-                seed=[cfg.seed, 5, r, d])
+            res = variance.optimize_shifts_global(fs, d, cfg.scheme, seed=[cfg.seed, 5, r, d])
             rows.append((r, d, "odd" if d % 2 else "even", res.equidistant_error,
                          res.objective, float(r) ** d))
     plot = ["set view map", "set xlabel 'r'", "set ylabel 'd'", "set logscale cb",

@@ -29,6 +29,10 @@ __all__ = [
 #: matrices to ~1e-12, so 1e-9 separates genuine gaps from round-off.
 DEFAULT_TOL = 1e-9
 
+#: Absolute tolerance of the integer tests of a frequency set: frequencies
+#: snapped to integers, or built from them, are integral to this.
+_INTEGER_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class FrequencySet:
@@ -60,15 +64,15 @@ class FrequencySet:
     def as_array(self) -> np.ndarray:
         return np.asarray(self.frequencies, dtype=float)
 
-    def is_consecutive_integers(self, tol: float = 1e-12) -> bool:
-        """True when the set is exactly {1, 2, ..., r} within ``tol``."""
+    def is_consecutive_integers(self) -> bool:
+        """True when the set is exactly {1, 2, ..., r} within ``_INTEGER_TOL``."""
         k = np.arange(1, self.r + 1)
-        return bool(np.max(np.abs(self.as_array() - k)) <= tol)
+        return bool(np.max(np.abs(self.as_array() - k)) <= _INTEGER_TOL)
 
-    def is_all_integer(self, tol: float = 1e-12) -> bool:
-        """True when every frequency is a positive integer (2*pi periodicity)."""
+    def is_all_integer(self) -> bool:
+        """True when every frequency is a positive integer within ``_INTEGER_TOL`` (2*pi periodicity)."""
         arr = self.as_array()
-        return bool(np.max(np.abs(arr - np.round(arr))) <= tol)
+        return bool(np.max(np.abs(arr - np.round(arr))) <= _INTEGER_TOL)
 
 
 def integer_frequencies(r: int) -> FrequencySet:
@@ -120,17 +124,17 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
     return FrequencySet(tuple(merged))
 
 
-def detect_equidistant(fs: FrequencySet, rel_tol: float = DEFAULT_TOL) -> float | None:
-    """Step Omega with Omega_k = k * Omega, or None if the set is not of that form."""
+def detect_equidistant(fs: FrequencySet) -> float | None:
+    """Step Omega with Omega_k = k * Omega (to ``DEFAULT_TOL``, relative), or None if the set is not of that form."""
     arr = fs.as_array()
     step = arr[0]
     k = np.arange(1, fs.r + 1)
-    if np.max(np.abs(arr / step - k)) <= rel_tol:
+    if np.max(np.abs(arr / step - k)) <= DEFAULT_TOL:
         return float(step)
     return None
 
 
-def rescale_to_integer(fs: FrequencySet, rel_tol: float = DEFAULT_TOL) -> tuple[FrequencySet, float]:
+def rescale_to_integer(fs: FrequencySet) -> tuple[FrequencySet, float]:
     """Rescale an equidistant set {Omega, 2*Omega, ...} to {1, ..., r}.
 
     Returns the integer frequency set together with the scale factor Omega.
@@ -141,7 +145,7 @@ def rescale_to_integer(fs: FrequencySet, rel_tol: float = DEFAULT_TOL) -> tuple[
     Raises:
         ValueError: when the input set is not equidistant.
     """
-    step = detect_equidistant(fs, rel_tol)
+    step = detect_equidistant(fs)
     if step is None:
         raise ValueError("frequency set is not equidistant; cannot rescale to integers")
     return integer_frequencies(fs.r), step

@@ -116,30 +116,30 @@ _DE_CROSSOVER = 0.9
 
 
 def _norm_scheme(scheme: str) -> str:
-    table = {"unif": "uniform", "uniform": "uniform", "wgt": "weighted", "weighted": "weighted",
-             "custom": "custom"}
+    """Normalized name of a shot-allocation scheme: uniform or weighted."""
+    table = {"unif": "uniform", "uniform": "uniform", "wgt": "weighted", "weighted": "weighted"}
     try:
         return table[scheme]
     except KeyError:
-        raise ValueError(f"unknown scheme {scheme!r}") from None
+        raise ValueError(f"unknown scheme {scheme!r}; choose uniform or weighted (short: unif, wgt)") from None
 
 
 @dataclass(frozen=True)
 class ShotAllocation:
     """Shot counts per expanded shift, summing to ``total``.
 
-    Counts are kept fractional for analytic predictions; integer rounding is
-    applied only when a sampling run is executed (largest remainder, see
-    :func:`integer_shot_counts`).  Under the weighted scheme, shifts with a
-    zero coefficient receive zero shots and are skipped during sampling.
+    Built by :func:`allocate` for either scheme, or directly for any other
+    split.  Counts are kept fractional for analytic predictions; integer
+    rounding is applied only when a sampling run is executed (largest
+    remainder, see :func:`integer_shot_counts`).  Under the weighted scheme,
+    shifts with a zero coefficient receive zero shots and are skipped during
+    sampling.
     """
 
-    scheme: str
     counts: tuple[float, ...]
     total: float
 
     def __post_init__(self):
-        object.__setattr__(self, "scheme", _norm_scheme(self.scheme))
         counts = tuple(float(c) for c in self.counts)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "total", float(self.total))
@@ -250,11 +250,9 @@ def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
         phi = np.abs(np.asarray(shifts, dtype=float))
         _, node, per_node = np.unique(phi, return_inverse=True, return_counts=True)
         counts = n_total / per_node.size / per_node[node]
-    elif scheme == "weighted":
-        counts = n_total * g / g.sum()
     else:
-        raise ValueError("custom allocations are constructed directly as ShotAllocation")
-    return ShotAllocation(scheme, tuple(counts), float(n_total))
+        counts = n_total * g / g.sum()
+    return ShotAllocation(tuple(counts), float(n_total))
 
 
 def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
@@ -297,28 +295,20 @@ def allocation_variance(gamma, counts, sigma2: float = 1.0) -> float:
     return float(np.sum(g[active] ** 2 * sigma2 / n[active]))
 
 
-def predicted_variance(b, parity: str, scheme: str, gamma=None, counts=None,
-                       total: float | None = None) -> VarianceReport:
+def predicted_variance(b, parity: str, scheme: str) -> VarianceReport:
     """Scaled variance prediction (units of sigma^2 / N_total) for a solved rule.
 
     uniform: r * ||b||_2^2 for odd parity, (r+1) * ||b||_2^2 for even parity
-    (b then has r+1 entries).  weighted: ||b||_1^2.  custom: requires the
-    expanded coefficients and a concrete allocation; evaluates the allocation
-    variance directly.
+    (b then has r+1 entries).  weighted: ||b||_1^2.  The variance of any
+    other split is :func:`allocation_variance` of its counts.
     """
     scheme = _norm_scheme(scheme)
     b = np.asarray(b, dtype=float)
     if scheme == "uniform":
         m = b.size  # r for odd parity, r+1 for even
-        scaled = m * float(b @ b)
-        return VarianceReport(scaled, scheme)
-    if scheme == "weighted":
-        l1 = float(np.sum(np.abs(b)))
-        return VarianceReport(l1 * l1, scheme)
-    if gamma is None or counts is None or total is None:
-        raise ValueError("custom scheme needs gamma, counts and total")
-    scaled = allocation_variance(gamma, np.asarray(counts) / float(total))
-    return VarianceReport(scaled, scheme)
+        return VarianceReport(m * float(b @ b), scheme)
+    l1 = float(np.sum(np.abs(b)))
+    return VarianceReport(l1 * l1, scheme)
 
 
 def canonical_nodes(values) -> np.ndarray:
@@ -331,14 +321,6 @@ def canonical_nodes(values) -> np.ndarray:
     y = np.mod(np.asarray(values, dtype=float), 2 * np.pi)
     y = np.where(y > np.pi, 2 * np.pi - y, y)
     return np.sort(y)
-
-
-def _node_scheme(scheme: str) -> str:
-    """Normalized name of a node-optimization scheme: uniform or weighted."""
-    scheme = _norm_scheme(scheme)
-    if scheme == "custom":
-        raise ValueError("node optimization targets the uniform or weighted scheme")
-    return scheme
 
 
 def _values(nodes: np.ndarray, fs: FrequencySet, d: int, uniform: bool) -> np.ndarray:
@@ -364,7 +346,7 @@ def stacked_objective(free, fs: FrequencySet, d: int, scheme: str) -> np.ndarray
     d.  Singular node sets get +inf, exactly where :func:`F_unif` and
     :func:`F_wgt` raise SingularNodesError.
     """
-    uniform = _node_scheme(scheme) == "uniform"
+    uniform = _norm_scheme(scheme) == "uniform"
     return _values(_full(_parity_of(d), np.asarray(free, dtype=float)), fs, d, uniform)
 
 
@@ -436,7 +418,7 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         SingularNodesError: when the start nodes, or their projection into
             the box, are singular.
     """
-    scheme = _node_scheme(scheme)
+    scheme = _norm_scheme(scheme)
     uniform = scheme == "uniform"
     parity = _parity_of(d)
     if start.parity != parity:
@@ -551,7 +533,7 @@ def _snap_to_pi(nodes: ShiftNodes, f: float, uniform: bool, fs: FrequencySet, d:
 
 
 def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: int | None = None,
-                           generations: int = 300, seed=0) -> OptimizeResult:
+                           generations: int | None = None, seed=0) -> OptimizeResult:
     """Differential evolution (rand/1/bin) over the node box, then a local polish.
 
     Each generation draws one trial per population member from the current
@@ -565,8 +547,9 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     A weighted search stops as soon as its best member is within the
     relative gap ``DUAL_GAP`` of :func:`weighted_lower_bound`, which
     certifies it near-optimal; every search stops once the population's
-    objective spread falls to 1e-12 of the best value.  ``iterations``
-    counts the generations run.  The best member is then polished by
+    objective spread falls to 1e-12 of the best value, or at the cap
+    ``generations`` (default max(400, 300 r)).  ``iterations`` counts the
+    generations run.  The best member is then polished by
     :func:`optimize_shifts_local` (as SciPy's ``polish=True``), which never
     raises its objective, and for integer frequencies an even-parity node
     within ``_PI_SNAP`` of pi is moved onto pi unless that raises it.
@@ -591,12 +574,18 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     weighted-scheme result is tagged "global-equidistant" when it lands on
     them.
     """
-    scheme = _node_scheme(scheme)
+    scheme = _norm_scheme(scheme)
     parity = _parity_of(d)
     dim = fs.r
     npop = population if population is not None else 15 * dim
     if npop < 4 * dim:
         raise ValueError(f"population must be at least 4 * dimension = {4 * dim}")
+    if generations is None:
+        # A weighted search on {1..r} stops far below this cap, at its first
+        # certified probe; the cap binds for uniform searches and for sets
+        # whose box optimum lies above Omega_max^d, where the population's
+        # spread shrinks more slowly as the dimension grows.
+        generations = max(400, 300 * dim)
     if generations < 1:
         raise ValueError(f"generations must be at least 1, not {generations}")
     lo, hi = _box(parity)

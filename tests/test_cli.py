@@ -275,11 +275,9 @@ def test_estimate_takes_at_most_one_node_source(capsys, flags):
 @pytest.mark.parametrize("mode", [("--exact",), ("--repetitions", "5")])
 @pytest.mark.parametrize("flags,message", [
     (("--scheme", "bogus"), "--scheme: unknown scheme 'bogus'"),
-    (("--scheme", "custom"), "--scheme: estimate draws the uniform or weighted split"),
+    (("--scheme", "custom"), "--scheme: unknown scheme 'custom'; choose uniform or weighted"),
     (("--repetitions", "0"), "--repetitions must be positive"),
     (("--n-total", "0"), "--n-total must be positive"),
-    (("--shots", "0"), "--shots must be positive"),
-    (("--shots", "many"), "--shots must be a positive integer or 'inf'"),
 ])
 def test_estimate_rejects_bad_sampling_flags(capsys, mode, flags, message):
     code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *mode, *flags)
@@ -298,13 +296,6 @@ def test_estimate_rejects_non_finite_flags(capsys, mode, flags, message):
     code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *mode, *flags)
     assert code == EXIT_CONFIG
     assert out == "" and message in err
-
-
-def test_estimate_shots_inf_is_exact_alias(capsys):
-    code1, out1, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--exact")
-    code2, out2, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--shots", "inf")
-    assert code1 == code2 == EXIT_OK
-    assert out1 == out2
 
 
 def test_estimate_sampled_csv(tmp_path, capsys):
@@ -347,6 +338,40 @@ def test_estimate_variance_ratio(tmp_path, capsys):
         outs[scheme] = np.genfromtxt(f, delimiter=",", names=True)["estimate"]
     ratio = np.var(outs["uniform"], ddof=1) / np.var(outs["weighted"], ddof=1)
     assert ratio == pytest.approx(1.5, abs=0.5)
+
+
+def test_estimate_uniform_even_order_has_the_predicted_variance(tmp_path, capsys):
+    # the per-node uniform split that estimate draws at d = 2, where the
+    # nodes 0 and pi are one shift each, has variance
+    # sum_mu gamma_mu^2 Var_mu / n_mu.  (n - 1) s^2 / sigma^2 is chi-square
+    # with n - 1 degrees of freedom; the bounds are its Wilson-Hilferty
+    # quantiles at z = -5 and 5 (about 3e-7 per tail).  At 10,000 draws they
+    # are 0.93 and 1.07 times sigma^2.  The ratio reads 0.99 here, and 1.15
+    # against the prediction of an equal split per shift, which they reject
+    from shiftrules import epsr, qsim, variance
+
+    reps, n_total, seed = 10_000, 1000, 4
+    f = tmp_path / "est.csv"
+    code, _, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--d", "2",
+                     "--scheme", "uniform", "--repetitions", str(reps), "--n-total", str(n_total),
+                     "--seed", str(seed), "--out", str(f), "--reproducible")
+    assert code == EXIT_OK
+    draws = np.genfromtxt(f, delimiter=",", names=True)["estimate"]
+
+    circuit, obs = experiments.xxz_hva_setup(5, 2, 0.5)  # estimate's default q, p and delta
+    theta = experiments.random_base_params(5, 2, seed)
+    sl = qsim.cost_slice(circuit, obs, theta, 0)
+    fs = qsim.slice_frequencies(circuit, 0, obs, theta)
+    rule = epsr.make_rule(experiments.valid_nodes_for(fs, 2, seed=seed), fs, 2)
+    gamma, shifts = np.asarray(rule.expanded_coeffs), np.asarray(rule.expanded_shifts)
+    assert {0.0, math.pi} <= set(shifts.tolist())
+    n = variance.integer_shot_counts(variance.allocate("uniform", gamma, n_total, shifts))
+    active = gamma != 0
+    predicted = float(np.sum(gamma[active] ** 2 * sl.one_shot_variance(theta[0] + shifts[active]) / n[active]))
+
+    k = reps - 1
+    lo, hi = (k * (1 - 2 / (9 * k) + z * math.sqrt(2 / (9 * k))) ** 3 for z in (-5, 5))
+    assert lo <= k * np.var(draws, ddof=1) / predicted <= hi
 
 
 # --- experiment ------------------------------------------------------------------
@@ -542,7 +567,6 @@ _BAD_VALUES = [
     ("--param", (["99"], ["8"], ["-1"]), ("freq", "estimate --exact", "estimate")),
     ("--params", (["99"], ["0", "-1"], []), ("experiment",)),
     ("--xbar", (["nan"], ["inf"]), ("estimate --exact", "estimate")),
-    ("--shots", (["0"], ["many"]), ("estimate --exact", "estimate")),
     ("--scheme", (["bogus"], ["custom"]), _SHOT_RUNS),
     ("--method", (["bogus"],), _SHOT_RUNS),
     ("--n-total", (["0"],), _SHOT_RUNS),

@@ -56,7 +56,8 @@ def test_config_method_validation(tmp_path):
 
 
 def test_config_params_validation():
-    assert ExperimentConfig("result2", p=2, params=(0, 7)).params == (0, 7)
+    assert ExperimentConfig("result2").params == (0, 1)
+    assert ExperimentConfig("result2", p=2, params=[0, 7]).params == (0, 7)
     for p, params in ((2, (0, 8)), (1, (4,)), (2, (-1,))):
         with pytest.raises(ValueError, match="out of range"):
             ExperimentConfig("result2", p=p, params=params)
@@ -139,6 +140,23 @@ def test_valid_nodes_integer_sets_are_equidistant():
     assert nodes.values == epsr.equidistant_nodes(3, "odd").values
 
 
+def test_valid_nodes_scale_to_the_common_step_without_a_solve(monkeypatch):
+    # at q = 10 every slice's set is 2 * {1..r}, where the unscaled pattern
+    # is singular; the pattern divided by the step is A(x) of {1..r}
+    circuit, obs = xxz_hva_setup(10, 2, 0.5)
+    theta = random_base_params(10, 2, 0)
+    sets = [qsim.slice_frequencies(circuit, j, obs, theta) for j in range(circuit.n_params)]
+    monkeypatch.setattr(epsr, "solve_coefficients", None)
+    for fs in sets:
+        assert fs.frequencies == tuple(2.0 * k for k in range(1, fs.r + 1))
+        for d, parity in ((1, "odd"), (2, "even")):
+            nodes = valid_nodes_for(fs, d)
+            assert nodes == epsr.ShiftNodes(parity, [x / 2 for x in epsr.equidistant_nodes(fs.r, parity).values])
+    monkeypatch.undo()
+    for fs in sets:
+        epsr.solve_coefficients(valid_nodes_for(fs, 2), fs, 2)  # must not raise
+
+
 def test_valid_nodes_falls_back_when_pattern_singular():
     # the even-parity pattern duplicates cosine columns for {1,2,4}
     fs = FrequencySet((1.0, 2.0, 4.0))
@@ -180,6 +198,7 @@ def test_result2_quick(tmp_path):
     assert len(out[0]["uniform"]) == 30
     echo = json.loads((tmp_path / "result2_config.json").read_text())
     assert len(echo["base_params"]) == 8
+    assert echo["params"] == [0, 1]
 
 
 def test_result3_quick(tmp_path):

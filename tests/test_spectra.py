@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from shiftrules import spectra
 from shiftrules.trigpoly import random_trigpoly
@@ -140,3 +142,31 @@ def test_integer_frequencies_builder():
     assert fs.is_consecutive_integers() and fs.is_all_integer()
     assert not spectra.FrequencySet((1.0, 2.0, 4.0)).is_consecutive_integers()
     assert spectra.FrequencySet((1.0, 2.0, 4.0)).is_all_integer()
+
+
+# --- frequency deduplication -------------------------------------------------
+
+#: Integer spectra with repeated levels, at least two of them distinct.
+_INTEGER_SPECTRA = st.lists(st.integers(-20, 20), min_size=2, max_size=12).filter(lambda v: len(set(v)) > 1)
+
+
+@given(eigs=_INTEGER_SPECTRA)
+def test_integer_spectrum_gives_its_distinct_positive_differences(eigs):
+    want = sorted({abs(a - b) for a in eigs for b in eigs} - {0})
+    assert spectra.positive_difference_frequencies(eigs).frequencies == tuple(map(float, want))
+
+
+@given(data=st.data(), eigs=st.lists(st.floats(-10, 10), min_size=2, max_size=10))
+def test_frequencies_do_not_depend_on_eigenvalue_order(data, eigs):
+    shuffled = data.draw(st.permutations(eigs))
+    assume(max(eigs) - min(eigs) > 1e-6)  # some gap exceeds the deduplication cut
+    assert (spectra.positive_difference_frequencies(shuffled).frequencies
+            == spectra.positive_difference_frequencies(eigs).frequencies)
+
+
+@given(eigs=_INTEGER_SPECTRA, c=st.floats(1e-3, 1e3))
+def test_scaled_spectrum_gives_scaled_frequencies(eigs, c):
+    base = spectra.positive_difference_frequencies(eigs).as_array()
+    scaled = spectra.positive_difference_frequencies([c * v for v in eigs]).as_array()
+    assert scaled.shape == base.shape
+    assert np.allclose(scaled, c * base, rtol=1e-12, atol=0)

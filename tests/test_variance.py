@@ -15,7 +15,7 @@ from shiftrules.epsr import (
     make_rule,
     solve_coefficients,
 )
-from shiftrules.experiments import _de_generations, sampled_estimates
+from shiftrules.experiments import sampled_estimates
 from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.variance import (
     F_unif,
@@ -225,19 +225,19 @@ def test_allocate_validation():
 
 def test_shot_allocation_invariants():
     with pytest.raises(ValueError):
-        ShotAllocation("uniform", (10.0, 20.0), 100.0)
+        ShotAllocation((10.0, 20.0), 100.0)
     with pytest.raises(ValueError):
-        ShotAllocation("uniform", (-1.0, 101.0), 100.0)
+        ShotAllocation((-1.0, 101.0), 100.0)
 
 
 def test_integer_shot_counts_largest_remainder():
-    alloc = ShotAllocation("custom", (333.4, 333.3, 333.3), 1000.0)
+    alloc = ShotAllocation((333.4, 333.3, 333.3), 1000.0)
     counts = integer_shot_counts(alloc)
     assert counts.sum() == 1000 and counts[0] == 334
 
 
 def test_integer_shot_counts_keeps_active_shifts():
-    alloc = ShotAllocation("custom", (0.4, 999.6), 1000.0)
+    alloc = ShotAllocation((0.4, 999.6), 1000.0)
     counts = integer_shot_counts(alloc)
     assert counts.sum() == 1000 and counts[0] >= 1
 
@@ -348,20 +348,18 @@ def test_sampled_allocation_has_the_predicted_variance(seed, r, d, integer, pin)
     with mock.patch.object(variance, "integer_shot_counts", recording):
         sampled_estimates(_UnitVarianceSlice(), rule, 0.0, ("uniform", "weighted"), 1000, 1, [0], "gaussian")
     scale = {"uniform": 2 * len(nodes.values) * F_unif(nodes, fs, d), "weighted": F_wgt(nodes, fs, d) ** 2}
-    assert [a.scheme for a in drawn] == ["uniform", "weighted"]
-    for allocation in drawn:
-        want = predicted_variance(rule.solve_coeffs, rule.parity, allocation.scheme).predicted_scaled_variance
+    assert len(drawn) == 2
+    for scheme, allocation in zip(("uniform", "weighted"), drawn):
+        want = predicted_variance(rule.solve_coeffs, rule.parity, scheme).predicted_scaled_variance
         assert allocation_variance(gamma, allocation.counts) * 1000 == pytest.approx(want, rel=1e-9)
-        assert want == pytest.approx(scale[allocation.scheme], rel=1e-12)
+        assert want == pytest.approx(scale[scheme], rel=1e-12)
 
 
-def test_predicted_variance_custom_matches_formula():
+def test_weighted_split_allocation_variance_matches_formula():
     rule = make_rule(EQUI2, FS12, 1)
     gamma = np.asarray(rule.expanded_coeffs)
     alloc = allocate("weighted", gamma, 1000, rule.expanded_shifts)
-    rep = predicted_variance(rule.solve_coeffs, "odd", "custom", gamma=gamma,
-                             counts=alloc.counts, total=1000)
-    assert rep.predicted_scaled_variance == pytest.approx(4.0, rel=1e-9)
+    assert allocation_variance(gamma, np.asarray(alloc.counts) / 1000) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_weighted_dominance():
@@ -606,8 +604,7 @@ def test_weighted_polish_stops_when_its_best_iterate_stalls(monkeypatch):
     # and then hovers at a kink; without the stall stop it ran all 5000
     # iterations (about 9 s) to return the same nodes
     polishes = _recording_local(monkeypatch)
-    res = optimize_shifts_global(FrequencySet((1.992, 2.319)), 4, "weighted",
-                                 generations=_de_generations(2), seed=[0, 5, 2, 4])
+    res = optimize_shifts_global(FrequencySet((1.992, 2.319)), 4, "weighted", seed=[0, 5, 2, 4])
     assert res.objective == 31.823072938152734
     assert res.nodes == ShiftNodes("even", (0.0, 1.2072959120339726, 2.4919084512653034))
     kwargs, final = polishes[-1]
@@ -652,7 +649,7 @@ def test_global_snaps_an_even_node_onto_pi():
     # the uniform d = 2 optimum for {1, 2, 3} has its last node at pi, where
     # the rule merges +-pi into one evaluation
     fs = integer_frequencies(3)
-    res = optimize_shifts_global(fs, 2, "uniform", generations=_de_generations(3), seed=0)
+    res = optimize_shifts_global(fs, 2, "uniform", seed=0)
     assert res.nodes.values[-1] == math.pi
     assert evaluation_count(make_rule(res.nodes, fs, 2)) == 6
 
