@@ -298,6 +298,15 @@ def test_estimate_rejects_non_finite_flags(capsys, mode, flags, message):
     assert out == "" and message in err
 
 
+def test_estimate_has_no_shots_flag(capsys):
+    # --n-total N and --exact are the one spelling of a shot budget and of exact mode
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--circuit", "xxz-hva", "--param", "0", "--shots", "inf"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --shots" in captured.err
+
+
 def test_estimate_sampled_csv(tmp_path, capsys):
     out_file = tmp_path / "est.csv"
     code, _, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0",

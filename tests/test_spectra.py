@@ -72,6 +72,16 @@ def test_detect_equidistant_gap():
     assert spectra.detect_equidistant(spectra.FrequencySet((1.0, 2.0, 4.0))) is None
 
 
+def test_integer_and_equidistant_checks_use_fixed_tolerances():
+    # integer tests are absolute to 1e-12; the step test is relative to DEFAULT_TOL
+    assert spectra.FrequencySet((1.0, 2.0 + 1e-13)).is_consecutive_integers()
+    assert not spectra.FrequencySet((1.0, 2.0 + 1e-11)).is_consecutive_integers()
+    assert spectra.FrequencySet((1.0, 4.0 + 1e-13)).is_all_integer()
+    assert not spectra.FrequencySet((1.0, 4.0 + 1e-11)).is_all_integer()
+    assert spectra.detect_equidistant(spectra.FrequencySet((3.0, 6.0 * (1 + 1e-10)))) == 3.0
+    assert spectra.detect_equidistant(spectra.FrequencySet((3.0, 6.0 * (1 + 1e-8)))) is None
+
+
 def test_rescale_half_steps():
     fs, step = spectra.rescale_to_integer(spectra.FrequencySet((0.5, 1.0)))
     assert fs.frequencies == (1.0, 2.0) and step == 0.5

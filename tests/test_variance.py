@@ -223,6 +223,22 @@ def test_allocate_validation():
         allocate("bogus", [0.5], 100, [1.0])
 
 
+_SCHEME_ENTRY_POINTS = {
+    "allocate": lambda scheme: allocate(scheme, [0.5, 0.5], 100, [1.0, 2.0]),
+    "predicted_variance": lambda scheme: predicted_variance([0.5, 0.5], "odd", scheme),
+    "optimize_shifts_local": lambda scheme: optimize_shifts_local(FS12, 1, scheme, EQUI2),
+    "optimize_shifts_global": lambda scheme: optimize_shifts_global(FS12, 1, scheme, seed=0),
+}
+
+
+@pytest.mark.parametrize("entry", _SCHEME_ENTRY_POINTS)
+def test_every_scheme_entry_point_rejects_custom_alike(entry):
+    # the paper's two splits are the only schemes; any other name, custom
+    # included, gets the one message that names them
+    with pytest.raises(ValueError, match="unknown scheme 'custom'; choose uniform or weighted"):
+        _SCHEME_ENTRY_POINTS[entry]("custom")
+
+
 def test_shot_allocation_invariants():
     with pytest.raises(ValueError):
         ShotAllocation((10.0, 20.0), 100.0)
@@ -643,6 +659,14 @@ def test_partner_draw_gives_three_distinct_other_members():
         for p in variance._partners(rng, 5):
             chosen[np.arange(5), p] += 1
     assert np.all(np.abs(chosen[~np.eye(5, dtype=bool)] / 4000 - 0.75) < 0.04)
+
+
+@pytest.mark.parametrize("r,cap", [(1, 400), (2, 600), (3, 900)])
+def test_global_search_runs_at_most_max_400_300r_generations(monkeypatch, r, cap):
+    # a noise objective never converges, so the search runs to its default cap
+    noise = np.random.default_rng(0)
+    monkeypatch.setattr(variance, "stacked_objective", lambda pop, *args: noise.random(len(pop)))
+    assert optimize_shifts_global(integer_frequencies(r), 1, "uniform", seed=0).iterations == cap
 
 
 def test_global_snaps_an_even_node_onto_pi():
