@@ -61,8 +61,8 @@ CONDITION_LIMIT = 1e12
 #: the SVD, so a larger factor costs SVDs, never verdicts.
 _SCREEN_MARGIN = 4.0
 
-#: Nodes at exactly 0 or pi (within this tolerance) are merged into single
-#: evaluation terms in even-order rules.
+#: Even-order rules merge a node's two shifts +-x into one evaluation when
+#: every Omega_k x / pi is an integer within this tolerance.
 _MERGE_TOL = 1e-12
 
 #: Relative tolerance of :func:`rule_from_json` against the re-solved rule.
@@ -126,7 +126,7 @@ class PSRRule:
 
     ``solve_coeffs`` is the raw solution b of the interpolation system; the
     expanded form lists one coefficient gamma_mu per distinct evaluation
-    shift phi_mu, with the 0 and pi merges already applied, so that
+    shift phi_mu, with the +-x merges of :func:`_expand` already applied, so that
 
         f^(d)(x) = sum_mu gamma_mu * f(x + phi_mu).
     """
@@ -280,10 +280,13 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
 
 
 def _expand(parity: str, x: np.ndarray, b: np.ndarray, fs: FrequencySet) -> tuple[tuple, tuple]:
-    """Expanded (shift, coefficient) terms with 0 and pi merges applied.
+    """Expanded (shift, coefficient) terms, with +-x merged where the slice's period allows.
 
-    The pi merge relies on 2*pi periodicity, so it is applied only when all
-    frequencies are certified integer.
+    An even-parity node x whose Omega_k x / pi is an integer (within
+    ``_MERGE_TOL``) for every frequency Omega_k has f(xbar + x) =
+    f(xbar - x) for every polynomial over the set, so its two shifts merge
+    into one: x = 0 always, x = pi for integer sets, and x = pi / Omega for
+    {Omega, 2 Omega, ...}.
     """
     shifts: list[float] = []
     coeffs: list[float] = []
@@ -292,13 +295,11 @@ def _expand(parity: str, x: np.ndarray, b: np.ndarray, fs: FrequencySet) -> tupl
             shifts += [float(xi), float(-xi)]
             coeffs += [0.5 * float(bi), -0.5 * float(bi)]
         return tuple(shifts), tuple(coeffs)
-    periodic = fs.is_all_integer()
-    for xi, bi in zip(x, b):
-        if abs(xi) <= _MERGE_TOL:
-            shifts.append(0.0)
-            coeffs.append(float(bi))
-        elif periodic and abs(xi - math.pi) <= _MERGE_TOL:
-            shifts.append(float(xi))
+    turns = np.outer(x, fs.as_array()) / math.pi
+    merged = np.all(np.abs(turns - np.round(turns)) <= _MERGE_TOL, axis=1)
+    for xi, bi, one in zip(x, b, merged):
+        if one:
+            shifts.append(0.0 if abs(xi) <= _MERGE_TOL else float(xi))
             coeffs.append(float(bi))
         else:
             shifts += [float(xi), float(-xi)]
@@ -335,7 +336,7 @@ def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
 
 
 def evaluation_count(rule: PSRRule) -> int:
-    """Distinct evaluator calls the rule performs (after 0 / pi merges)."""
+    """Distinct evaluator calls the rule performs (after the +-x merges of :func:`_expand`)."""
     return len(rule.expanded_shifts)
 
 

@@ -173,16 +173,18 @@ def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
 
     An equidistant set {Omega, 2 Omega, ..., r Omega} gets the equidistant
     nodes of {1..r} divided by Omega, with no solve: A(x / Omega) for the
-    set is A(x) for {1..r}.  Other sets first try the unscaled pattern and
-    fall back to seeded random draws until the conditioning check passes
-    (the pattern can be singular off the integer grid, e.g. duplicated
-    cosine columns).
+    set is A(x) for {1..r}.  Other sets first try the pattern scaled to
+    Omega_max, (2i-1) pi / (2 Omega_max) for odd d and i pi / Omega_max for
+    even d (the unscaled pattern is singular for {1, 2, 4} at every d), and
+    fall back to seeded random draws until the conditioning check passes.
     """
     equidistant = epsr.equidistant_nodes(fs.r, "odd" if d % 2 else "even")
     step = detect_equidistant(fs)
     if step is not None:
         return epsr.ShiftNodes(equidistant.parity, tuple(x / step for x in equidistant.values))
-    return _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=equidistant)
+    scale = fs.r / float(np.max(fs.as_array()))
+    first = epsr.ShiftNodes(equidistant.parity, tuple(x * scale for x in equidistant.values))
+    return _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=first)
 
 
 def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | None = None) -> epsr.ShiftNodes:

@@ -1,15 +1,18 @@
 """Statevector testbed: XXZ/HVA circuits, Fourier-component cost slices and shot noise.
 
-The simulator is deliberately small.  Statevectors up to 12 qubits carry a
-leading batch axis.  One gate kernel applies a fixed matrix to the gate's
-qubits; RZZ is a diagonal phase multiply built from bit parities; Pauli-sum
-observables act by index arithmetic, with one gather and one cached diagonal
-per X/Y flip mask.  A cost slice in a parameter bound to k Pauli rotations
-is a trigonometric polynomial: each rotation exp(-i x/2 P) is
-e^{-ix/2} Pi+ + e^{+ix/2} Pi- with Pi+- = (I +- P)/2, so the slice state is
-a sum of k+1 Fourier components.  The circuit runs once per slice over those
-components; every point is then a (k+1)-term sum for its state and a
-quadratic form in the components' (k+1, k+1) Grams for its value, its
+Statevectors up to 12 qubits carry a leading batch axis, and every operator
+acts by bit-index arithmetic (as in QuEST, Jones et al., Sci. Rep. 9, 10736,
+2019): a Pauli word P gives (P psi)[a] = phase (-1)^{popcount(a & Y/Z bits)}
+psi[a ^ m], one gather by its X/Y flip mask m times a cached real sign.  A
+rotation exp(-i x/2 P) is cos(x/2) psi - i sin(x/2) P psi, updated in place;
+X, H and CNOT are short Pauli sums; observables take one gather per flip
+mask.  A cost slice in a parameter bound to k Pauli rotations is a
+trigonometric polynomial: each rotation is e^{-ix/2} Pi+ + e^{+ix/2} Pi-
+with Pi+- = (I +- P)/2, so the slice state is a sum of k+1 Fourier
+components.  A slice starts from the state before its parameter's first
+bound gate (one sweep of the circuit per base point) and runs the rest once
+over its components; every point is then a (k+1)-term sum for its state and
+a quadratic form in the components' (k+1, k+1) Grams for its value, its
 exact derivatives and its one-shot variance.
 
 The same Grams give each slice's frequency set: the value is a sum of
@@ -70,12 +73,13 @@ _PAULI_1Q = {
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
 }
 
-_FIXED_KERNELS = {
-    "X": _PAULI_1Q["X"],
-    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
-    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+#: Fixed gates as Pauli sums on the gate's qubits (CNOT: control first); no
+#: word has a Y, so every phase is 1.
+_FIXED_SUMS = {
+    "X": ((1.0, "X"),),
+    "H": ((math.sqrt(0.5), "X"), (math.sqrt(0.5), "Z")),
+    "CNOT": ((0.5, "II"), (0.5, "ZI"), (0.5, "IX"), (-0.5, "ZX")),
 }
-_PAULI_PAIRS = {name: np.kron(_PAULI_1Q[name[1]], _PAULI_1Q[name[2]]) for name in ("RXX", "RYY")}
 
 _GATE_NAMES = ("X", "H", "CNOT", "RXX", "RYY", "RZZ")
 _PARAM_GATES = ("RXX", "RYY", "RZZ")
@@ -193,22 +197,28 @@ def _parity_sign(q: int, qubits: tuple[int, ...]) -> np.ndarray:
     return sign
 
 
+@lru_cache(maxsize=512)
+def _word(q: int, qubits: tuple[int, ...], chars: str) -> tuple[complex, int, tuple[int, ...]]:
+    """The Pauli word ``chars`` on ``qubits`` as (phase (-i)^{#Y}, X/Y flip mask, Y/Z qubits)."""
+    mask = sum(1 << (q - 1 - i) for i, ch in zip(qubits, chars) if ch in "XY")
+    yz = tuple(i for i, ch in zip(qubits, chars) if ch in "YZ")
+    return (1, -1j, -1, 1j)[chars.count("Y") % 4], mask, yz
+
+
 @lru_cache(maxsize=64)
 def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray]:
     """Pauli terms grouped by X/Y flip mask: (index permutations, diagonals).
 
-    A Pauli string P maps |a ^ m> to D_P[a] |a>, where m marks its X/Y
-    positions and D_P[a] = (-i)^{#Y} (-1)^{popcount(a & Y/Z positions)}.
     Row k of the result holds ``idx ^ m_k`` and sum_{P with mask m_k} c_P D_P,
-    so (C psi)[a] = sum_k D_k[a] psi[a ^ m_k].  Write-once, like
+    with D_P[a] the phase times sign of :func:`_word`, so
+    (C psi)[a] = sum_k D_k[a] psi[a ^ m_k].  Write-once, like
     :func:`_eigensystem`.
     """
     q = len(terms[0][1])
     diags: dict[int, np.ndarray] = {}
     for coeff, pauli in terms:
-        flip = sum(1 << (q - 1 - k) for k, ch in enumerate(pauli) if ch in "XY")
-        sign = _parity_sign(q, tuple(k for k, ch in enumerate(pauli) if ch in "YZ"))
-        term = coeff * (1, -1j, -1, 1j)[pauli.count("Y") % 4] * sign
+        phase, flip, yz = _word(q, tuple(range(q)), pauli)
+        term = coeff * phase * _parity_sign(q, yz)
         diags[flip] = diags[flip] + term if flip in diags else term.astype(complex)
     perms = np.arange(2**q)[None, :] ^ np.array(list(diags))[:, None]
     stacked = np.array(list(diags.values()))
@@ -217,47 +227,59 @@ def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.nd
     return perms, stacked
 
 
-def _apply(psi: np.ndarray, kernel: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
-    """The gate kernel: a (2^k, 2^k) matrix on ``qubits`` of the batch psi (B, 2^q)."""
-    b, n = psi.shape
-    q = n.bit_length() - 1
-    axes = [1 + i for i in qubits]
-    front = list(range(1, 1 + len(axes)))
-    moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
-    out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
-    return np.moveaxis(out.reshape(moved.shape), front, axes).reshape(-1, n)
-
-
-def _rotation_kernel(name: str, x: float) -> np.ndarray:
-    """exp(-i x/2 P(x)P) as a (4, 4) matrix."""
-    return math.cos(0.5 * x) * np.eye(4) - 1j * math.sin(0.5 * x) * _PAULI_PAIRS[name]
-
-
-def _zz_phase(q: int, qubits: tuple[int, ...], x: float) -> np.ndarray:
-    """Diagonal of RZZ(x) from bit parities, a (2^q,) vector."""
-    return math.cos(0.5 * x) - 1j * math.sin(0.5 * x) * _parity_sign(q, qubits)
+def _signed_gather(psi: np.ndarray, mask: int, yz: tuple[int, ...]) -> np.ndarray:
+    """(P psi) / phase for the batch psi (B, 2^q): psi itself if P is the identity, else a new array."""
+    out = np.take(psi, np.arange(psi.shape[1]) ^ mask, axis=1) if mask else psi
+    return out * _parity_sign(psi.shape[1].bit_length() - 1, yz) if yz else out
 
 
 def _evolve(psi: np.ndarray, gates, theta) -> np.ndarray:
-    """Apply ``gates`` to the batch psi (B, 2^q); ``theta[k]`` is the float angle of parameter k."""
+    """Apply ``gates`` to the batch psi (B, 2^q), which rotations overwrite; returns the result.
+
+    ``theta[k]`` is the float angle of parameter k.
+    """
     q = psi.shape[1].bit_length() - 1
     for g in gates:
-        if g.name == "RZZ":
-            psi = psi * _zz_phase(q, g.qubits, theta[g.param])
-        elif g.param is None:
-            psi = _apply(psi, _FIXED_KERNELS[g.name], g.qubits)
+        if g.param is None:
+            psi = sum(coeff * _signed_gather(psi, *_word(q, g.qubits, chars)[1:])
+                      for coeff, chars in _FIXED_SUMS[g.name])
+            continue
+        phase, mask, yz = _word(q, g.qubits, g.name[1:])
+        half = 0.5 * theta[g.param]
+        cos, sin = math.cos(half), -1j * phase * math.sin(half)
+        if mask:
+            p_psi = _signed_gather(psi, mask, yz)
+            psi *= cos
+            psi += sin * p_psi
         else:
-            psi = _apply(psi, _rotation_kernel(g.name, theta[g.param]), g.qubits)
+            psi *= cos + sin * _parity_sign(q, yz)
     return psi
 
 
 def _projector_split(psi: np.ndarray, g: Gate) -> tuple[np.ndarray, np.ndarray]:
     """(Pi+ psi, Pi- psi) for the Pauli rotation g = e^{-ix/2} Pi+ + e^{+ix/2} Pi-, Pi+- = (I +- P)/2."""
-    if g.name == "RZZ":
-        p_psi = psi * _parity_sign(psi.shape[1].bit_length() - 1, g.qubits)
-    else:
-        p_psi = _apply(psi, _PAULI_PAIRS[g.name], g.qubits)
-    return 0.5 * (psi + p_psi), 0.5 * (psi - p_psi)
+    phase, mask, yz = _word(psi.shape[1].bit_length() - 1, g.qubits, g.name[1:])
+    half_p = (0.5 * phase) * _signed_gather(psi, mask, yz)
+    half = 0.5 * psi
+    return half + half_p, half - half_p
+
+
+@lru_cache(maxsize=8)
+def _prefix_states(circuit: CircuitSpec, base_params: tuple[float, ...]) -> tuple[tuple[int, np.ndarray], ...]:
+    """(t_j, the (1, 2^q) state before gate t_j) per parameter j, t_j its first bound gate or the gate count.
+
+    One sweep of the circuit at ``base_params``, so a shared prefix runs once
+    per base point, not once per parameter.  Write-once, like :func:`_eigensystem`.
+    """
+    starts = [next((t for t, g in enumerate(circuit.gates) if g.param == j), len(circuit.gates))
+              for j in range(circuit.n_params)]
+    states = {}
+    psi, done = np.eye(1, 2**circuit.q, dtype=complex), 0
+    for t in sorted(set(starts)):
+        psi = _evolve(psi, circuit.gates[done:t], base_params)
+        states[t], done = psi.copy(), t
+        states[t].setflags(write=False)
+    return tuple((t, states[t]) for t in starts)
 
 
 class _Components(NamedTuple):
@@ -278,11 +300,11 @@ def _slice_components(circuit: CircuitSpec, base_params: tuple[float, ...], inde
     for any gate order: each bound gate splits every component into its two
     projector parts, the Pi+ part moving one index up and the Pi- part
     staying.  With e_i = e^{-i(2i-k)x/2} and the observable C, <psi|psi>,
-    <C> and <C^2> at x are e^dag N e, e^dag G e and e^dag M e.  Write-once,
-    like :func:`_eigensystem`.
+    <C> and <C^2> at x are e^dag N e, e^dag G e and e^dag M e.  The gates
+    before the first bound one come from :func:`_prefix_states`.  Write-once.
     """
-    w = np.eye(1, 2**circuit.q, dtype=complex)
-    for g in circuit.gates:
+    start, w = _prefix_states(circuit, base_params)[index]
+    for g in circuit.gates[start:]:
         if g.param == index:
             plus, minus = _projector_split(w, g)
             w = np.zeros((w.shape[0] + 1, w.shape[1]), dtype=complex)
@@ -308,7 +330,7 @@ def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
     perms, diags = _flip_masks(obs.terms)
     out = np.zeros_like(psi)
     for perm, diag in zip(perms, diags):
-        out += diag * psi[:, perm]
+        out += diag * np.take(psi, perm, axis=1)
     return out
 
 
@@ -422,11 +444,11 @@ class CostSlice:
     batch, an array).
     Each gate bound to ``index`` is a Pauli rotation, so the slice state is a
     sum of k+1 Fourier components (see :func:`_slice_components`): the
-    circuit runs once per slice over those components, shared through a
-    cache with every other slice of the same circuit, base point, index and
-    observable.  A state is then E(x) @ W, and a value, derivative or
-    variance is a quadratic form in the (k+1, k+1) Grams, with no 2**q work
-    per point.
+    circuit from the first gate bound to ``index`` runs once per slice over
+    those components, shared through a cache with every other slice of the
+    same circuit, base point, index and observable.  A state is then
+    E(x) @ W, and a value, derivative or variance is a quadratic form in the
+    (k+1, k+1) Grams, with no 2**q work per point.
     Norms, imaginary residues and negative variances are still checked at
     every point.
     """

@@ -235,7 +235,7 @@ def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
     """Shot allocation over expanded shifts ``shifts`` with coefficients ``gamma``.
 
     uniform: equal counts per node, split evenly over the node's shifts
-    (+-x share |phi|; a node merged at 0 or pi has one shift), the split
+    (+-x share |phi|; a node merged by the rule has one shift), the split
     whose variance :func:`predicted_variance` gives.  weighted: counts
     proportional to |gamma_mu|, which is the variance-optimal split for the
     given total.

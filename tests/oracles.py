@@ -6,10 +6,14 @@ The central difference (Fornberg, Math. Comp. 51, 699, 1988) checks shift
 rules without the slice's Fourier components; the fit checks that a
 frequency set carries a sampled signal, through its max residual; the
 row-wise formatter checks the column-wise CSV writer.  The per-point
-statevector path runs the whole circuit at one parameter vector, gate by
-gate through the simulator's kernel, with no Fourier split of the bound
-gates: it checks :class:`shiftrules.qsim.CostSlice`.
+statevector path runs the whole circuit at one parameter vector, or at a
+batch of values of one parameter, gate by gate with dense gate matrices
+applied to the gate's tensor axes, with no Fourier split of the bound gates
+and no code shared with the simulator's bit-index kernels: it checks
+:func:`shiftrules.qsim._evolve` and :class:`shiftrules.qsim.CostSlice`.
 """
+
+import math
 
 from functools import lru_cache
 
@@ -22,7 +26,6 @@ from shiftrules.qsim import (
     _apply_observable,
     _batch_result,
     _check_norms,
-    _evolve,
     _real_values,
     _variances,
 )
@@ -112,12 +115,71 @@ def rowwise_csv(header, rows) -> str:
     return "".join(lines)
 
 
+_PAULI_1Q = {
+    "X": np.array([[0, 1], [1, 0]], dtype=complex),
+    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+}
+_FIXED_KERNELS = {
+    "X": _PAULI_1Q["X"],
+    "H": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2),
+    "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
+}
+_PAULI_PAIRS = {name: np.kron(_PAULI_1Q[name[1]], _PAULI_1Q[name[2]]) for name in ("RXX", "RYY", "RZZ")}
+
+
+def _stacked_apply(psi, kernel, qubits):
+    """A (2^k, 2^k) or (B, 2^k, 2^k) kernel on ``qubits`` of the batch psi (B, 2^q)."""
+    b, n = psi.shape
+    q = n.bit_length() - 1
+    axes = [1 + i for i in qubits]
+    front = list(range(1, 1 + len(axes)))
+    moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
+    out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
+    return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), front, axes).reshape(-1, n)
+
+
+def dense_gate(psi, g, angles):
+    """Gate g on the batch psi (B, 2^q) by its dense matrix.
+
+    ``angles[k]`` is the angle of parameter k: a float, or a (B,) array that
+    gives each row its own matrix.
+    """
+    if g.param is None:
+        return _stacked_apply(psi, _FIXED_KERNELS[g.name], g.qubits)
+    half = 0.5 * np.asarray(angles[g.param], dtype=float)[..., None, None]
+    return _stacked_apply(psi, np.cos(half) * np.eye(4) - 1j * np.sin(half) * _PAULI_PAIRS[g.name], g.qubits)
+
+
+def dense_generator(psi, g):
+    """P psi for the Pauli pair P of the rotation g, by its dense matrix."""
+    return _stacked_apply(psi, _PAULI_PAIRS[g.name], g.qubits)
+
+
+def _dense_evolve(circuit: CircuitSpec, angles) -> np.ndarray:
+    psi = np.eye(1, 2**circuit.q, dtype=complex)
+    for g in circuit.gates:
+        psi = dense_gate(psi, g, angles)
+    return psi
+
+
+def pointwise_states(circuit: CircuitSpec, theta, j: int, xs) -> np.ndarray:
+    """Slice states by per-point evolution, (B, 2**q): the oracle for component slices.
+
+    Every gate bound to j runs as a stack of B matrices, one per point x_b;
+    every other gate runs once.
+    """
+    angles = list(theta)
+    angles[j] = np.asarray(xs, dtype=float)
+    return np.broadcast_to(_dense_evolve(circuit, angles), (len(xs), 2**circuit.q))
+
+
 def apply_circuit(circuit: CircuitSpec, theta) -> np.ndarray:
-    """State U(theta)|0...0> as a complex vector of length 2**q (a batch of one)."""
+    """State U(theta)|0...0> as a complex vector of length 2**q."""
     theta = np.asarray(theta, dtype=float).ravel()
     if theta.size != circuit.n_params:
         raise ValueError(f"expected {circuit.n_params} parameters, got {theta.size}")
-    psi = _evolve(np.eye(1, 2**circuit.q, dtype=complex), circuit.gates, theta)
+    psi = _dense_evolve(circuit, theta)
     _check_norms(np.linalg.norm(psi, axis=1))
     return psi[0]
 

@@ -25,7 +25,7 @@ from shiftrules.epsr import (
 )
 from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.trigpoly import TrigPoly, random_trigpoly
-from shiftrules.variance import EPS_BOX
+from shiftrules.variance import EPS_BOX, allocate, allocation_variance, predicted_variance
 
 FS12 = integer_frequencies(2)
 
@@ -412,6 +412,23 @@ def test_pi_merge_needs_integer_frequencies():
     rule = make_rule(nodes, fs, 2)
     # pi cannot be merged without 2*pi periodicity: 0 merges, pi does not
     assert evaluation_count(rule) == 5
+
+
+def test_even_rule_merges_the_node_at_pi_over_the_step():
+    # {2, 4} has period pi, so +-pi/2 are one point of the slice
+    from shiftrules.experiments import valid_nodes_for
+
+    fs = FrequencySet((2.0, 4.0))
+    rule = make_rule(valid_nodes_for(fs, 2), fs, 2)
+    assert rule.expanded_shifts == pytest.approx((0.0, math.pi / 4, -math.pi / 4, math.pi / 2), abs=1e-15)
+    assert evaluation_count(rule) == 4
+    p = random_trigpoly(fs, 3)
+    for x in (0.0, 0.7, -2.1):
+        assert apply_rule(rule, p, x) == pytest.approx(p.derivative(2, x), abs=1e-12)
+    alloc = allocate("uniform", rule.expanded_coeffs, 300.0, rule.expanded_shifts)
+    assert alloc.counts == pytest.approx((100.0, 50.0, 50.0, 100.0), rel=1e-15)
+    assert 300.0 * allocation_variance(rule.expanded_coeffs, alloc.counts) == pytest.approx(
+        predicted_variance(rule.solve_coeffs, "even", "uniform").predicted_scaled_variance, rel=1e-12)
 
 
 def test_zeroth_order_rule_reconstructs_value():

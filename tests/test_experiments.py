@@ -11,6 +11,7 @@ from shiftrules import epsr, experiments, qsim, variance
 from shiftrules.experiments import (
     RESULT3_RANDOM_NODES,
     ExperimentConfig,
+    _draw_valid_nodes,
     _level_tables,
     _write_csv,
     random_base_params,
@@ -158,11 +159,41 @@ def test_valid_nodes_scale_to_the_common_step_without_a_solve(monkeypatch):
 
 
 def test_valid_nodes_falls_back_when_pattern_singular():
-    # the even-parity pattern duplicates cosine columns for {1,2,4}
+    # the unscaled even-parity pattern duplicates cosine columns for {1,2,4}
     fs = FrequencySet((1.0, 2.0, 4.0))
-    nodes = valid_nodes_for(fs, 2, seed=19)
+    pattern = epsr.equidistant_nodes(3, "even")
+    with pytest.raises(epsr.SingularNodesError):
+        epsr.solve_coefficients(pattern, fs, 2)
+    nodes = _draw_valid_nodes(fs, 2, np.random.default_rng(19), first=pattern)
     epsr.solve_coefficients(nodes, fs, 2)  # must not raise
     assert nodes.values[0] == 0.0
+    assert nodes != pattern
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_valid_nodes_try_the_pattern_scaled_to_the_largest_frequency(d):
+    fs = FrequencySet((1.0, 2.0, 4.0))
+    nodes = valid_nodes_for(fs, d)
+    want = [(2 * i - 1) * math.pi / 8 for i in range(1, 4)] if d % 2 else [i * math.pi / 4 for i in range(4)]
+    np.testing.assert_allclose(nodes.values, want, rtol=0, atol=1e-15)
+
+
+def test_result1_makes_no_singular_solve(tmp_path, monkeypatch):
+    # {1,2,4} has no common step: its first try used to be the unscaled
+    # pattern, singular at every d
+    singular = []
+    solve = epsr.solve_coefficients
+
+    def counted(*args, **kwargs):
+        try:
+            return solve(*args, **kwargs)
+        except epsr.SingularNodesError:
+            singular.append(args)
+            raise
+
+    monkeypatch.setattr(epsr, "solve_coefficients", counted)
+    run_experiment(ExperimentConfig("result1", q=5, out_dir=str(tmp_path)), reproducible=True)
+    assert singular == []
 
 
 def test_result3_frozen_nodes_are_valid():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 
 from shiftrules import epsr, qsim
@@ -27,9 +27,12 @@ from shiftrules.spectra import FrequencySet, positive_difference_frequencies
 from oracles import (
     apply_circuit,
     central_difference,
+    dense_gate,
+    dense_generator,
     expectation,
     fit_least_squares,
     one_shot_variance,
+    pointwise_states,
     rule_error_bound,
 )
 
@@ -425,41 +428,6 @@ def test_slice_derivative_rejects_a_genuine_imaginary_part(d):
         sl.derivative(d, np.linspace(0.1, 6, 50))
 
 
-def _stacked_apply(psi, kernel, qubits):
-    """A (2^k, 2^k) or (B, 2^k, 2^k) kernel on ``qubits`` of the batch psi (B, 2^q)."""
-    b, n = psi.shape
-    q = n.bit_length() - 1
-    axes = [1 + i for i in qubits]
-    front = list(range(1, 1 + len(axes)))
-    moved = np.moveaxis(psi.reshape((b,) + (2,) * q), axes, front)
-    out = kernel @ moved.reshape(b, kernel.shape[-1], -1)
-    return np.moveaxis(out.reshape((out.shape[0],) + moved.shape[1:]), front, axes).reshape(-1, n)
-
-
-def _pointwise_states(circuit, theta, j, xs):
-    """Slice states by per-point evolution: the oracle for component slices.
-
-    Every gate bound to j runs as a stack of B matrices (RZZ as B phase
-    diagonals), one per point x_b; every other gate runs once.
-    """
-    q = circuit.q
-    angles = list(theta)
-    angles[j] = np.asarray(xs, dtype=float)
-    psi = np.eye(1, 2**q, dtype=complex)
-    for g in circuit.gates:
-        if g.param is None:
-            psi = _stacked_apply(psi, qsim._FIXED_KERNELS[g.name], g.qubits)
-            continue
-        half = 0.5 * np.asarray(angles[g.param])[..., None]
-        if g.name == "RZZ":
-            psi = psi * (np.cos(half) - 1j * np.sin(half) * qsim._parity_sign(q, g.qubits))
-        else:
-            half = half[..., None]
-            kernel = np.cos(half) * np.eye(4) - 1j * np.sin(half) * qsim._PAULI_PAIRS[g.name]
-            psi = _stacked_apply(psi, kernel, g.qubits)
-    return np.broadcast_to(psi, (len(xs), 2**q))
-
-
 @st.composite
 def _slice_cases(draw):
     """A random circuit over 3..7 qubits, a Pauli-sum observable and a slice index.
@@ -491,12 +459,91 @@ def test_component_slice_equals_pointwise_evolution(case, seed):
     theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
     xs = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
     sl = cost_slice(circuit, obs, theta, j)
-    psi = _pointwise_states(circuit, theta, j, xs)
+    psi = pointwise_states(circuit, theta, j, xs)
     np.testing.assert_allclose(sl.state(xs), psi, rtol=0, atol=1e-14)
     np.testing.assert_allclose(sl(xs), expectation(psi, obs), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sl.derivative(0, xs), expectation(psi, obs), rtol=0, atol=1e-12)
     np.testing.assert_allclose(sl.one_shot_variance(xs), one_shot_variance(psi, obs), rtol=0, atol=1e-12)
     assert sl(xs[0]) == pytest.approx(expectation(psi[0], obs), rel=0, abs=1e-12)
+
+
+@st.composite
+def _gate_cases(draw):
+    """q = 3..7 and one gate of any name on an ordered qubit pair, reversed and non-adjacent ones included."""
+    q = draw(st.integers(3, 7))
+    name = draw(st.sampled_from(["X", "H", "CNOT", "RXX", "RYY", "RZZ"]))
+    pair = draw(st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True))
+    return q, Gate(name, tuple(pair[:1 if name in ("X", "H") else 2]), 0 if name.startswith("R") else None)
+
+
+@given(case=_gate_cases(), rows=st.integers(1, 4), x=st.floats(-2 * np.pi, 2 * np.pi),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(5, Gate("CNOT", (3, 1))), rows=2, x=0.3, seed=1)
+@example(case=(6, Gate("RYY", (5, 0), 0)), rows=3, x=-1.1, seed=2)
+def test_gate_kernels_equal_dense_matrices(case, rows, x, seed):
+    q, g = case
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=(rows, 2**q)) + 1j * rng.normal(size=(rows, 2**q))
+    psi /= np.linalg.norm(psi, axis=1, keepdims=True)
+    got = qsim._evolve(psi.copy(), (g,), [x])
+    np.testing.assert_allclose(got, dense_gate(psi, g, [x]), rtol=0, atol=1e-12)
+    if g.param is not None:
+        plus, minus = qsim._projector_split(psi, g)
+        np.testing.assert_allclose(plus + minus, psi, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_generator(plus, g), plus, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(dense_generator(minus, g), -minus, rtol=0, atol=1e-12)
+
+
+@st.composite
+def _sweep_cases(draw):
+    """A random circuit over 3..6 qubits and a Pauli sum, for the prefix sweep.
+
+    Gate 0 is bound to parameter 0, the last gate is the only one bound to
+    parameter 2, gates in between are bound to parameter 0 or 1 or unbound,
+    and no gate is bound to parameter 3.
+    """
+    q = draw(st.integers(3, 6))
+    pair = st.lists(st.integers(0, q - 1), min_size=2, max_size=2, unique=True)
+    rotations = st.sampled_from(["RXX", "RYY", "RZZ"])
+    gates = [Gate(draw(rotations), tuple(draw(pair)), 0)]
+    for name in draw(st.lists(st.sampled_from(["X", "H", "CNOT", "RXX", "RYY", "RZZ"]), max_size=10)):
+        qubits = tuple(draw(pair)[:1 if name in ("X", "H") else 2])
+        gates.append(Gate(name, qubits, draw(st.integers(0, 1)) if name.startswith("R") else None))
+    gates.append(Gate(draw(rotations), tuple(draw(pair)), 2))
+    pauli = st.text(alphabet="IXYZ", min_size=q, max_size=q)
+    terms = draw(st.lists(st.tuples(st.floats(-1.0, 1.0, allow_nan=False), pauli), min_size=1, max_size=3))
+    return CircuitSpec(q, tuple(gates), 4), PauliSumObservable(tuple(terms))
+
+
+@given(case=_sweep_cases(), seed=st.integers(0, 2**32 - 1))
+def test_prefix_sweep_components_equal_pointwise_evolution(case, seed):
+    circuit, obs = case
+    rng = np.random.default_rng(seed)
+    xs = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
+    qsim._prefix_states.cache_clear()
+    qsim._slice_components.cache_clear()
+    n = len(circuit.gates)
+    first = [min((t for t, g in enumerate(circuit.gates) if g.param == j), default=n) for j in range(4)]
+    assert (first[0], first[2], first[3]) == (0, n - 1, n)
+    for theta in rng.uniform(-np.pi, np.pi, (2, circuit.n_params)):  # two base points, one circuit
+        for j, (start, state) in enumerate(qsim._prefix_states(circuit, tuple(theta))):
+            assert start == first[j]
+            before = CircuitSpec(circuit.q, circuit.gates[:start], circuit.n_params)
+            np.testing.assert_allclose(state[0], apply_circuit(before, theta), rtol=0, atol=1e-14)
+            sl = cost_slice(circuit, obs, theta, j)
+            np.testing.assert_allclose(sl.state(xs), pointwise_states(circuit, theta, j, xs), rtol=0, atol=1e-14)
+    assert qsim._prefix_states.cache_info().misses == 2
+
+
+def test_slices_of_one_base_point_share_one_sweep():
+    circuit, obs = build_hva_circuit(5, 2), build_xxz_hamiltonian(5, 0.5)
+    theta = random_base_params(5, 2, 3)
+    qsim._prefix_states.cache_clear()
+    qsim._slice_components.cache_clear()
+    for j in range(circuit.n_params):
+        slice_frequencies(circuit, j, obs, theta)
+    assert qsim._slice_components.cache_info().misses == 8
+    assert qsim._prefix_states.cache_info().misses == 1
 
 
 @st.composite
