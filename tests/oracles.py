@@ -9,12 +9,11 @@ row-wise formatter checks the column-wise CSV writer.  The per-point
 statevector path runs the whole circuit at one parameter vector, or at a
 batch of values of one parameter, gate by gate with dense gate matrices
 applied to the gate's tensor axes, with no Fourier split of the bound gates
-and no code shared with the simulator's bit-index kernels: it checks
+and no code shared with the simulator's gate kernels: it checks
 :func:`shiftrules.qsim._evolve` and :class:`shiftrules.qsim.CostSlice`.
 """
 
 import math
-
 from functools import lru_cache
 
 import numpy as np
