@@ -24,10 +24,12 @@ print("eigenvalues {-1, 1}  ->", fs.frequencies)
 fs = spectra.positive_difference_frequencies([-1, 0, 1])
 print("eigenvalues {-1, 0, 1} ->", fs.frequencies)
 
-# Equidistant sets rescale to the canonical integers {1, ..., r}.
+# An equidistant set {Omega, ..., r Omega} is the canonical integer set
+# {1, ..., r} in the variable Omega * x.
 half = spectra.FrequencySet((0.5, 1.0, 1.5))
-rescaled, step = spectra.rescale_to_integer(half)
-print(f"{half.frequencies} rescales to {rescaled.frequencies} with step {step}")
+step = spectra.detect_equidistant(half)
+print(f"{half.frequencies} has step {step}: the integers {spectra.integer_frequencies(half.r).frequencies} "
+      f"in {step} * x")
 
 print()
 print("=" * 70)

@@ -54,7 +54,8 @@ print("=" * 70)
 
 # each iteration tries a Newton step first (Hessian by central differences
 # of the analytic gradient, eigenvalues taken in magnitude) and falls back
-# to a (sub)gradient step only when no rung of its halving ladder helps
+# to one bounded (sub)gradient move only when no rung of its halving ladder
+# helps
 
 fs = integer_frequencies(2)
 start = epsr.ShiftNodes("odd", (0.5, 1.4))
@@ -84,7 +85,7 @@ print("=" * 70)
 res = variance.optimize_shifts_global(fs, 1, "weighted", seed=3)
 print("DE result:", np.round(res.nodes.values, 6), " objective", round(res.objective, 6),
       " certificate:", res.certificate, f" after {res.iterations} generations")
-print("certified optimal for r=3, d=1:", variance.certify_equidistant_optimality(3, 1))
+print(f"dual lower bound r^d for r={fs.r}, d=1:", variance.weighted_lower_bound(fs, 1))
 
 # non-consecutive integer frequencies have no classical reference; the search
 # still attains the dual lower bound Omega_max^d

@@ -29,7 +29,6 @@ from .spectra import (
     detect_equidistant,
     integer_frequencies,
     positive_difference_frequencies,
-    rescale_to_integer,
 )
 from .trigpoly import TrigPoly, random_trigpoly
 from .variance import (
@@ -39,7 +38,6 @@ from .variance import (
     F_unif,
     F_wgt,
     allocate,
-    certify_equidistant_optimality,
     grad_F_unif,
     optimize_shifts_global,
     optimize_shifts_local,
@@ -61,7 +59,6 @@ __all__ = [
     "SingularNodesError",
     "positive_difference_frequencies",
     "detect_equidistant",
-    "rescale_to_integer",
     "integer_frequencies",
     "random_trigpoly",
     "solve_coefficients",
@@ -78,6 +75,5 @@ __all__ = [
     "predicted_variance",
     "optimize_shifts_local",
     "optimize_shifts_global",
-    "certify_equidistant_optimality",
     "__version__",
 ]

@@ -140,8 +140,7 @@ def _rule_from_args(args, fs: FrequencySet):
     nodes = _nodes_from_flags(args, fs)
     if nodes is None:
         res = variance.optimize_shifts_global(
-            fs, args.d, args.optimize,
-            population=args.population, generations=args.generations, seed=args.seed)
+            fs, args.d, args.optimize, generations=args.generations, seed=args.seed)
         nodes = res.nodes
         extra = {"objective": res.objective}
         if variance._norm_scheme(args.optimize) == "weighted":
@@ -322,7 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--nodes", help="comma-separated shift nodes")
     p.add_argument("--optimize", help="optimize nodes for scheme: unif|wgt")
     p.add_argument("--generations", type=int, help="DE generation cap (default max(400, 300 r))")
-    p.add_argument("--population", type=int, default=None)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_rule)

@@ -94,6 +94,7 @@ class ConfigError(ValueError):
 _NUMERIC_CHECKS = {
     "q": (lambda v: 3 <= v <= qsim.MAX_QUBITS, f"in 3..{qsim.MAX_QUBITS}"),
     "seed": (lambda v: v >= 0, "non-negative"),
+    "d": (lambda v: v >= 1, "at least 1"),
     **dict.fromkeys(("delta", "xbar"), (np.isfinite, "finite")),
     **dict.fromkeys(("p", "n_total", "repetitions", "r_max", "d_max"), (lambda v: v > 0, "positive")),
 }
@@ -107,8 +108,8 @@ def _flag(name: str) -> str:
 def _check_run_settings(s: dict) -> None:
     """Raise ConfigError, naming the flag, at the first invalid setting in ``s``.
 
-    ``s`` maps ExperimentConfig field names, and the ``param`` and ``xbar``
-    of ``estimate``, to values; absent keys and None values pass.
+    ``s`` maps ExperimentConfig field names, and the ``param``, ``xbar``
+    and ``d`` of ``estimate``, to values; absent keys and None values pass.
     ``ExperimentConfig``, ``freq --circuit`` and ``estimate`` check their
     settings here, before they build anything.
     """

@@ -33,7 +33,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
+from functools import cached_property, lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -65,13 +65,6 @@ MAX_QUBITS = 12
 #: Round-off amplitudes of the XXZ/HVA slices stay below 1e-15 (q <= 10)
 #: while genuine ones reach down to 1e-9 (q = 9), so the cut sits between.
 AMPLITUDE_TOL = 1e-12
-
-_PAULI_1Q = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 #: Fixed gates as Pauli sums on the gate's qubits (CNOT: control first); no
 #: word has a Y, so every phase is 1.
@@ -111,7 +104,9 @@ class CircuitSpec:
     """Gate list over q qubits with an m-entry parameter binding table.
 
     Every parameterized gate implements exp(-i * x/2 * P (x) P) for its Pauli
-    pair, with x taken from the bound parameter.
+    pair, with x taken from the bound parameter.  The hash is computed once,
+    at construction, since every cache keyed by a circuit hashes it per
+    lookup; equality stays field by field.
     """
 
     q: int
@@ -129,6 +124,10 @@ class CircuitSpec:
                 raise ValueError(f"gate {g.name} qubit index out of range for q={self.q}")
             if g.param is not None and not (0 <= g.param < self.n_params):
                 raise ValueError(f"gate {g.name} references parameter {g.param} of {self.n_params}")
+        object.__setattr__(self, "_hash", hash((self.q, self.gates, self.n_params)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 @dataclass(frozen=True)
@@ -153,30 +152,25 @@ class PauliSumObservable:
     def q(self) -> int:
         return len(self.terms[0][1])
 
-    def to_matrix(self) -> np.ndarray:
-        if self.q > MAX_QUBITS:
-            raise ValueError(f"dense matrix capped at {MAX_QUBITS} qubits")
-        dim = 2**self.q
-        out = np.zeros((dim, dim), dtype=complex)
-        for coeff, pauli in self.terms:
-            out += coeff * reduce(np.kron, (_PAULI_1Q[ch] for ch in pauli))
-        return out
-
 
 @lru_cache(maxsize=64)
 def _eigensystem(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The observable's distinct eigenvalue levels, their first columns, and its eigenvectors.
 
-    One dense ``eigh``.  Sorted eigenvalues whose gap is within
-    ``DEFAULT_TOL * max(1, max |lambda|)`` form one level, valued at the
-    group's mean; ``starts[k]`` is the first eigenvector column of level k,
-    so ``np.add.reduceat(|psi @ conj(evecs)|**2, starts, axis=-1)`` is
-    ||P_lambda psi||^2 per level, whatever basis ``eigh`` picks inside a
+    One dense ``eigh`` of the matrix that :func:`_apply_observable` gives
+    column by column, capped at ``MAX_QUBITS``.  Sorted eigenvalues whose
+    gap is within ``DEFAULT_TOL * max(1, max |lambda|)`` form one level,
+    valued at the group's mean; ``starts[k]`` is the first eigenvector
+    column of level k, so ``np.add.reduceat(|psi @ conj(evecs)|**2, starts,
+    axis=-1)`` is ||P_lambda psi||^2 per level, whatever basis ``eigh`` picks inside a
     degenerate eigenspace.  Write-once cache per observable; read-only
     afterwards.
     """
-    mat = PauliSumObservable(terms).to_matrix()
-    evals, evecs = np.linalg.eigh(mat)
+    obs = PauliSumObservable(terms)
+    if obs.q > MAX_QUBITS:
+        raise ValueError(f"dense matrix capped at {MAX_QUBITS} qubits")
+    # row i of C applied to the identity is C e_i, the i-th column of C
+    evals, evecs = np.linalg.eigh(_apply_observable(np.eye(2**obs.q, dtype=complex), obs).T)
     tol = DEFAULT_TOL * max(1.0, float(np.abs(evals).max()))
     starts = np.flatnonzero(np.r_[True, np.diff(evals) > tol])
     levels = np.add.reduceat(evals, starts) / np.diff(np.r_[starts, evals.size])

@@ -2,8 +2,8 @@
 
 A rotation-like gate exp(i*H*x) turns the measured cost into a trigonometric
 polynomial whose frequencies are the positive differences between eigenvalues
-of H.  This module extracts those frequency sets from spectra, classifies
-equidistant ones and rescales them to the canonical integer form {1, ..., r}.
+of H.  This module extracts those frequency sets from spectra and classifies
+equidistant ones {Omega, 2 Omega, ..., r Omega}.
 
 Eigenvalues are expected as plain sorted sequences; circuit cost slices read
 their frequency sets off their Fourier components instead (see
@@ -21,7 +21,6 @@ __all__ = [
     "integer_frequencies",
     "positive_difference_frequencies",
     "detect_equidistant",
-    "rescale_to_integer",
 ]
 
 #: Relative tolerance used to deduplicate eigenvalue gaps and to certify
@@ -132,20 +131,3 @@ def detect_equidistant(fs: FrequencySet) -> float | None:
     if np.max(np.abs(arr / step - k)) <= DEFAULT_TOL:
         return float(step)
     return None
-
-
-def rescale_to_integer(fs: FrequencySet) -> tuple[FrequencySet, float]:
-    """Rescale an equidistant set {Omega, 2*Omega, ...} to {1, ..., r}.
-
-    Returns the integer frequency set together with the scale factor Omega.
-    The caller contract: if f has frequencies k*Omega then g(x) = f(x/Omega)
-    has the integer set, and derivatives transport as
-    f^(d)(x) = Omega**d * g^(d)(Omega * x).
-
-    Raises:
-        ValueError: when the input set is not equidistant.
-    """
-    step = detect_equidistant(fs)
-    if step is None:
-        raise ValueError("frequency set is not equidistant; cannot rescale to integers")
-    return integer_frequencies(fs.r), step

@@ -10,18 +10,18 @@ over the node box.  This module provides both objectives (per node set and
 over stacks of node sets), their analytic (sub)gradients, the weak-duality
 lower bound Omega_max^d of F_wgt, a local descent whose every iteration
 tries a Newton step (Hessian by central differences of the analytic
-gradient) before a (sub)gradient step, each on one halving step ladder, a
+gradient) and, when no Newton rung lowers the objective, makes one bounded
+move along the (sub)gradient, the same for both objectives, a
 differential-evolution global search that scores each generation in one
 stacked solve, stops a weighted search once it or a short polish of its
 best member is certified within a relative gap of the bound and otherwise
-polishes its best member with the local descent, shot-allocation helpers
-and the optimality certificate for the classical equidistant nodes under
-the weighted scheme.
+polishes its best member with the local descent, and shot-allocation
+helpers.
 
 A node search scores through the stacked solver only: a DE generation, the
 probes of a Newton step and the rungs of a step ladder are one stacked call
-each.  Inside a search, the scalar path with its SVD diagnostics
-(:func:`F_unif`, :func:`F_wgt`) only checks that the start is nonsingular.
+each.  Inside a search, the scalar :func:`solve_coefficients` with its SVD
+diagnostics only checks that the start is nonsingular.
 """
 
 from __future__ import annotations
@@ -35,11 +35,10 @@ from .epsr import (
     ShiftNodes,
     build_A,
     equidistant_nodes,
-    rhs_vector,
     solve_coefficients,
     solve_coefficients_stacked,
 )
-from .spectra import FrequencySet, integer_frequencies
+from .spectra import FrequencySet
 
 __all__ = [
     "ShotAllocation",
@@ -57,7 +56,6 @@ __all__ = [
     "optimize_shifts_local",
     "optimize_shifts_global",
     "weighted_lower_bound",
-    "certify_equidistant_optimality",
     "canonical_nodes",
     "scan_landscape",
 ]
@@ -65,11 +63,10 @@ __all__ = [
 #: Margin keeping optimizer iterates away from the singular box edges.
 EPS_BOX = 1e-3
 
-#: First step of the local descent per scheme, and the rungs of its halving
-#: ladder c * 0.5**k: uniform backtracking tries steps down to 1e-14, the
-#: weighted move halves c / sqrt(t) at most 29 times.
-_LOCAL_STEP = {"uniform": 0.25, "weighted": 0.1}
-_LOCAL_RUNGS = {"uniform": 45, "weighted": 30}
+#: Length c of the local descent's fallback move c / sqrt(t), and the rungs
+#: of its halving ladder c / sqrt(t) * 0.5**k.
+_LOCAL_STEP = 0.1
+_LOCAL_RUNGS = 30
 
 #: Gradient norm at which the local descent stops as converged.
 _LOCAL_GTOL = 1e-8
@@ -99,9 +96,9 @@ DUAL_GAP = 1e-6
 _PROBE_FIRST = 10
 _PROBE_ITERS = 30
 
-#: A weighted local descent stops once its best iterate has not improved for
-#: this many iterations: its subgradient iterates then hover at a kink, and
-#: the rest of the budget would return the same best iterate.
+#: A local descent stops once its best iterate has not improved for this
+#: many iterations: its fallback moves then hover at a kink or a flat
+#: optimum, and the rest of the budget would return the same best iterate.
 _STALL_ITERS = 50
 
 #: Even-parity nodes this close to pi are snapped to pi for integer
@@ -390,7 +387,7 @@ def _newton_step(grads, free: np.ndarray, g: np.ndarray, pinned: np.ndarray) -> 
 
 def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNodes,
                           max_iters: int = 5000) -> OptimizeResult:
-    """Projected Newton and (sub)gradient descent on F_unif or F_wgt.
+    """Projected Newton descent on F_unif or F_wgt, with one bounded fallback move.
 
     Odd-parity nodes live in (EPS_BOX, pi - EPS_BOX), even-parity nodes keep
     x_0 pinned at 0 with the rest in [EPS_BOX, pi]; iterates are re-sorted to
@@ -399,18 +396,20 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     (sub)gradient with its eigenvalues taken in magnitude (floored), on the
     halving ladder 0.5**k: the first rung whose objective (+inf when
     singular) is below the current value is taken.  Only when no Newton rung
-    lowers the objective does the iteration walk the (sub)gradient ladder
-    c * 0.5**k and take the first rung whose objective is below a bound:
-    F_unif backtracks from 0.25 and needs a decrease (bound: the current
-    value); F_wgt moves by the diminishing step 0.1 / sqrt(t) and only needs
-    nonsingular nodes (bound: +inf).  Both steps use the projected
-    gradient: a coordinate on a box face whose descent direction points out
-    of the box is held there.  The descent stops when the projected gradient
-    norm reaches ``_LOCAL_GTOL``, when a failed Newton ladder leaves only
-    round-off to gain (``_NEWTON_DECREMENT``), when a uniform ladder fails
-    or when a weighted descent's best iterate is ``_STALL_ITERS`` iterations
-    old.  The best iterate seen is returned, so the reported objective is
-    monotone in the iteration budget and never above the projected start's.
+    lowers the objective does the iteration move, for either scheme, by at
+    most c / sqrt(t) (c = ``_LOCAL_STEP``) along the normalised
+    (sub)gradient, halving the move until the nodes are nonsingular; the
+    move need not lower the objective, and its length is bounded so that a
+    near-singular iterate (an enormous gradient) cannot catapult the
+    iterate.  Both steps use the projected gradient: a coordinate on a box
+    face whose descent direction points out of the box is held there.  The
+    descent stops when the projected gradient norm reaches ``_LOCAL_GTOL``,
+    when a failed Newton ladder leaves only round-off to gain
+    (``_NEWTON_DECREMENT``), when every rung of the fallback move is
+    singular, or when its best iterate is ``_STALL_ITERS`` iterations old.
+    The best iterate seen is returned, so the reported objective is
+    monotone in the iteration budget and never above the projected start's;
+    ``converged`` describes that iterate, not a later one above it.
     After the start check, each gradient, Newton probe set and ladder is
     one stacked solve.
 
@@ -418,13 +417,10 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         SingularNodesError: when the start nodes, or their projection into
             the box, are singular.
     """
-    scheme = _norm_scheme(scheme)
-    uniform = scheme == "uniform"
+    uniform = _norm_scheme(scheme) == "uniform"
     parity = _parity_of(d)
     if start.parity != parity:
         raise ValueError(f"order {d} needs {parity} start nodes")
-    objective = F_unif if uniform else F_wgt
-    rungs = _LOCAL_RUNGS[scheme]
 
     def score(free_stack):
         return _values(_full(parity, free_stack), fs, d, uniform)
@@ -443,16 +439,16 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         g[pinned] = 0.0
         return g, pinned
 
-    objective(start, fs, d)  # raises on a singular start, before any projection
+    solve_coefficients(start, fs, d)  # raises on a singular start, before any projection
     # the free nodes are the last r: all of them for odd parity, x_1..x_r for even
     free = _project(parity, start.as_array()[-start.r:])
     f = float(score(free[None])[0])
     if f == math.inf:
-        objective(_nodes_from_free(parity, free), fs, d)  # raises: the projection is singular
+        solve_coefficients(_nodes_from_free(parity, free), fs, d)  # raises: the projection is singular
     best_f, best_free, best_it = f, free.copy(), 0
 
     def first_rung(step: float, direction: np.ndarray, bound: float):
-        cands = _project(parity, free - (step * 0.5 ** np.arange(rungs))[:, None] * direction)
+        cands = _project(parity, free - (step * 0.5 ** np.arange(_LOCAL_RUNGS))[:, None] * direction)
         values = score(cands)
         below = np.flatnonzero(values < bound)
         return (cands[below[0]], float(values[below[0]])) if below.size else None
@@ -472,27 +468,20 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
             converged = True
             break
         if taken is None:
-            if uniform:
-                taken = first_rung(_LOCAL_STEP[scheme], g, f)
-            else:
-                # the subgradient move is bounded to at most c/sqrt(t) so
-                # that near-singular iterates (enormous subgradients)
-                # cannot catapult the iterate
-                taken = first_rung(_LOCAL_STEP[scheme] / math.sqrt(it),
-                                   g if gnorm <= 1.0 else g / gnorm, math.inf)
+            taken = first_rung(_LOCAL_STEP / math.sqrt(it), g if gnorm <= 1.0 else g / gnorm, math.inf)
             if taken is None:
-                converged = uniform and gnorm <= 1e-5
                 break
         free, f = taken
         if f < best_f:
             best_f, best_free, best_it = f, free.copy(), it
-        if not uniform and it - best_it >= _STALL_ITERS:
+        if it - best_it >= _STALL_ITERS:
             break
 
-    if not converged:
-        # the subgradient iterates hover around a stationary point instead of
-        # landing on it; declare convergence from the best iterate's residual
-        # (every iterate kept had a finite objective, so its gradient exists)
+    if not converged or f > best_f:
+        # the fallback iterates hover around a stationary point instead of
+        # landing on it, or converged at an iterate above the best one;
+        # declare convergence from the best iterate's residual (every
+        # iterate kept had a finite objective, so its gradient exists)
         converged = float(np.linalg.norm(projected_grad(best_free)[0])) <= 1e-3
     return OptimizeResult(_nodes_from_free(parity, best_free), best_f, it, converged)
 
@@ -532,18 +521,19 @@ def _snap_to_pi(nodes: ShiftNodes, f: float, uniform: bool, fs: FrequencySet, d:
     return (snapped, f_snapped) if f_snapped <= f else (nodes, f)
 
 
-def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: int | None = None,
-                           generations: int | None = None, seed=0) -> OptimizeResult:
+def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: int | None = None,
+                           seed=0) -> OptimizeResult:
     """Differential evolution (rand/1/bin) over the node box, then a local polish.
 
-    Each generation draws one trial per population member from the current
-    population only (Storn & Price 1997; SciPy's ``updating='deferred'``),
-    then scores all trials in one :func:`stacked_objective` call, so a
-    generation is a single stacked solve; a trial replaces its member when
-    it is no worse.  Singular candidates get objective +inf.  Deterministic
-    for a given seed.  The differential weight is drawn once per generation
-    from ``_DE_MUTATION`` (dither), which converges markedly faster at
-    dimension >= 4 while keeping the strategy rand/1/bin.
+    The population has 15 r members.  Each generation draws one trial per
+    member from the current population only (Storn & Price 1997; SciPy's
+    ``updating='deferred'``), then scores all trials in one
+    :func:`stacked_objective` call, so a generation is a single stacked
+    solve; a trial replaces its member when it is no worse.  Singular
+    candidates get objective +inf.  Deterministic for a given seed.  The
+    differential weight is drawn once per generation from ``_DE_MUTATION``
+    (dither), which converges markedly faster at dimension >= 4 while
+    keeping the strategy rand/1/bin.
     A weighted search stops as soon as its best member is within the
     relative gap ``DUAL_GAP`` of :func:`weighted_lower_bound`, which
     certifies it near-optimal; every search stops once the population's
@@ -577,9 +567,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, population: in
     scheme = _norm_scheme(scheme)
     parity = _parity_of(d)
     dim = fs.r
-    npop = population if population is not None else 15 * dim
-    if npop < 4 * dim:
-        raise ValueError(f"population must be at least 4 * dimension = {4 * dim}")
+    npop = 15 * dim
     if generations is None:
         # A weighted search on {1..r} stops far below this cap, at its first
         # certified probe; the cap binds for uniform searches and for sets
@@ -671,26 +659,6 @@ def weighted_lower_bound(fs: FrequencySet, d: int) -> float:
     """
     _parity_of(d)
     return fs.frequencies[-1] ** d
-
-
-def certify_equidistant_optimality(r: int, d: int) -> bool:
-    """Certify that equidistant nodes solve the weighted-scheme problem.
-
-    The dual value of y = +-e_r, the largest frequency's unit vector, is
-    :func:`weighted_lower_bound` = r**d for the frequencies {1..r}; it
-    bounds F_wgt from below at every node set.  The certificate checks that
-    dual value against the rhs and that F_wgt at the equidistant nodes
-    attains it.
-    """
-    parity = _parity_of(d)
-    fs = integer_frequencies(r)
-    target = weighted_lower_bound(fs, d)
-    b, _ = solve_coefficients(equidistant_nodes(r, parity), fs, d)
-    y = np.zeros(b.size)
-    y[-1] = (-1.0) ** ((d - 1) // 2) if parity == "odd" else (-1.0) ** (d // 2)
-    dual = float(rhs_vector(d, fs, parity) @ y)
-    primal = float(np.sum(np.abs(b)))
-    return abs(dual - target) <= 1e-9 * target and abs(primal - target) <= 1e-9 * target
 
 
 def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):

@@ -1,11 +1,12 @@
 """Test oracles: a Fornberg central difference, a least-squares fit, a
-round-off bound for shift rules, a row-wise CSV formatter and a per-point
-statevector simulation.
+round-off bound for shift rules, a row-wise CSV formatter, a Kronecker-chain
+observable matrix and a per-point statevector simulation.
 
 The central difference (Fornberg, Math. Comp. 51, 699, 1988) checks shift
 rules without the slice's Fourier components; the fit checks that a
 frequency set carries a sampled signal, through its max residual; the
-row-wise formatter checks the column-wise CSV writer.  The per-point
+row-wise formatter checks the column-wise CSV writer; the Kronecker-chain
+observable matrix checks the observable's gather kernel.  The per-point
 statevector path runs the whole circuit at one parameter vector, or at a
 batch of values of one parameter, gate by gate with dense gate matrices
 applied to the gate's tensor axes, with no Fourier split of the bound gates
@@ -14,7 +15,7 @@ and no code shared with the simulator's gate kernels: it checks
 """
 
 import math
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 import numpy as np
 
@@ -115,6 +116,7 @@ def rowwise_csv(header, rows) -> str:
 
 
 _PAULI_1Q = {
+    "I": np.eye(2, dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
@@ -125,6 +127,14 @@ _FIXED_KERNELS = {
     "CNOT": np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex),
 }
 _PAULI_PAIRS = {name: np.kron(_PAULI_1Q[name[1]], _PAULI_1Q[name[2]]) for name in ("RXX", "RYY", "RZZ")}
+
+
+def observable_matrix(obs: PauliSumObservable) -> np.ndarray:
+    """The dense 2^q x 2^q matrix of ``obs``: a sum of Kronecker chains of 2x2 Paulis."""
+    out = np.zeros((2**obs.q, 2**obs.q), dtype=complex)
+    for coeff, pauli in obs.terms:
+        out += coeff * reduce(np.kron, (_PAULI_1Q[ch] for ch in pauli))
+    return out
 
 
 def _stacked_apply(psi, kernel, qubits):

@@ -173,12 +173,20 @@ def test_rule_optimized_uniform_has_no_dual_bound(capsys):
 @pytest.mark.parametrize("flags,message", [
     (("--generations", "0"), "generations must be at least 1, not 0"),
     (("--generations", "-5"), "generations must be at least 1, not -5"),
-    (("--population", "4"), "population must be at least 4 * dimension = 12"),
 ])
 def test_rule_optimize_rejects_a_too_small_search(capsys, flags, message):
     code, out, err = run(capsys, "rule", "--freqs", "1,2,3", "--d", "1", "--optimize", "wgt", *flags)
     assert code == EXIT_VALIDATION
     assert out == "" and message in err
+
+
+def test_rule_has_no_population_flag(capsys):
+    # the search population is 15 r members, not a setting
+    with pytest.raises(SystemExit) as exc:
+        main(["rule", "--freqs", "1,2,3", "--d", "1", "--optimize", "wgt", "--population", "45"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "unrecognized arguments: --population" in captured.err
 
 
 def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
@@ -582,6 +590,7 @@ _BAD_VALUES = [
     ("--repetitions", (["0"], ["-3"]), _SHOT_RUNS),
     ("--r-max", (["0"],), ("experiment",)),
     ("--d-max", (["0"],), ("experiment",)),
+    ("--d", (["0"], ["-1"]), ("estimate --exact", "estimate")),
     ("--id", (["bogus"],), ("experiment",)),
 ]
 

@@ -22,7 +22,7 @@ from shiftrules.experiments import (
 )
 from shiftrules.spectra import FrequencySet, integer_frequencies
 
-from oracles import rowwise_csv, rule_error_bound
+from oracles import observable_matrix, rowwise_csv, rule_error_bound
 
 
 def test_config_validation():
@@ -364,7 +364,7 @@ def _pauli_sums(draw):
 
 @given(obs=_pauli_sums(), seed=st.integers(0, 2**32 - 1))
 def test_level_tables_are_eigenspace_projections(obs, seed):
-    mat = obs.to_matrix()
+    mat = observable_matrix(obs)
     dim = mat.shape[0]
     scale = max(1.0, np.linalg.norm(mat, 2))
     levels, _, _ = qsim._eigensystem(obs.terms)

@@ -31,6 +31,7 @@ from oracles import (
     dense_generator,
     expectation,
     fit_least_squares,
+    observable_matrix,
     one_shot_variance,
     pointwise_states,
     rule_error_bound,
@@ -129,7 +130,7 @@ def test_one_shot_variance_matches_sampling(xxz_setup):
     circuit, obs, theta = xxz_setup
     psi = apply_circuit(circuit, theta)
     sigma2 = one_shot_variance(psi, obs)
-    evals, evecs = np.linalg.eigh(obs.to_matrix())
+    evals, evecs = np.linalg.eigh(observable_matrix(obs))
     probs = np.abs(evecs.conj().T @ psi) ** 2
     shots = 10**6
     counts = np.random.default_rng(1).multinomial(shots, probs / probs.sum())
@@ -152,7 +153,7 @@ def test_observable_action_equals_dense_matrix(obs, seed):
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=(3, 2**obs.q)) + 1j * rng.normal(size=(3, 2**obs.q))
     psi /= np.linalg.norm(psi, axis=1, keepdims=True)
-    phi = psi @ obs.to_matrix().T
+    phi = psi @ observable_matrix(obs).T
     mean = np.einsum("bi,bi->b", psi.conj(), phi).real
     var = np.maximum(np.sum(np.abs(phi) ** 2, axis=1) - mean**2, 0.0)
     scale = 1.0 + sum(abs(c) for c, _ in obs.terms) ** 2
@@ -161,10 +162,24 @@ def test_observable_action_equals_dense_matrix(obs, seed):
     assert expectation(psi[1], obs) == pytest.approx(mean[1], rel=0, abs=1e-12 * scale)
 
 
+@pytest.mark.parametrize("obs", [
+    build_xxz_hamiltonian(5, 0.5),
+    build_xxz_hamiltonian(8, 0.5),
+    PauliSumObservable(((0.3, "XYZI"), (-1.2, "YYIZ"), (0.7, "IIIY"), (2.0, "ZZZZ"))),
+], ids=["xxz-5", "xxz-8", "pauli-sum-with-y"])
+def test_eigensystem_is_that_of_the_kronecker_matrix(obs):
+    # the observable kernel's matrix equals the Kronecker sum bit for bit, so
+    # eigh, and with it every seeded multinomial draw, sees the same input
+    evals, evecs = np.linalg.eigh(observable_matrix(obs))
+    levels, starts, got = qsim._eigensystem(obs.terms)
+    assert np.array_equal(got, evecs)
+    assert np.array_equal(levels, np.add.reduceat(evals, starts) / np.diff(np.r_[starts, evals.size]))
+
+
 def test_observable_matrix_qubit_cap():
     # the dense eigenbasis behind multinomial sampling stops at MAX_QUBITS
     with pytest.raises(ValueError, match="capped"):
-        PauliSumObservable(((1.0, "Z" * 13),)).to_matrix()
+        qsim._eigensystem(((1.0, "Z" * 13),))
 
 
 # --- model builders ----------------------------------------------------------------
@@ -181,7 +196,7 @@ def test_xxz_zero_anisotropy_drops_zz():
 
 
 def test_xxz_hermitian():
-    mat = build_xxz_hamiltonian(4, 0.5).to_matrix()
+    mat = observable_matrix(build_xxz_hamiltonian(4, 0.5))
     assert np.allclose(mat, mat.conj().T)
 
 
@@ -283,7 +298,7 @@ def _dense_generator(circuit, j):
             pauli = ["I"] * circuit.q
             for i in g.qubits:
                 pauli[i] = g.name[1]
-            gen += -0.5 * PauliSumObservable(((1.0, "".join(pauli)),)).to_matrix()
+            gen += -0.5 * observable_matrix(PauliSumObservable(((1.0, "".join(pauli)),)))
     return gen
 
 

@@ -82,30 +82,19 @@ def test_integer_and_equidistant_checks_use_fixed_tolerances():
     assert spectra.detect_equidistant(spectra.FrequencySet((3.0, 6.0 * (1 + 1e-8)))) is None
 
 
-def test_rescale_half_steps():
-    fs, step = spectra.rescale_to_integer(spectra.FrequencySet((0.5, 1.0)))
-    assert fs.frequencies == (1.0, 2.0) and step == 0.5
-
-
-def test_rescale_identity():
-    fs, step = spectra.rescale_to_integer(spectra.FrequencySet((1.0, 2.0, 3.0)))
-    assert fs.frequencies == (1.0, 2.0, 3.0) and step == 1.0
-
-
-def test_rescale_rejects_non_equidistant():
-    with pytest.raises(ValueError, match="not equidistant"):
-        spectra.rescale_to_integer(spectra.FrequencySet((1.0, 2.0, 4.0)))
-
-
 def test_rescale_roundtrip():
+    # an equidistant set is {1..r} scaled by the step that detect_equidistant finds
     rng = np.random.default_rng(4)
     for _ in range(20):
         step = rng.uniform(0.1, 3.0)
         r = int(rng.integers(1, 6))
         fs = spectra.FrequencySet(tuple(step * k for k in range(1, r + 1)))
-        rescaled, found = spectra.rescale_to_integer(fs)
-        back = tuple(found * w for w in rescaled.frequencies)
+        found = spectra.detect_equidistant(fs)
+        back = tuple(found * w for w in spectra.integer_frequencies(r).frequencies)
         assert np.allclose(back, fs.frequencies, rtol=1e-9)
+    assert spectra.detect_equidistant(spectra.FrequencySet((0.5, 1.0))) == 0.5
+    assert spectra.detect_equidistant(spectra.FrequencySet((1.0, 2.0, 3.0))) == 1.0
+    assert spectra.detect_equidistant(spectra.FrequencySet((1.0, 2.0, 4.0))) is None
 
 
 def test_derivative_transport_chain_rule():

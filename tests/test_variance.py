@@ -24,7 +24,6 @@ from shiftrules.variance import (
     allocate,
     allocation_variance,
     canonical_nodes,
-    certify_equidistant_optimality,
     grad_F_unif,
     integer_shot_counts,
     optimize_shifts_global,
@@ -467,6 +466,55 @@ def test_local_newton_step_is_tried_first(monkeypatch):
     assert abs(res.nodes.values[0] - math.pi / 2) < 1e-12
 
 
+@pytest.mark.parametrize("fs, d, scheme, start", [
+    (integer_frequencies(3), 1, "uniform", (0.3, 1.1, 2.6)),
+    (FrequencySet((0.7, 1.9, 3.2)), 2, "uniform", (0.0, 0.5, 1.5, 2.5)),
+    (FrequencySet((0.7, 1.9, 3.2)), 1, "weighted", (0.5, 1.5, 2.5)),
+    (FrequencySet((1.992, 2.319)), 4, "weighted", (0.0, 0.6, 2.0)),
+], ids=["uniform-odd", "uniform-even", "weighted-odd", "weighted-even"])
+def test_local_fallback_move_is_shared_and_stops_on_a_stall(monkeypatch, fs, d, scheme, start):
+    # with every Newton step failing, each iteration takes the bounded move
+    # c / sqrt(t) for either scheme; its iterates hover, so the descent ends
+    # by the stall rule and returns its best iterate
+    monkeypatch.setattr(variance, "_newton_step", lambda *args: None)
+    rows = []
+    real = variance._grads
+
+    def recording(nodes, *args):
+        if len(nodes) == 1:  # the projected gradient at an iterate
+            rows.append(nodes[0].copy())
+        return real(nodes, *args)
+
+    monkeypatch.setattr(variance, "_grads", recording)
+    parity = "odd" if d % 2 else "even"
+    res = optimize_shifts_local(fs, d, scheme, ShiftNodes(parity, start))
+    # the last row is the convergence check at the returned best iterate
+    assert np.array_equal(rows[-1], res.nodes.as_array())
+    iterates = np.array(rows[:-1])
+    free = iterates if parity == "odd" else iterates[:, 1:]
+    values = variance.stacked_objective(free, fs, d, scheme)
+    best = int(np.argmin(values))
+    assert len(iterates) == res.iterations < 5000
+    assert res.iterations - best == variance._STALL_ITERS
+    assert np.array_equal(iterates[best], res.nodes.as_array())
+    assert res.objective == pytest.approx(values[best], rel=1e-13)
+    assert res.objective <= values[0]  # the start lies in the box, so it is its own projection
+
+
+def test_local_converged_describes_the_returned_iterate():
+    # from two nearly coincident nodes, no Newton rung helps and the bounded
+    # move leaves for a near-singular point; Newton steps from there converge
+    # at the stationary point (0.6539, 1.7338) with F_unif = 2.8713, above
+    # the start, so the start is returned, and its gradient is not small
+    fs = FrequencySet((0.945, 2.728))
+    start = ShiftNodes("odd", (2.959465261420006, 2.9594653781970326))
+    res = optimize_shifts_local(fs, 1, "uniform", start)
+    assert res.objective == 1.953042528411119 < 2.8713
+    assert np.max(np.abs(np.subtract(res.nodes.values, start.values))) < 1e-13
+    assert np.linalg.norm(grad_F_unif(res.nodes, fs, 1)) > 0.1
+    assert not res.converged
+
+
 def test_local_holds_a_node_on_the_box_face():
     # the uniform optimum for {0.7, 1.9, 3.2} has its last node on the face
     # pi - EPS_BOX; the projected gradient vanishes there, so the descent
@@ -706,11 +754,6 @@ def test_global_generations_floor(generations):
         optimize_shifts_global(FS12, 1, "weighted", generations=generations, seed=4)
 
 
-def test_global_population_floor():
-    with pytest.raises(ValueError, match="population"):
-        optimize_shifts_global(FS12, 1, "weighted", population=4, seed=0)
-
-
 def test_global_deterministic():
     a = optimize_shifts_global(FS12, 1, "weighted", generations=40, seed=5)
     b = optimize_shifts_global(FS12, 1, "weighted", generations=40, seed=5)
@@ -814,12 +857,6 @@ def test_weighted_lower_bound_values():
     assert variance.weighted_lower_bound(FrequencySet((0.7, 1.9, 3.2)), 3) == 3.2**3
     with pytest.raises(ValueError, match="order"):
         variance.weighted_lower_bound(FS12, 0)
-
-
-def test_certify_equidistant_optimality():
-    assert certify_equidistant_optimality(3, 1)
-    assert certify_equidistant_optimality(2, 3)
-    assert certify_equidistant_optimality(4, 2)
 
 
 def test_canonical_nodes_folding():
