@@ -16,7 +16,10 @@ Subcommands:
 --config`` JSON object, overlaid by the flags given, and check the result
 once, before anything is built.
 
-Every command is deterministic given ``--seed``; CSV bodies are byte-stable.
+Every command is deterministic given ``--seed``; CSV bodies are byte-stable
+at a fixed BLAS thread count (seeded ``result2 --q 8`` output differs in
+its last digits between 1 and 2 OpenBLAS threads, through the threaded
+eigensolver).
 CSV files carry a timestamped comment line unless ``--reproducible`` is set;
 CSV printed to stdout never does.  Exit codes: 0 success, 2 validation
 error, 3 numerical failure (singular nodes), 4 configuration error.
@@ -148,14 +151,17 @@ def _rule_from_args(args, fs: FrequencySet):
             # above the optimum
             bound = variance.weighted_lower_bound(fs, args.d)
             extra.update(dual_bound=bound, gap=(res.objective - bound) / bound)
-        extra.update(generations=res.iterations, scheme=args.optimize,
-                     equidistant_error=res.equidistant_error, certificate=res.certificate)
+        extra.update(generations=res.iterations, scheme=args.optimize, equidistant_error=res.equidistant_error,
+                     certificate=res.certificate, stopped_at_cap=res.stopped_at_cap)
     return epsr.make_rule(nodes, fs, args.d), extra
 
 
 def _rule_diagnostics(rule: epsr.PSRRule) -> dict:
-    """The rule's conditioning, evaluation count and predicted variance per scheme.
+    """The rule's conditioning, shift spacing, evaluation count and predicted variance per scheme.
 
+    ``min_shift_gap`` is the smallest distance |phi_mu - phi_nu| between two
+    expanded shifts; a tiny gap flags nodes that nearly coincide, which the
+    rule pays for with extra evaluations and a large condition estimate.
     Variances are in units of sigma^2 / N_total (see
     :func:`variance.predicted_variance`) and are those of the splits that
     ``estimate`` draws.  ``uniform`` is the per-node split, r * ||b||^2 for
@@ -165,6 +171,7 @@ def _rule_diagnostics(rule: epsr.PSRRule) -> dict:
     return {
         "condition_estimate": rule.diagnostics.condition_estimate,
         "determinant": rule.diagnostics.determinant,
+        "min_shift_gap": float(np.min(np.diff(np.sort(rule.expanded_shifts)))),
         "evaluation_count": epsr.evaluation_count(rule),
         "predicted_variance": {
             s: variance.predicted_variance(rule.solve_coeffs, rule.parity, s).predicted_scaled_variance
@@ -193,6 +200,10 @@ def _cmd_rule(args) -> int:
 def _cmd_estimate(args) -> int:
     if sum([args.equidistant, args.nodes is not None, args.rule_json is not None]) > 1:
         raise ValueError("give at most one of --equidistant, --nodes or --rule-json")
+    if args.emit_gnuplot and args.exact:
+        raise ValueError("--emit-gnuplot plots sampled estimates; --exact writes one exact value")
+    if args.emit_gnuplot and not args.out:
+        raise ValueError("--emit-gnuplot writes its script beside the --out CSV; give --out")
     s, circuit, obs, theta = _circuit_run(args)
     sl = qsim.cost_slice(circuit, obs, theta, s.param)
     xbar = s.xbar if s.xbar is not None else float(theta[s.param])
@@ -220,9 +231,8 @@ def _cmd_estimate(args) -> int:
         table = {"repetition": range(s.repetitions), "estimate": ests[s.scheme]}
 
     # stdout never carries the timestamp line
-    plot = s.out and s.emit_gnuplot and not s.exact
     _write_csv(s.out or sys.stdout, table, s.reproducible or not s.out,
-               [_kdensity(os.path.basename(s.out), ("estimates",))] if plot else None)
+               [_kdensity(os.path.basename(s.out), ("estimates",))] if s.emit_gnuplot else None)
     return EXIT_OK
 
 

@@ -11,8 +11,9 @@ companion gnuplot script):
   parameters.
 * ``result3``   -- equidistant vs fixed random nodes under the weighted
   scheme.
-* ``landscape`` -- grids of the weighted objective over two free nodes for
-  orders 1..6.
+* ``landscape`` -- grids of the uniform or weighted objective (``scheme``)
+  over two free nodes for orders 1..6, each unordered node pair solved once
+  and mirrored (see :func:`variance.scan_landscape`).
 * ``de-sweep``  -- differential-evolution global search vs the equidistant
   reference across (r, d) combinations.
 

@@ -165,6 +165,7 @@ class OptimizeResult:
     converged: bool
     certificate: str | None = None
     equidistant_error: float | None = None
+    stopped_at_cap: bool = False
 
 
 def _parity_of(d: int) -> str:
@@ -539,7 +540,8 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     certifies it near-optimal; every search stops once the population's
     objective spread falls to 1e-12 of the best value, or at the cap
     ``generations`` (default max(400, 300 r)).  ``iterations`` counts the
-    generations run.  The best member is then polished by
+    generations run, and ``stopped_at_cap`` is set when the search ran to
+    the cap without any of these stops.  The best member is then polished by
     :func:`optimize_shifts_local` (as SciPy's ``polish=True``), which never
     raises its objective, and for integer frequencies an even-parity node
     within ``_PI_SNAP`` of pi is moved onto pi unless that raises it.
@@ -603,6 +605,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     probe_at = _PROBE_FIRST if scheme == "weighted" else math.inf
     result = None
     gens_run = 0
+    stopped_at_cap = False
     for gen in range(generations):
         gens_run = gen + 1
         f_weight = float(rng.uniform(*_DE_MUTATION))
@@ -630,6 +633,8 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
             if result[1] - bound <= DUAL_GAP * bound:
                 break
             result = None
+    else:
+        stopped_at_cap = True
 
     best_nodes, best_f, converged = result if result is not None else polish_best()
     if math.isfinite(best_f):
@@ -643,7 +648,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
         equi_err = float(np.max(np.abs(canonical_nodes(full) - canonical_nodes(ref))))
         if scheme == "weighted" and equi_err <= 1e-3:
             certificate = "global-equidistant"
-    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), certificate, equi_err)
+    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), certificate, equi_err, stopped_at_cap)
 
 
 def weighted_lower_bound(fs: FrequencySet, d: int) -> float:
@@ -662,10 +667,15 @@ def weighted_lower_bound(fs: FrequencySet, d: int) -> float:
 
 
 def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):
-    """Objective values on an n x n interior grid over two free nodes.
+    """F_unif or F_wgt (``scheme``) on an n x n interior grid over two free nodes.
 
     Odd parity requires r = 2 (grid over (x_1, x_2)); even parity requires
     r = 2 with x_0 pinned at 0.  Singular configurations are reported as inf.
+    The objectives do not depend on the order of the nodes, so only the
+    n (n + 1) / 2 pairs i <= j are solved, in one stacked call at the
+    ascending nodes (grid[i], grid[j]), and value[j, i] repeats value[i, j]:
+    the matrix is symmetric, and each entry is exactly the scalar objective
+    at the ascending pair.
 
     Returns (grid_points, value_matrix) with value[i, j] at
     (x1 = grid[i], x2 = grid[j]).
@@ -673,6 +683,7 @@ def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):
     if fs.r != 2:
         raise ValueError("landscape scan covers the two-free-node case (r = 2)")
     grid = np.linspace(0.0, np.pi, n + 2)[1:-1]
-    x1, x2 = np.meshgrid(grid, grid, indexing="ij")
-    values = stacked_objective(np.stack([x1.ravel(), x2.ravel()], axis=1), fs, d, scheme)
-    return grid, values.reshape(n, n)
+    i, j = np.triu_indices(n)
+    values = np.empty((n, n))
+    values[i, j] = values[j, i] = stacked_objective(np.stack([grid[i], grid[j]], axis=1), fs, d, scheme)
+    return grid, values

@@ -222,6 +222,30 @@ def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
     assert estimates[1] == estimates[0] and estimates[2] == estimates[0]
 
 
+def test_rule_diagnostics_carry_the_smallest_shift_gap(capsys):
+    code, out, _ = run(capsys, "rule", "--freqs", "1,2", "--d", "1", "--equidistant")
+    assert code == EXIT_OK
+    assert json.loads(out)["diagnostics"]["min_shift_gap"] == pytest.approx(math.pi / 2, rel=1e-12)
+    # this uniform search lands on two nodes 1.2e-7 apart, condition 2.7e7
+    code, out, _ = run(capsys, "rule", "--freqs", "0.945,2.728", "--d", "1", "--optimize", "unif",
+                       "--seed", "730")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    gap = doc["diagnostics"]["min_shift_gap"]
+    assert gap == float(np.min(np.diff(np.sort(doc["expanded"]["phi"])))) < 1e-6
+    assert doc["diagnostics"]["condition_estimate"] > 1e7
+    assert doc["stopped_at_cap"] is False
+
+
+def test_rule_optimize_reports_a_stop_at_the_generation_cap(capsys):
+    code, out, _ = run(capsys, "rule", "--freqs", "0.945,2.728", "--d", "1", "--optimize", "unif",
+                       "--generations", "3")
+    assert code == EXIT_OK
+    doc = json.loads(out)
+    assert doc["generations"] == 3 and doc["stopped_at_cap"] is True
+    assert list(doc)[-1] == "stopped_at_cap"
+
+
 def test_rule_requires_exactly_one_node_source(capsys):
     code, _, err = run(capsys, "rule", "--freqs", "1,2", "--d", "1")
     assert code == EXIT_VALIDATION
@@ -313,6 +337,26 @@ def test_estimate_has_no_shots_flag(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --shots" in captured.err
+
+
+@pytest.mark.parametrize("flags,message", [
+    (("--exact", "--out", "e.csv"), "--emit-gnuplot plots sampled estimates; --exact writes one exact value"),
+    (("--repetitions", "5"), "--emit-gnuplot writes its script beside the --out CSV; give --out"),
+])
+def test_estimate_rejects_gnuplot_without_a_sampled_csv(tmp_path, capsys, monkeypatch, flags, message):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", *flags, "--emit-gnuplot")
+    assert code == EXIT_VALIDATION
+    assert out == "" and message in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_estimate_gnuplot_script_beside_csv(tmp_path, capsys):
+    code, _, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "0", "--repetitions", "5",
+                     "--out", str(tmp_path / "e.csv"), "--emit-gnuplot")
+    assert code == EXIT_OK
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["e.csv", "e.gp"]
+    assert "'e.csv'" in (tmp_path / "e.gp").read_text()
 
 
 def test_estimate_sampled_csv(tmp_path, capsys):
@@ -763,3 +807,31 @@ def test_python_m_shiftrules_runs_the_cli():
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: shiftrules")
+
+
+_TWO_EXPERIMENTS = """
+import sys
+from shiftrules.cli import main
+for argv in (["experiment", "--id", "landscape", "--reproducible", "--out-dir", "landscape"],
+             ["experiment", "--id", "result2", "--q", "5", "--params", "0", "1", "--repetitions", "200",
+              "--reproducible", "--out-dir", "result2"]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_seeded_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the same relative --out-dir in both runs, so the config echoes match too
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = []
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", _TWO_EXPERIMENTS], cwd=cwd, env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append({str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
+    assert len(outputs[0]) == 6 + 1 + 2 + 1
+    assert outputs[1] == outputs[0]

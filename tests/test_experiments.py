@@ -256,6 +256,9 @@ def test_landscape_csv(tmp_path):
     assert len(diagonal) == 61
     assert all(c[2] == "inf" for c in diagonal)
     assert all(np.isfinite(float(c[2])) for c in cells if c[0] != c[1])
+    # the cells for (x1, x2) and (x2, x1) carry the same text
+    text = {(c[0], c[1]): c[2] for c in cells}
+    assert all(text[x2, x1] == f for (x1, x2), f in text.items())
 
 
 def test_de_sweep_quick(tmp_path):

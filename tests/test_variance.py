@@ -109,6 +109,24 @@ def test_stacked_objective_matches_scalar(stack, d, scheme, freqs):
         assert abs(value - want) <= 1e-12 * abs(want)
 
 
+@given(stack=_node_stacks(), d=st.integers(1, 4), scheme=st.sampled_from(["uniform", "weighted"]),
+       freqs=st.sampled_from(sorted(_STACK_FREQS)), seed=st.integers(0, 2**32 - 1))
+def test_stacked_objective_is_invariant_under_node_permutation(stack, d, scheme, freqs, seed):
+    # permuting the nodes permutes the rows of A(x) and the entries of b
+    r, free = stack
+    fs = FrequencySet(_STACK_FREQS[freqs][:r])
+    ascending = np.sort(free, axis=1)
+    permuted = np.random.default_rng(seed).permuted(free, axis=1)
+    want = variance.stacked_objective(ascending, fs, d, scheme)
+    got = variance.stacked_objective(permuted, fs, d, scheme)
+    assert np.array_equal(np.isinf(got), np.isinf(want))
+    full = ascending if d % 2 else np.concatenate([np.zeros((len(free), 1)), ascending], axis=1)
+    cond = np.linalg.cond(epsr.build_A(full, fs, "odd" if d % 2 else "even"))
+    for g, w, c in zip(got, want, cond):
+        if math.isfinite(w) and c < 1e6:
+            assert abs(g - w) <= 1e-9 * abs(w)
+
+
 def test_stacked_objective_validates_shape_and_scheme():
     with pytest.raises(ValueError, match="shape"):
         variance.stacked_objective(np.zeros((3, 3)), FS12, 1, "weighted")
@@ -717,6 +735,16 @@ def test_global_search_runs_at_most_max_400_300r_generations(monkeypatch, r, cap
     assert optimize_shifts_global(integer_frequencies(r), 1, "uniform", seed=0).iterations == cap
 
 
+def test_global_search_reports_a_stop_at_the_cap(monkeypatch):
+    assert optimize_shifts_global(FS12, 1, "uniform", generations=3, seed=0).stopped_at_cap
+    assert not optimize_shifts_global(FS12, 1, "weighted", seed=4).stopped_at_cap
+    # a flat population stops on its spread in the first generation, which
+    # is also the last one: that is not a stop at the cap
+    monkeypatch.setattr(variance, "stacked_objective", lambda pop, *args: np.ones(len(pop)))
+    res = optimize_shifts_global(FS12, 1, "uniform", generations=1, seed=0)
+    assert res.iterations == 1 and not res.stopped_at_cap
+
+
 def test_global_snaps_an_even_node_onto_pi():
     # the uniform d = 2 optimum for {1, 2, 3} has its last node at pi, where
     # the rule merges +-pi into one evaluation
@@ -876,16 +904,33 @@ def test_landscape_minimum_near_equidistant(d):
     assert min(abs(grid[j] - math.pi / 4), abs(grid[j] - 3 * math.pi / 4)) <= cell
 
 
+def _landscape_scalar(x1, x2, d, scheme):
+    """The scalar objective at free nodes (x1, x2) of FS12, inf where singular."""
+    scalar = F_unif if scheme == "uniform" else F_wgt
+    nodes = ShiftNodes("odd", (x1, x2)) if d % 2 else ShiftNodes("even", (0.0, x1, x2))
+    try:
+        return scalar(nodes, FS12, d)
+    except SingularNodesError:
+        return math.inf
+
+
 @pytest.mark.parametrize("scheme", ("uniform", "weighted"))
 @pytest.mark.parametrize("d", range(1, 7))
 def test_landscape_matches_scalar_objective_exactly(d, scheme):
+    # every entry is the scalar objective at the ascending pair, the one solved
     grid, values = scan_landscape(FS12, d, scheme, n=9)
-    scalar = F_unif if scheme == "uniform" else F_wgt
     for i, x1 in enumerate(grid):
         for j, x2 in enumerate(grid):
-            nodes = ShiftNodes("odd", (x1, x2)) if d % 2 else ShiftNodes("even", (0.0, x1, x2))
-            try:
-                want = scalar(nodes, FS12, d)
-            except SingularNodesError:
-                want = math.inf
-            assert values[i, j] == want, (i, j)
+            assert values[i, j] == _landscape_scalar(*sorted((x1, x2)), d, scheme), (i, j)
+
+
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+@pytest.mark.parametrize("d", range(1, 7))
+def test_landscape_lower_triangle_matches_descending_pair(d, scheme):
+    # the mirrored entries agree with a solve at the descending pair up to
+    # round-off, which the row permutation changes
+    grid, values = scan_landscape(FS12, d, scheme, n=9)
+    for i in range(len(grid)):
+        for j in range(i):
+            want = _landscape_scalar(grid[i], grid[j], d, scheme)
+            assert values[i, j] == pytest.approx(want, rel=1e-9, abs=0), (i, j)
