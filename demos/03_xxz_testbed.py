@@ -25,7 +25,7 @@ print("1. The model")
 print("=" * 70)
 print(f"{q}-qubit XXZ chain (delta={delta}), {len(observable.terms)} Pauli terms")
 print(f"ansatz: {len(circuit.gates)} gates, {circuit.n_params} parameters: {names}")
-print("energy at the base point:", qsim.cost_slice(circuit, observable, theta, 0)(theta[0]))
+print("energy at the base point:", qsim.CostSlice(circuit, observable, theta, 0)(theta[0]))
 
 print()
 print("=" * 70)
@@ -33,7 +33,7 @@ print("2. Frequency content of each parameter's cost slice")
 print("=" * 70)
 for j in range(circuit.n_params):
     superset = qsim.slice_frequencies(circuit, j)
-    effective = qsim.slice_frequencies(circuit, j, observable, theta)
+    effective = qsim.CostSlice(circuit, observable, theta, j).frequencies
     note = "  <- frequency 3 cancels" if effective.r < superset.r else ""
     print(f"{names[j]:>7}: gate-count superset {superset.frequencies} "
           f"-> effective {effective.frequencies}{note}")
@@ -43,8 +43,8 @@ print("=" * 70)
 print("3. Shift rules vs the exact derivative from the slice's component Grams")
 print("=" * 70)
 for j in (0, 1, 7):
-    sl = qsim.cost_slice(circuit, observable, theta, j)
-    fs = qsim.slice_frequencies(circuit, j, observable, theta)
+    sl = qsim.CostSlice(circuit, observable, theta, j)
+    fs = sl.frequencies
     for d in (1, 2):
         rule = epsr.make_rule(valid_nodes_for(fs, d, seed=j), fs, d)
         got = epsr.apply_rule(rule, sl, theta[j])
@@ -57,8 +57,8 @@ print("=" * 70)
 print("4. Shot noise: uniform vs weighted allocation (1000 shots, 500 runs)")
 print("=" * 70)
 for j in (0, 1):
-    sl = qsim.cost_slice(circuit, observable, theta, j)
-    fs = qsim.slice_frequencies(circuit, j, observable, theta)
+    sl = qsim.CostSlice(circuit, observable, theta, j)
+    fs = sl.frequencies
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"),
                              n_total=1000, repetitions=500, seed_key=[0, j])
@@ -73,8 +73,8 @@ print("=" * 70)
 print("5. Node choice matters: classical vs arbitrary nodes, weighted shots")
 print("=" * 70)
 j = 1
-sl = qsim.cost_slice(circuit, observable, theta, j)
-fs = qsim.slice_frequencies(circuit, j, observable, theta)
+sl = qsim.CostSlice(circuit, observable, theta, j)
+fs = sl.frequencies
 for tag, vals in (("equidistant", epsr.equidistant_nodes(4, "odd").values),
                   ("random", (1.096948636022, 1.352471555537, 1.643004064611, 2.704730076756))):
     rule = epsr.make_rule(epsr.ShiftNodes("odd", vals), fs, 1)

@@ -70,15 +70,14 @@ def _floats(text: str) -> tuple[float, ...]:
 
 
 def _circuit_run(args):
-    """Checked settings of ``freq --circuit`` or ``estimate``, and their circuit, observable and theta."""
+    """Checked settings of ``freq --circuit`` or ``estimate``, and the cost slice they name."""
     s = argparse.Namespace(**{**_FIELD_DEFAULTS, **vars(args)})
     if s.circuit != "xxz-hva":
         raise ConfigError(f"unknown circuit {s.circuit!r}; available: xxz-hva")
     if getattr(s, "param", None) is None:
         raise ValueError("--circuit needs --param")
     _check_run_settings(vars(s))
-    circuit, obs = xxz_hva_setup(s.q, s.p, s.delta)
-    return s, circuit, obs, random_base_params(s.q, s.p, s.seed)
+    return s, qsim.CostSlice(*xxz_hva_setup(s.q, s.p, s.delta), random_base_params(s.q, s.p, s.seed), s.param)
 
 
 # ---------------------------------------------------------------------------
@@ -104,9 +103,8 @@ def _cmd_freq(args) -> int:
     if modes[0] == "eigs":
         fs = positive_difference_frequencies(_floats(args.eigs), given.get("dedup_tol", DEFAULT_TOL))
     else:
-        s, circuit, obs, theta = _circuit_run(args)
-        fs = (qsim.slice_frequencies(circuit, s.param) if given.get("no_prune")
-              else qsim.slice_frequencies(circuit, s.param, obs, theta))
+        s, sl = _circuit_run(args)
+        fs = qsim.slice_frequencies(sl.circuit, s.param) if given.get("no_prune") else sl.frequencies
     doc = {
         "frequencies": list(fs.frequencies),
         "r": fs.r,
@@ -204,24 +202,18 @@ def _cmd_estimate(args) -> int:
         raise ValueError("--emit-gnuplot plots sampled estimates; --exact writes one exact value")
     if args.emit_gnuplot and not args.out:
         raise ValueError("--emit-gnuplot writes its script beside the --out CSV; give --out")
-    s, circuit, obs, theta = _circuit_run(args)
-    sl = qsim.cost_slice(circuit, obs, theta, s.param)
-    xbar = s.xbar if s.xbar is not None else float(theta[s.param])
+    s, sl = _circuit_run(args)
+    xbar = s.xbar if s.xbar is not None else sl.base_params[s.param]
 
-    fs = qsim.slice_frequencies(circuit, s.param, obs, theta)
     if s.rule_json:
         with open(s.rule_json) as fh:
             rule = epsr.rule_from_json(fh.read())
-        # a rule is exact only for slices whose frequencies it was solved for
-        have = rule.frequencies.as_array()
-        if not all(np.any(np.isclose(w, have, rtol=DEFAULT_TOL, atol=0.0)) for w in fs.frequencies):
-            raise ValueError(f"rule frequencies {rule.frequencies.frequencies} do not cover the "
-                             f"frequencies {fs.frequencies} of parameter {s.param}")
+        if s.d not in (None, rule.order):
+            raise ValueError(f"--d {s.d} differs from the order {rule.order} of the --rule-json rule")
     else:
-        nodes = _nodes_from_flags(s, fs)
-        if nodes is None:
-            nodes = valid_nodes_for(fs, s.d, seed=s.seed)
-        rule = epsr.make_rule(nodes, fs, s.d)
+        s.d = 1 if s.d is None else s.d
+        nodes = _nodes_from_flags(s, sl.frequencies) or valid_nodes_for(sl.frequencies, s.d, seed=s.seed)
+        rule = epsr.make_rule(nodes, sl.frequencies, s.d)
 
     if s.exact:
         table = {"repetition": [0], "estimate": [epsr.apply_rule(rule, sl, xbar)]}
@@ -337,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("estimate", help="derivative estimates of a circuit parameter")
     _add_circuit_flags(p)
-    p.add_argument("--d", type=int, default=1)
+    p.add_argument("--d", type=int, help="derivative order (default 1, or the --rule-json rule's order)")
     p.add_argument("--xbar", type=float, help="evaluation point (default: the seeded base value)")
     p.add_argument("--equidistant", action="store_true")
     p.add_argument("--nodes")

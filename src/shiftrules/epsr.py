@@ -14,7 +14,7 @@ the other's), solves for coefficients with diagnostics (one node set at a
 time, or a whole stack of node sets at once), provides the classical
 fixed-node closed forms for first and second derivatives, evaluates the
 determinant factorizations used to certify node validity under integer
-frequencies, and applies rules to arbitrary evaluators.
+frequencies, and applies rules to the evaluators whose frequencies they cover.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import FrequencySet
+from .spectra import DEFAULT_TOL, FrequencySet, _json_get
 
 __all__ = [
     "ShiftNodes",
@@ -323,14 +323,29 @@ def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
     )
 
 
+def _check_coverage(rule: PSRRule, evaluator) -> None:
+    """ValueError naming both sets unless each of the evaluator's ``frequencies`` lies within relative
+    ``DEFAULT_TOL`` of a rule frequency.  An evaluator without them passes, and so does a constant
+    :class:`~shiftrules.qsim.CostSlice`, whose ``frequencies`` raise ValueError: it has none to cover."""
+    try:
+        fs = getattr(evaluator, "frequencies", None)
+    except ValueError:
+        return
+    have = rule.frequencies.frequencies
+    if fs is not None and not all(any(abs(w - h) <= DEFAULT_TOL * h for h in have) for w in fs.frequencies):
+        raise ValueError(f"rule frequencies {have} do not cover the evaluator's frequencies {fs.frequencies}")
+
+
 def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
     """sum_mu gamma_mu * evaluator(xbar + phi_mu).
 
     The evaluator is called exactly once, with the 1-D array of all shifted
     points ``xbar + phi_mu`` in rule order, and must return the array of
     values at those points (numpy ufuncs, :class:`~shiftrules.trigpoly.TrigPoly`
-    and :class:`~shiftrules.qsim.CostSlice` all do).
+    and :class:`~shiftrules.qsim.CostSlice` all do).  A rule that does not
+    cover the evaluator's frequencies raises ValueError (:func:`_check_coverage`).
     """
+    _check_coverage(rule, evaluator)
     points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     return float(np.asarray(rule.expanded_coeffs) @ np.asarray(evaluator(points), dtype=float))
 
@@ -424,22 +439,25 @@ def rule_to_json(rule: PSRRule) -> str:
 def rule_from_json(text: str) -> PSRRule:
     """Inverse of :func:`rule_to_json`, checked against a fresh solve.
 
-    The rule is re-solved from the document's nodes, frequencies and order.
-    Stored coefficients ``b`` or expanded terms that differ from the re-solve
-    by more than ``_JSON_RTOL`` of their largest entry raise ValueError;
-    otherwise the re-solved rule, with its diagnostics, is returned.
+    A key without its JSON type (``order`` an int, not a bool; lists of
+    numbers) raises ValueError naming it.  The rule is re-solved from the
+    document's nodes, frequencies and order; stored ``b`` or expanded terms
+    that differ from it by more than ``_JSON_RTOL`` of their largest entry
+    raise ValueError, else the re-solved rule, with diagnostics, is returned.
     """
     doc = json.loads(text)
-    try:
-        rule = make_rule(ShiftNodes(doc["parity"], tuple(doc["nodes"])),
-                         FrequencySet(tuple(doc["frequencies"])), int(doc["order"]))
-        stored = {"b": doc["b"], "phi": doc["expanded"]["phi"], "gamma": doc["expanded"]["gamma"]}
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"malformed rule document: {exc!r}") from exc
+    expanded = _json_get(doc, "expanded", (dict,), "rule document")
+    lists = {key: _json_get(expanded if key in ("phi", "gamma") else doc, key, (list,), "rule document")
+             for key in ("nodes", "frequencies", "b", "phi", "gamma")}
+    for key, values in lists.items():
+        if any(type(v) not in (int, float) for v in values):
+            raise ValueError(f"rule document key {key!r} must hold numbers only, not {values!r}")
+    rule = make_rule(ShiftNodes(_json_get(doc, "parity", (str,), "rule document"), tuple(lists["nodes"])),
+                     FrequencySet(tuple(lists["frequencies"])), _json_get(doc, "order", (int,), "rule document"))
     solved = {"b": rule.solve_coeffs, "phi": rule.expanded_shifts, "gamma": rule.expanded_coeffs}
     for name, want in solved.items():
         want = np.asarray(want)
-        got = np.asarray(stored[name], dtype=float)
+        got = np.asarray(lists[name], dtype=float)
         tol = _JSON_RTOL * float(np.max(np.abs(want)))
         if got.shape != want.shape or not np.all(np.abs(got - want) <= tol):
             raise ValueError(f"rule document {name!r} does not match the rule re-solved from "

@@ -311,8 +311,10 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     Stream layout: one generator ``np.random.default_rng(seed_key)`` per
     call; for each scheme in order, then each expanded shift in rule order
     (skipping zero coefficients and zero shot counts), all ``repetitions``
-    draws of that shift at once.
+    draws of that shift at once.  A rule that does not cover
+    ``sl.frequencies`` raises ValueError before any draw, as in :func:`epsr.apply_rule`.
     """
+    epsr._check_coverage(rule, sl)
     gamma = np.asarray(rule.expanded_coeffs)
     points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     if method == "multinomial":
@@ -349,8 +351,8 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     names = qsim.hva_parameter_names(cfg.p)
     rows = []
     for j in range(circuit.n_params):
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         for d in range(1, 7):
             rule = epsr.make_rule(valid_nodes_for(fs, d, seed=cfg.seed + 31 * j + d), fs, d)
             got = epsr.apply_rule(rule, sl, theta[j])
@@ -371,9 +373,8 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     names = qsim.hva_parameter_names(cfg.p)
     out = {}
     for j in cfg.params:
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
-        rule = epsr.make_rule(valid_nodes_for(fs, 1, seed=cfg.seed), fs, 1)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        rule = epsr.make_rule(valid_nodes_for(sl.frequencies, 1, seed=cfg.seed), sl.frequencies, 1)
         ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
                                  cfg.repetitions, [cfg.seed, 2, j], cfg.method)
         name = f"result2_{names[j]}.csv"
@@ -392,8 +393,8 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     out = {}
     node_echo = {}
     for j in cfg.params:
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         if not fs.is_consecutive_integers():
             raise ValueError("result3 compares against equidistant nodes; parameter "
                              f"{j} has frequencies {fs.frequencies}")

@@ -15,13 +15,13 @@ over its components; every point is then a (k+1)-term sum for its state and
 a quadratic form in the components' (k+1, k+1) Grams for its value, its
 exact derivatives and its one-shot variance.
 
-The same Grams give each slice's frequency set: the value is a sum of
-G_il e^{i(i-l)x}, so the amplitude at frequency s is twice the modulus of
-the sum along G's s-th subdiagonal, and {1, ..., k} bounds the set for any
-gate order, input state and observable (the general parameter-shift setting
-of Wierichs, Izaac, Wang & Lin, Quantum 6, 677, 2022).  The observable
-eigenvalue levels behind multinomial sampling are cached per observable; the
-shot-noise model that samples these slices is
+The same Grams give each slice its frequency set, :attr:`CostSlice.frequencies`:
+the value is a sum of G_il e^{i(i-l)x}, so the amplitude at frequency s is
+twice the modulus of the sum along G's s-th subdiagonal, and {1, ..., k}
+bounds the set for any gate order, input state and observable (the general
+parameter-shift setting of Wierichs, Izaac, Wang & Lin, Quantum 6, 677,
+2022).  The observable eigenvalue levels behind multinomial sampling are
+cached per observable; the shot-noise model that samples these slices is
 :func:`shiftrules.experiments.sampled_estimates`.
 
 Qubit convention: qubit i is the i-th character of a Pauli string and the
@@ -38,7 +38,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .spectra import DEFAULT_TOL, FrequencySet
+from .spectra import DEFAULT_TOL, FrequencySet, _json_get
 
 __all__ = [
     "MAX_QUBITS",
@@ -50,7 +50,6 @@ __all__ = [
     "build_xxz_hamiltonian",
     "build_hva_circuit",
     "hva_parameter_names",
-    "cost_slice",
     "slice_frequencies",
     "circuit_to_json",
     "circuit_from_json",
@@ -61,7 +60,7 @@ __all__ = [
 #: Hard cap for dense simulation and observable eigendecomposition.
 MAX_QUBITS = 12
 
-#: Relative amplitude below which :func:`slice_frequencies` drops a frequency.
+#: Relative amplitude below which :attr:`CostSlice.frequencies` drops a frequency.
 #: Round-off amplitudes of the XXZ/HVA slices stay below 1e-15 (q <= 10)
 #: while genuine ones reach down to 1e-9 (q = 9), so the cut sits between.
 AMPLITUDE_TOL = 1e-12
@@ -444,7 +443,7 @@ class CostSlice:
     E(x) @ W, and a value, derivative or variance is a quadratic form in the
     (k+1, k+1) Grams, with no 2**q work per point.
     Norms, imaginary residues and negative variances are still checked at
-    every point.
+    every point.  ``frequencies`` is the slice's own frequency set.
     """
 
     circuit: CircuitSpec
@@ -463,6 +462,18 @@ class CostSlice:
     @cached_property
     def _components(self) -> _Components:
         return _slice_components(self.circuit, self.base_params, self.index, self.observable)
+
+    @cached_property
+    def frequencies(self) -> FrequencySet:
+        """The frequencies s of :func:`slice_frequencies` whose amplitude 2|sum of the Gram's s-th
+        subdiagonal| exceeds ``AMPLITUDE_TOL`` max(1, the largest), exposing structural cancellations
+        such as a missing gap in the final gate layer; ValueError if none is left."""
+        k = slice_frequencies(self.circuit, self.index).r
+        amps = np.array([2.0 * abs(np.trace(self._components.mean, -s)) for s in range(1, k + 1)])
+        keep = amps > AMPLITUDE_TOL * max(1.0, float(np.max(amps)))
+        if not np.any(keep):
+            raise ValueError("slice is constant within tolerance; no frequencies survive")
+        return FrequencySet(tuple(np.flatnonzero(keep) + 1))
 
     def _phases(self, x) -> np.ndarray:
         """E(x): row b holds e^{-i(2i-k)x_b/2} for i = 0..k."""
@@ -514,38 +525,16 @@ class CostSlice:
         return _batch_result(_variances(mean.real, m2.real), np.ndim(x) == 0)
 
 
-def cost_slice(circuit: CircuitSpec, obs: PauliSumObservable, theta_base, j: int) -> CostSlice:
-    """Freeze all parameters except component j into a univariate evaluator."""
-    return CostSlice(circuit, obs, tuple(np.asarray(theta_base, dtype=float)), j)
+def slice_frequencies(circuit: CircuitSpec, j: int) -> FrequencySet:
+    """Superset {1, ..., k} of the frequencies of every cost slice in parameter j.
 
-
-def slice_frequencies(circuit: CircuitSpec, j: int, observable: PauliSumObservable | None = None,
-                      base_params=None) -> FrequencySet:
-    """Frequency set of the cost slice in parameter j.
-
-    With k gates bound to j the slice is a quadratic form in k+1 Fourier
-    components (see :func:`_slice_components`), so its frequencies lie in
-    {1, ..., k} for any gate order, input state and observable; without
-    ``observable`` that superset is returned.  With ``observable`` and
-    ``base_params``, the amplitude at frequency s is 2|sum of the s-th
-    subdiagonal of the slice's Gram G|, and frequencies whose amplitude is
-    at most ``AMPLITUDE_TOL`` times max(1, the largest amplitude) are
-    dropped, exposing structural cancellations such as a missing gap in the
-    final gate layer.
+    With k gates bound to j a slice is a quadratic form in k+1 Fourier components (see
+    :func:`_slice_components`); :attr:`CostSlice.frequencies` prunes the set for one slice.
     """
     k = sum(g.param == j for g in circuit.gates)
     if k == 0:
         raise ValueError(f"no gate is bound to parameter {j}")
-    if observable is None:
-        return FrequencySet(tuple(range(1, k + 1)))
-    if base_params is None:
-        raise ValueError("amplitude pruning needs base_params alongside the observable")
-    gram = cost_slice(circuit, observable, base_params, j)._components.mean
-    amps = np.array([2.0 * abs(np.trace(gram, -s)) for s in range(1, k + 1)])
-    keep = amps > AMPLITUDE_TOL * max(1.0, float(np.max(amps)))
-    if not np.any(keep):
-        raise ValueError("slice is constant within tolerance; no frequencies survive")
-    return FrequencySet(tuple(np.flatnonzero(keep) + 1))
+    return FrequencySet(tuple(range(1, k + 1)))
 
 
 def circuit_to_json(circuit: CircuitSpec) -> str:
@@ -556,18 +545,6 @@ def circuit_to_json(circuit: CircuitSpec) -> str:
             entry["param"] = g.param
         gates.append(entry)
     return json.dumps({"q": circuit.q, "n_params": circuit.n_params, "gates": gates}, indent=2)
-
-
-def _json_get(doc, key: str, kinds: tuple, where: str):
-    """``doc[key]`` if its JSON type is one of ``kinds``; ValueError naming the key otherwise."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
-    if key not in doc:
-        raise ValueError(f"{where} is missing key {key!r}")
-    if type(doc[key]) not in kinds:  # exact types: a JSON bool is not an int
-        raise ValueError(f"{where} key {key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
-                         f"not {doc[key]!r}")
-    return doc[key]
 
 
 def circuit_from_json(text: str) -> CircuitSpec:

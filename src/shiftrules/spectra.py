@@ -7,7 +7,7 @@ equidistant ones {Omega, 2 Omega, ..., r Omega}.
 
 Eigenvalues are expected as plain sorted sequences; circuit cost slices read
 their frequency sets off their Fourier components instead (see
-:func:`shiftrules.qsim.slice_frequencies`).
+:attr:`shiftrules.qsim.CostSlice.frequencies`).
 """
 
 from __future__ import annotations
@@ -131,3 +131,15 @@ def detect_equidistant(fs: FrequencySet) -> float | None:
     if np.max(np.abs(arr / step - k)) <= DEFAULT_TOL:
         return float(step)
     return None
+
+
+def _json_get(doc, key: str, kinds: tuple, where: str):
+    """``doc[key]`` if its JSON type is one of ``kinds``; ValueError naming the key otherwise."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"{where} must be a JSON object, not {type(doc).__name__}")
+    if key not in doc:
+        raise ValueError(f"{where} is missing key {key!r}")
+    if type(doc[key]) not in kinds:  # exact types: a JSON bool is not an int
+        raise ValueError(f"{where} key {key!r} must be {' or '.join(k.__name__ for k in kinds)}, "
+                         f"not {doc[key]!r}")
+    return doc[key]

@@ -86,8 +86,8 @@ def test_criterion_2_result1_reproduction(xxz):
     circuit, obs, theta = xxz
     worst = 0.0
     for j in range(8):
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         for d in (1, 2):
             rule = epsr.make_rule(valid_nodes_for(fs, d, seed=17 + j), fs, d)
             got = epsr.apply_rule(rule, sl, theta[j])
@@ -247,8 +247,8 @@ def test_criterion_8_variance_predictions(xxz):
     circuit, obs, theta = xxz
     ratios = {}
     for j, r in ((0, 2), (1, 4)):
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         assert fs.r == r
         rule = epsr.make_rule(epsr.equidistant_nodes(r, "odd"), fs, 1)
         ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"),
@@ -268,8 +268,8 @@ def test_criterion_9_equidistant_beats_random_nodes(xxz):
     circuit, obs, theta = xxz
     margins = []
     for j, r in ((0, 2), (1, 4)):
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         variances = {}
         node_sets = {"equidistant": epsr.equidistant_nodes(r, "odd").values}
         node_sets["random1"], node_sets["random2"] = RESULT3_RANDOM_NODES[r]
@@ -316,9 +316,9 @@ def test_criterion_11_slice_frequency_extraction(xxz):
     }
     grid = np.linspace(0.0, 2 * math.pi, 96, endpoint=False)
     for j, want in expected.items():
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         assert fs.frequencies == want, (j, fs.frequencies)
-        sl = qsim.cost_slice(circuit, obs, theta, j)
         ys = np.array([sl(x) for x in grid])
         _, resid = fit_least_squares(fs, grid, ys)
         assert resid < 1e-9, (j, resid)

@@ -277,12 +277,12 @@ def test_estimate_exact_matches_reference(capsys):
     value = float(lines[1].split(",")[1])
 
     from shiftrules.experiments import random_base_params, xxz_hva_setup
-    from shiftrules.qsim import cost_slice
+    from shiftrules.qsim import CostSlice
     from oracles import central_difference
 
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)
-    sl = cost_slice(circuit, obs, theta, 0)
+    sl = CostSlice(circuit, obs, theta, 0)
     ref = central_difference(sl, theta[0], 1, 1e-2)
     assert value == pytest.approx(ref, abs=1e-9)
 
@@ -421,8 +421,8 @@ def test_estimate_uniform_even_order_has_the_predicted_variance(tmp_path, capsys
 
     circuit, obs = experiments.xxz_hva_setup(5, 2, 0.5)  # estimate's default q, p and delta
     theta = experiments.random_base_params(5, 2, seed)
-    sl = qsim.cost_slice(circuit, obs, theta, 0)
-    fs = qsim.slice_frequencies(circuit, 0, obs, theta)
+    sl = qsim.CostSlice(circuit, obs, theta, 0)
+    fs = sl.frequencies
     rule = epsr.make_rule(experiments.valid_nodes_for(fs, 2, seed=seed), fs, 2)
     gamma, shifts = np.asarray(rule.expanded_coeffs), np.asarray(rule.expanded_shifts)
     assert {0.0, math.pi} <= set(shifts.tolist())
@@ -578,6 +578,32 @@ def test_estimate_rejects_rule_with_wrong_order(tmp_path, capsys):
     code, err = _tampered_rule_exit_code(tmp_path, capsys, tamper)
     assert code == EXIT_VALIDATION
     assert "'b'" in err
+
+
+@pytest.mark.parametrize("key,tamper", [
+    ("order", lambda doc: doc.update(order=1.7)),
+    ("order", lambda doc: doc.update(order="1")),
+    ("order", lambda doc: doc.update(order=True)),
+    # the node's own value as text, which float() would have read back
+    ("nodes", lambda doc: doc["nodes"].__setitem__(1, str(doc["nodes"][1]))),
+], ids=["order-float", "order-string", "order-bool", "nodes-string-entry"])
+def test_estimate_rejects_a_rule_key_of_the_wrong_json_type(tmp_path, capsys, key, tamper):
+    code, err = _tampered_rule_exit_code(tmp_path, capsys, tamper)
+    assert code == EXIT_VALIDATION
+    assert f"rule document key {key!r}" in err
+
+
+def test_estimate_takes_the_order_of_a_rule_json_and_refuses_another_d(tmp_path, capsys):
+    path = tmp_path / "rule.json"
+    code, _, _ = run(capsys, "rule", "--freqs", "1,2,3,4", "--d", "1", "--equidistant", "--out", str(path))
+    assert code == EXIT_OK
+    flags = ("estimate", "--circuit", "xxz-hva", "--param", "1", "--rule-json", str(path), "--exact")
+    code, out, err = run(capsys, *flags, "--d", "2")
+    assert code == EXIT_VALIDATION and out == ""
+    assert "--d 2" in err and "order 1" in err
+    code, absent, _ = run(capsys, *flags)
+    assert code == EXIT_OK
+    assert run(capsys, *flags, "--d", "1")[1] == absent
 
 
 def _rule_then_exact_estimate(tmp_path, capsys, freqs, param):

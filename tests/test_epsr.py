@@ -495,3 +495,42 @@ def test_rule_exact_on_random_non_integer_frequencies(gaps, d, seed):
     mass = abs(poly.a0) + np.sum(np.abs(poly.cos_coeffs)) + np.sum(np.abs(poly.sin_coeffs))
     scale = np.sum(np.abs(rule.expanded_coeffs)) * mass * max(1.0, fs.frequencies[-1] ** d)
     assert abs(apply_rule(rule, poly, x) - poly.derivative(d, x)) <= 1e-12 * scale
+
+
+@st.composite
+def _nested_frequency_sets(draw):
+    """(S, F, P): a set S of 2 <= r <= 5 frequencies, integer or not, F within S, and P within F.
+
+    Each frequency is in P, in F but not P, or in S alone, and one is in P;
+    P is None unless it is a proper subset of F.
+    """
+    if draw(st.booleans()):
+        values = draw(st.lists(st.integers(1, 8), min_size=2, max_size=5, unique=True))
+    else:
+        values = np.cumsum(draw(st.lists(st.floats(0.25, 2.0), min_size=2, max_size=5)))
+    full = sorted(float(v) for v in values)
+    where = draw(st.lists(st.integers(0, 2), min_size=len(full), max_size=len(full)))
+    where[draw(st.integers(0, len(full) - 1))] = 0
+    fs = FrequencySet(tuple(w for w, k in zip(full, where) if k <= 1))
+    part = tuple(w for w, k in zip(full, where) if k == 0)
+    return FrequencySet(tuple(full)), fs, FrequencySet(part) if len(part) < fs.r else None
+
+
+@given(sets=_nested_frequency_sets(), d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_a_rule_applies_only_where_its_frequencies_cover_the_polynomial(sets, d, seed):
+    full, fs, part = sets
+    rng = np.random.default_rng(seed)
+    poly = random_trigpoly(fs, seed)
+    x = float(rng.uniform(-math.pi, math.pi))
+    # a rule for any superset of the polynomial's set is exact, to the
+    # round-off scale of test_rule_exact_on_random_non_integer_frequencies
+    rule = make_rule(random_valid_nodes(full, d, rng), full, d)
+    mass = abs(poly.a0) + np.sum(np.abs(poly.cos_coeffs)) + np.sum(np.abs(poly.sin_coeffs))
+    scale = np.sum(np.abs(rule.expanded_coeffs)) * mass * max(1.0, full.frequencies[-1] ** d)
+    assert abs(apply_rule(rule, poly, x) - poly.derivative(d, x)) <= 1e-12 * scale
+    # a rule for a proper subset is refused, naming both sets
+    if part is not None:
+        short = make_rule(random_valid_nodes(part, d, rng), part, d)
+        with pytest.raises(ValueError, match="do not cover") as err:
+            apply_rule(short, poly, x)
+        assert str(part.frequencies) in str(err.value) and str(fs.frequencies) in str(err.value)

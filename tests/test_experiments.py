@@ -146,7 +146,7 @@ def test_valid_nodes_scale_to_the_common_step_without_a_solve(monkeypatch):
     # is singular; the pattern divided by the step is A(x) of {1..r}
     circuit, obs = xxz_hva_setup(10, 2, 0.5)
     theta = random_base_params(10, 2, 0)
-    sets = [qsim.slice_frequencies(circuit, j, obs, theta) for j in range(circuit.n_params)]
+    sets = [qsim.CostSlice(circuit, obs, theta, j).frequencies for j in range(circuit.n_params)]
     monkeypatch.setattr(epsr, "solve_coefficients", None)
     for fs in sets:
         assert fs.frequencies == tuple(2.0 * k for k in range(1, fs.r + 1))
@@ -212,8 +212,8 @@ def test_result1_quick(tmp_path):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
     theta = random_base_params(cfg.q, cfg.p, cfg.seed)
     for j, _, d, got, ref, err in rows:
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         rule = epsr.make_rule(valid_nodes_for(fs, d, seed=cfg.seed + 31 * j + d), fs, d)
         assert got == epsr.apply_rule(rule, sl, theta[j])
         assert ref == sl.derivative(d, theta[j])
@@ -282,8 +282,8 @@ def test_default_de_sweep_certifies_every_row(tmp_path):
 
 
 def test_result1_builds_each_slice_once(tmp_path):
-    # the Gram readout in slice_frequencies and the runner's own slice share
-    # one component build per parameter
+    # a slice's frequency readout and its evaluations share one component
+    # build per parameter
     qsim._slice_components.cache_clear()
     run_experiment(ExperimentConfig("result1", out_dir=str(tmp_path)), reproducible=True)
     assert qsim._slice_components.cache_info().misses == 8
@@ -292,9 +292,23 @@ def test_result1_builds_each_slice_once(tmp_path):
 def _xxz_slice_and_rule(j=0):
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)
-    sl = qsim.cost_slice(circuit, obs, theta, j)
-    fs = qsim.slice_frequencies(circuit, j, obs, theta)
+    sl = qsim.CostSlice(circuit, obs, theta, j)
+    fs = sl.frequencies
     return sl, epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1), theta[j]
+
+
+def test_slice_refuses_a_rule_that_misses_its_frequencies(monkeypatch):
+    # parameter 1 has frequencies {1, 2, 3, 4}; unchecked, the {1} rule read
+    # -2.285 through apply_rule and a sampled mean of -2.288, against 1.028
+    sl, _, xbar = _xxz_slice_and_rule(1)
+    rule = epsr.make_rule(epsr.equidistant_nodes(1, "odd"), FrequencySet((1.0,)), 1)
+    both = r"\(1\.0,\) do not cover .*\(1\.0, 2\.0, 3\.0, 4\.0\)"
+    with pytest.raises(ValueError, match=both):
+        epsr.apply_rule(rule, sl, xbar)
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: pytest.fail("a shot was drawn"))
+    for method in ("multinomial", "gaussian"):
+        with pytest.raises(ValueError, match=both):
+            sampled_estimates(sl, rule, xbar, ("uniform", "weighted"), 1000, 16, [1, 2], method)
 
 
 def test_sampled_estimates_deterministic():
@@ -315,7 +329,7 @@ def test_multinomial_draws_ignore_round_off_in_the_states(monkeypatch):
     # change in the states must not change which draws the generator makes
     j = 1
     sl, _, xbar = _xxz_slice_and_rule(j)
-    fs = qsim.slice_frequencies(sl.circuit, j, sl.observable, sl.base_params)
+    fs = sl.frequencies
     rule = epsr.make_rule(epsr.ShiftNodes("odd", RESULT3_RANDOM_NODES[fs.r][0]), fs, 1)
     schemes = ("uniform", "weighted")
     want = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 3, j, 1])
@@ -396,8 +410,8 @@ def test_q8_level_tables_separate_round_off_from_genuine_entries(monkeypatch):
     circuit, obs = xxz_hva_setup(8, 2, 0.5)
     theta = random_base_params(8, 2, 0)
     for j in range(circuit.n_params):
-        sl = qsim.cost_slice(circuit, obs, theta, j)
-        fs = qsim.slice_frequencies(circuit, j, obs, theta)
+        sl = qsim.CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         for d in (1, 2):
             rule = epsr.make_rule(valid_nodes_for(fs, d), fs, d)
             _, tables = _level_tables(obs, sl.state(theta[j] + np.asarray(rule.expanded_shifts)))
@@ -424,7 +438,7 @@ def test_sampled_estimates_zero_variance_eigenstate():
     # reads +1 and the rule's coefficients sum to zero
     circuit = qsim.CircuitSpec(2, (qsim.Gate("RZZ", (0, 1), 0),), 1)
     obs = qsim.PauliSumObservable(((1.0, "ZZ"),))
-    sl = qsim.cost_slice(circuit, obs, [0.4], 0)
+    sl = qsim.CostSlice(circuit, obs, [0.4], 0)
     fs = qsim.slice_frequencies(circuit, 0)
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     for method in ("multinomial", "gaussian"):
@@ -436,8 +450,8 @@ def test_sampled_estimates_zero_variance_eigenstate():
 def test_sampled_estimates_gaussian_surrogate():
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
     theta = random_base_params(5, 2, 0)
-    sl = qsim.cost_slice(circuit, obs, theta, 0)
-    fs = qsim.slice_frequencies(circuit, 0, obs, theta)
+    sl = qsim.CostSlice(circuit, obs, theta, 0)
+    fs = sl.frequencies
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     out = sampled_estimates(sl, rule, theta[0], ("weighted",), 1000, 200, [9, 9],
                             method="gaussian")

@@ -10,13 +10,13 @@ from shiftrules import epsr, qsim
 from shiftrules.experiments import random_base_params, valid_nodes_for, xxz_hva_setup
 from shiftrules.qsim import (
     CircuitSpec,
+    CostSlice,
     Gate,
     PauliSumObservable,
     build_hva_circuit,
     build_xxz_hamiltonian,
     circuit_from_json,
     circuit_to_json,
-    cost_slice,
     hva_parameter_names,
     observable_from_json,
     observable_to_json,
@@ -242,15 +242,15 @@ def test_even_qubit_count_includes_periodic_bond():
 def test_slice_at_base_value_matches_full_expectation(xxz_setup):
     circuit, obs, theta = xxz_setup
     for j in (0, 3, 7):
-        sl = cost_slice(circuit, obs, theta, j)
+        sl = CostSlice(circuit, obs, theta, j)
         full = expectation(apply_circuit(circuit, theta), obs)
         assert sl(theta[j]) == pytest.approx(full, abs=1e-12)
 
 
 def test_slice_fits_with_its_frequencies(xxz_setup):
     circuit, obs, theta = xxz_setup
-    sl = cost_slice(circuit, obs, theta, 0)
-    fs = slice_frequencies(circuit, 0, obs, theta)
+    sl = CostSlice(circuit, obs, theta, 0)
+    fs = sl.frequencies
     assert fs.frequencies == (1.0, 2.0)
     xs = np.linspace(0.1, 2.8, 2 * fs.r + 1)
     poly, _ = fit_least_squares(fs, xs, np.array([sl(x) for x in xs]))
@@ -261,7 +261,7 @@ def test_slice_fits_with_its_frequencies(xxz_setup):
 
 def test_gamma2_slice_needs_frequency_four(xxz_setup):
     circuit, obs, theta = xxz_setup
-    sl = cost_slice(circuit, obs, theta, 7)
+    sl = CostSlice(circuit, obs, theta, 7)
     grid = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
     ys = np.array([sl(x) for x in grid])
     _, resid124 = fit_least_squares(FrequencySet((1.0, 2.0, 4.0)), grid, ys)
@@ -273,7 +273,7 @@ def test_gamma2_slice_needs_frequency_four(xxz_setup):
 def test_slice_frequencies_superset_vs_pruned(xxz_setup):
     circuit, obs, theta = xxz_setup
     assert slice_frequencies(circuit, 7).frequencies == (1.0, 2.0, 3.0, 4.0)
-    assert slice_frequencies(circuit, 7, obs, theta).frequencies == (1.0, 2.0, 4.0)
+    assert CostSlice(circuit, obs, theta, 7).frequencies.frequencies == (1.0, 2.0, 4.0)
 
 
 @pytest.mark.parametrize("j,want", [
@@ -283,7 +283,7 @@ def test_slice_frequencies_superset_vs_pruned(xxz_setup):
 ])
 def test_slice_frequencies_all_parameters(xxz_setup, j, want):
     circuit, obs, theta = xxz_setup
-    assert slice_frequencies(circuit, j, obs, theta).frequencies == want
+    assert CostSlice(circuit, obs, theta, j).frequencies.frequencies == want
 
 
 def _dense_generator(circuit, j):
@@ -324,7 +324,7 @@ def test_slice_frequencies_of_non_commuting_bound_gates():
     obs = PauliSumObservable(((1.0, "IIX"),))
     fs = slice_frequencies(circuit, 0)
     assert fs.frequencies == (1.0, 2.0)
-    sl = cost_slice(circuit, obs, [0.4], 0)
+    sl = CostSlice(circuit, obs, [0.4], 0)
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     assert epsr.apply_rule(rule, sl, 0.4) == pytest.approx(central_difference(sl, 0.4, 1, 1e-4), abs=1e-6)
 
@@ -335,9 +335,9 @@ def test_slice_frequencies_of_commuting_gates_split_by_a_fixed_gate():
     circuit = CircuitSpec(2, (Gate("H", (0,)), Gate("RZZ", (0, 1), 0),
                               Gate("H", (0,)), Gate("RZZ", (0, 1), 0)), 1)
     obs = PauliSumObservable(((1.0, "ZI"),))
-    fs = slice_frequencies(circuit, 0, obs, [0.4])
+    sl = CostSlice(circuit, obs, [0.4], 0)
+    fs = sl.frequencies
     assert fs.frequencies == (1.0,)
-    sl = cost_slice(circuit, obs, [0.4], 0)
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     assert epsr.apply_rule(rule, sl, 0.4) == pytest.approx(central_difference(sl, 0.4, 1, 1e-4), abs=1e-6)
 
@@ -347,9 +347,9 @@ def test_slice_frequencies_keep_a_small_genuine_amplitude():
     # above AMPLITUDE_TOL, and a rule without it is off by 7e-7
     circuit, obs = build_hva_circuit(7, 2), build_xxz_hamiltonian(7, 0.5)
     theta = np.random.default_rng(1).uniform(-np.pi, np.pi, 8)
-    fs = slice_frequencies(circuit, 3, obs, theta)
+    sl = CostSlice(circuit, obs, theta, 3)
+    fs = sl.frequencies
     assert fs.frequencies == (1.0, 2.0, 3.0, 4.0, 5.0, 6.0)
-    sl = cost_slice(circuit, obs, theta, 3)
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)
     ref = central_difference(sl, theta[3], 1, 1e-2)
     assert epsr.apply_rule(rule, sl, theta[3]) == pytest.approx(ref, abs=1e-9)
@@ -360,9 +360,9 @@ def test_slice_frequencies_keep_an_amplitude_of_3e_minus_9():
     # a rule over {1..7} misses the exact 4th derivative by 7e-6
     circuit, obs = build_hva_circuit(9, 3), build_xxz_hamiltonian(9, 0.5)
     theta = np.random.default_rng(1).uniform(-np.pi, np.pi, 12)
-    fs = slice_frequencies(circuit, 3, obs, theta)
+    sl = CostSlice(circuit, obs, theta, 3)
+    fs = sl.frequencies
     assert 8.0 in fs.frequencies
-    sl = cost_slice(circuit, obs, theta, 3)
     rule = epsr.make_rule(valid_nodes_for(fs, 4, seed=0), fs, 4)
     assert epsr.apply_rule(rule, sl, theta[3]) == pytest.approx(sl.derivative(4, theta[3]), abs=1e-10)
 
@@ -374,8 +374,8 @@ def test_rules_match_exact_slice_derivatives_to_round_off(q, p):
     circuit, obs = build_hva_circuit(q, p), build_xxz_hamiltonian(q, 0.5)
     theta = np.random.default_rng(q).uniform(-np.pi, np.pi, circuit.n_params)
     for j in range(circuit.n_params):
-        sl = cost_slice(circuit, obs, theta, j)
-        fs = slice_frequencies(circuit, j, obs, theta)
+        sl = CostSlice(circuit, obs, theta, j)
+        fs = sl.frequencies
         for d in range(1, 9):
             rule = epsr.make_rule(valid_nodes_for(fs, d, seed=j + d), fs, d)
             err = abs(epsr.apply_rule(rule, sl, theta[j]) - sl.derivative(d, theta[j]))
@@ -384,7 +384,7 @@ def test_rules_match_exact_slice_derivatives_to_round_off(q, p):
 
 def test_slice_derivative_validates_order(xxz_setup):
     circuit, obs, theta = xxz_setup
-    sl = cost_slice(circuit, obs, theta, 0)
+    sl = CostSlice(circuit, obs, theta, 0)
     assert type(sl.derivative(2, 0.3)) is float
     assert sl.derivative(1, np.array([0.3, 0.4])).shape == (2,)
     with pytest.raises(ValueError, match="order"):
@@ -394,7 +394,8 @@ def test_slice_derivative_validates_order(xxz_setup):
 def _beta2_slice_q8():
     circuit, obs = xxz_hva_setup(8, 2, 0.5)
     theta = random_base_params(8, 2, 0)
-    return cost_slice(circuit, obs, theta, 4), slice_frequencies(circuit, 4, obs, theta), theta[4]
+    sl = CostSlice(circuit, obs, theta, 4)
+    return sl, sl.frequencies, theta[4]
 
 
 def test_high_order_slice_derivative_passes_the_residue_check():
@@ -473,7 +474,7 @@ def test_component_slice_equals_pointwise_evolution(case, seed):
     rng = np.random.default_rng(seed)
     theta = rng.uniform(-np.pi, np.pi, circuit.n_params)
     xs = rng.uniform(-2 * np.pi, 2 * np.pi, 5)
-    sl = cost_slice(circuit, obs, theta, j)
+    sl = CostSlice(circuit, obs, theta, j)
     psi = pointwise_states(circuit, theta, j, xs)
     np.testing.assert_allclose(sl.state(xs), psi, rtol=0, atol=1e-14)
     np.testing.assert_allclose(sl(xs), expectation(psi, obs), rtol=0, atol=1e-12)
@@ -545,7 +546,7 @@ def test_prefix_sweep_components_equal_pointwise_evolution(case, seed):
             assert start == first[j]
             before = CircuitSpec(circuit.q, circuit.gates[:start], circuit.n_params)
             np.testing.assert_allclose(state[0], apply_circuit(before, theta), rtol=0, atol=1e-14)
-            sl = cost_slice(circuit, obs, theta, j)
+            sl = CostSlice(circuit, obs, theta, j)
             np.testing.assert_allclose(sl.state(xs), pointwise_states(circuit, theta, j, xs), rtol=0, atol=1e-14)
     assert qsim._prefix_states.cache_info().misses == 2
 
@@ -556,7 +557,7 @@ def test_slices_of_one_base_point_share_one_sweep():
     qsim._prefix_states.cache_clear()
     qsim._slice_components.cache_clear()
     for j in range(circuit.n_params):
-        slice_frequencies(circuit, j, obs, theta)
+        CostSlice(circuit, obs, theta, j).frequencies
     assert qsim._slice_components.cache_info().misses == 8
     assert qsim._prefix_states.cache_info().misses == 1
 
@@ -598,7 +599,7 @@ def test_slice_frequencies_equal_fft_of_statevector_samples(case, seed):
     # f^(d)(x) = sum_s 2 Re((is)^d c_s e^{isx}) over the spectrum c_s of the samples
     coeffs = np.fft.rfft(ys)[1:k + 1] / xs.size
     s = np.arange(1.0, k + 1)
-    sl = cost_slice(circuit, obs, theta, 0)
+    sl = CostSlice(circuit, obs, theta, 0)
     for d in range(1, 5):
         spectral = 2 * (np.exp(1j * np.outer(xs, s)) @ ((1j * s) ** d * coeffs)).real
         scale = k ** d * max(1.0, np.max(np.abs(ys)))
@@ -607,9 +608,9 @@ def test_slice_frequencies_equal_fft_of_statevector_samples(case, seed):
     want = tuple(np.flatnonzero(rel > 1e-12) + 1.0)
     if not want:
         with pytest.raises(ValueError, match="constant"):
-            slice_frequencies(circuit, 0, obs, theta)
+            sl.frequencies
         return
-    fs = slice_frequencies(circuit, 0, obs, theta)
+    fs = sl.frequencies
     assert fs.frequencies == want
     assert set(fs.frequencies) <= set(range(1, k + 1))
 
@@ -620,7 +621,7 @@ def test_batched_slice_equals_scalar_evaluation(q):
     theta = np.random.default_rng(q).uniform(-np.pi, np.pi, circuit.n_params)
     xs = np.linspace(-np.pi, np.pi, 7)
     for j in range(circuit.n_params):
-        sl = cost_slice(circuit, obs, theta, j)
+        sl = CostSlice(circuit, obs, theta, j)
         values = sl(xs)
         states = sl.state(xs)
         variances = sl.one_shot_variance(xs)
@@ -639,15 +640,20 @@ def test_batched_slice_equals_scalar_evaluation(q):
 
 def test_slice_without_bound_gate_is_constant():
     circuit = CircuitSpec(2, (Gate("H", (0,)), Gate("RXX", (0, 1), 0)), 2)
-    sl = cost_slice(circuit, PauliSumObservable(((1.0, "XI"),)), [0.3, 0.0], 1)
+    sl = CostSlice(circuit, PauliSumObservable(((1.0, "XI"),)), [0.3, 0.0], 1)
     assert sl.state(np.array([0.1, 2.0])).shape == (2, 4)
     assert np.allclose(sl(np.array([0.1, 2.0])), sl(0.7))
+    # no frequency set, so every rule covers it and gives the zero derivative
+    with pytest.raises(ValueError, match="no gate is bound to parameter 1"):
+        sl.frequencies
+    rule = epsr.make_rule(epsr.equidistant_nodes(1, "odd"), FrequencySet((1.0,)), 1)
+    assert epsr.apply_rule(rule, sl, 0.7) == pytest.approx(0.0, abs=1e-15)
 
 
 def test_slice_rejects_two_dimensional_points(xxz_setup):
     circuit, obs, theta = xxz_setup
     with pytest.raises(ValueError, match="1-D"):
-        cost_slice(circuit, obs, theta, 0)(np.zeros((2, 2)))
+        CostSlice(circuit, obs, theta, 0)(np.zeros((2, 2)))
 
 
 def test_slice_frequencies_requires_bound_parameter():
@@ -660,7 +666,7 @@ def test_constant_variance_assumption_is_only_approximate(xxz_setup):
     # the shot-allocation analysis treats sigma^2 as shift-independent; record
     # that the real spread is finite but not constant
     circuit, obs, theta = xxz_setup
-    sl = cost_slice(circuit, obs, theta, 0)
+    sl = CostSlice(circuit, obs, theta, 0)
     values = [sl.one_shot_variance(theta[0] + s) for s in np.linspace(-math.pi, math.pi, 9)]
     assert all(np.isfinite(values))
     assert max(values) / max(min(values), 1e-12) > 1.0
