@@ -21,8 +21,8 @@ print("=" * 70)
 for r in (2, 4):
     fs = integer_frequencies(r)
     b, _ = epsr.solve_coefficients(epsr.equidistant_nodes(r, "odd"), fs, 1)
-    unif = variance.predicted_variance(b, "odd", "uniform").predicted_scaled_variance
-    wgt = variance.predicted_variance(b, "odd", "weighted").predicted_scaled_variance
+    unif = variance.predicted_variance(b, "uniform")
+    wgt = variance.predicted_variance(b, "weighted")
     print(f"r={r}: uniform {unif:6.2f}   weighted {wgt:6.2f}   "
           f"ratio {unif/wgt:.2f} = (2r^2+1)/(3r)")
 
@@ -79,22 +79,25 @@ print("=" * 70)
 print("4. Global search agrees with the theory")
 print("=" * 70)
 
-# F_wgt >= Omega_max^d at every node set (weak duality), so differential
-# evolution stops once its best member is within a relative gap of 1e-6 of
-# that bound; a local polish then closes the gap
+# F_wgt >= Omega_max^d at every node set (weak duality).  The search first
+# scores the equidistant nodes fitted to the set; for {1..r} they attain
+# that bound, so the search returns them with no DE generation
 res = variance.optimize_shifts_global(fs, 1, "weighted", seed=3)
-print("DE result:", np.round(res.nodes.values, 6), " objective", round(res.objective, 6),
-      " certificate:", res.certificate, f" after {res.iterations} generations")
-print(f"dual lower bound r^d for r={fs.r}, d=1:", variance.weighted_lower_bound(fs, 1))
+bound = variance.weighted_lower_bound(fs, 1)
+print("first try:", np.round(res.nodes.values, 6), " objective", round(res.objective, 6),
+      f" gap {(res.objective - bound) / bound:.1e} after {res.iterations} generations")
+print(f"dual lower bound r^d for r={fs.r}, d=1:", bound)
 
-# non-consecutive integer frequencies have no classical reference; the search
-# still attains the dual lower bound Omega_max^d
-fs124 = FrequencySet((1.0, 2.0, 4.0))
-res = variance.optimize_shifts_global(fs124, 1, "weighted", generations=600, seed=7)
-bound = variance.weighted_lower_bound(fs124, 1)
-print(f"frequencies {fs124.frequencies}: optimized objective {res.objective:.6f} "
+# elsewhere differential evolution runs until its best member, or a short
+# polish of it, is within a relative gap of 1e-6 of the bound.  On
+# {7, 9, 11} the fitted nodes are 68% above it, and the search still
+# attains Omega_max^d
+fs7911 = FrequencySet((7.0, 9.0, 11.0))
+res = variance.optimize_shifts_global(fs7911, 1, "weighted", seed=3)
+bound = variance.weighted_lower_bound(fs7911, 1)
+print(f"frequencies {fs7911.frequencies}: optimized objective {res.objective:.6f} "
       f"(lower bound {bound:g}, gap {(res.objective - bound) / bound:.1e}) "
-      f"at nodes {np.round(res.nodes.values, 6)}")
+      f"after {res.iterations} generations, at nodes {np.round(res.nodes.values, 6)}")
 
 print()
 print("=" * 70)

@@ -17,7 +17,7 @@ from shiftrules.experiments import random_base_params, sampled_estimates, valid_
 q, p, delta = 5, 2, 0.5
 circuit = qsim.build_hva_circuit(q, p)
 observable = qsim.build_xxz_hamiltonian(q, delta)
-theta = random_base_params(q, p, seed=0)
+theta = random_base_params(p, seed=0)
 names = qsim.hva_parameter_names(p)
 
 print("=" * 70)
@@ -42,6 +42,9 @@ print()
 print("=" * 70)
 print("3. Shift rules vs the exact derivative from the slice's component Grams")
 print("=" * 70)
+# valid_nodes_for starts from epsr.scaled_equidistant_nodes: the equidistant
+# nodes of {1..r}, divided by the step of an equidistant set such as {1, 2}
+# and otherwise scaled by r / Omega_max, as for the gamma slice's {1, 2, 4}
 for j in (0, 1, 7):
     sl = qsim.CostSlice(circuit, observable, theta, j)
     fs = sl.frequencies

@@ -34,7 +34,6 @@ from .trigpoly import TrigPoly, random_trigpoly
 from .variance import (
     OptimizeResult,
     ShotAllocation,
-    VarianceReport,
     F_unif,
     F_wgt,
     allocate,
@@ -54,7 +53,6 @@ __all__ = [
     "PSRRule",
     "RuleDiagnostics",
     "ShotAllocation",
-    "VarianceReport",
     "OptimizeResult",
     "SingularNodesError",
     "positive_difference_frequencies",

@@ -77,7 +77,7 @@ def _circuit_run(args):
     if getattr(s, "param", None) is None:
         raise ValueError("--circuit needs --param")
     _check_run_settings(vars(s))
-    return s, qsim.CostSlice(*xxz_hva_setup(s.q, s.p, s.delta), random_base_params(s.q, s.p, s.seed), s.param)
+    return s, qsim.CostSlice(*xxz_hva_setup(s.q, s.p, s.delta), random_base_params(s.p, s.seed), s.param)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +150,7 @@ def _rule_from_args(args, fs: FrequencySet):
             bound = variance.weighted_lower_bound(fs, args.d)
             extra.update(dual_bound=bound, gap=(res.objective - bound) / bound)
         extra.update(generations=res.iterations, scheme=args.optimize, equidistant_error=res.equidistant_error,
-                     certificate=res.certificate, stopped_at_cap=res.stopped_at_cap)
+                     stopped_at_cap=res.stopped_at_cap)
     return epsr.make_rule(nodes, fs, args.d), extra
 
 
@@ -172,8 +172,7 @@ def _rule_diagnostics(rule: epsr.PSRRule) -> dict:
         "min_shift_gap": float(np.min(np.diff(np.sort(rule.expanded_shifts)))),
         "evaluation_count": epsr.evaluation_count(rule),
         "predicted_variance": {
-            s: variance.predicted_variance(rule.solve_coeffs, rule.parity, s).predicted_scaled_variance
-            for s in ("uniform", "weighted")},
+            s: variance.predicted_variance(rule.solve_coeffs, s) for s in ("uniform", "weighted")},
     }
 
 
@@ -208,6 +207,8 @@ def _cmd_estimate(args) -> int:
     if s.rule_json:
         with open(s.rule_json) as fh:
             rule = epsr.rule_from_json(fh.read())
+        if rule.order < 1:
+            raise ValueError(f"the --rule-json rule has order {rule.order}; estimate needs a derivative, order >= 1")
         if s.d not in (None, rule.order):
             raise ValueError(f"--d {s.d} differs from the order {rule.order} of the --rule-json rule")
     else:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectra import DEFAULT_TOL, FrequencySet, _json_get
+from .spectra import DEFAULT_TOL, FrequencySet, _json_get, detect_equidistant
 
 __all__ = [
     "ShiftNodes",
@@ -40,6 +40,7 @@ __all__ = [
     "apply_rule",
     "evaluation_count",
     "equidistant_nodes",
+    "scaled_equidistant_nodes",
     "equidistant_coefficients_closed_form",
     "determinant_closed_form",
     "rule_to_json",
@@ -132,7 +133,6 @@ class PSRRule:
     """
 
     order: int
-    parity: str
     nodes: ShiftNodes
     solve_coeffs: tuple[float, ...]
     expanded_shifts: tuple[float, ...]
@@ -141,11 +141,15 @@ class PSRRule:
     diagnostics: RuleDiagnostics | None = None
 
     def __post_init__(self):
-        _check_parity(self.parity)
         if ("odd" if self.order % 2 else "even") != self.parity:
             raise ValueError(f"order {self.order} does not match parity {self.parity!r}")
         if len(self.expanded_shifts) != len(self.expanded_coeffs):
             raise ValueError("expanded shifts and coefficients must align")
+
+    @property
+    def parity(self) -> str:
+        """The nodes' parity, which must be the order's."""
+        return self.nodes.parity
 
 
 def _node_array(nodes) -> np.ndarray:
@@ -313,7 +317,6 @@ def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
     shifts, coeffs = _expand(nodes.parity, nodes.as_array(), b, fs)
     return PSRRule(
         order=d,
-        parity=nodes.parity,
         nodes=nodes,
         solve_coeffs=tuple(float(v) for v in b),
         expanded_shifts=shifts,
@@ -369,6 +372,19 @@ def equidistant_nodes(r: int, parity: str) -> ShiftNodes:
     else:
         vals = tuple(i * math.pi / r for i in range(r + 1))
     return ShiftNodes(parity, vals)
+
+
+def scaled_equidistant_nodes(fs: FrequencySet, parity: str) -> ShiftNodes:
+    """The equidistant nodes of {1..r} fitted to ``fs``, the first try of every node choice.
+
+    Divided by Omega for a set {Omega, 2 Omega, ..., r Omega}, where
+    A(x / Omega) is A(x) for {1..r}: nonsingular.  Otherwise scaled by
+    r / Omega_max (the unscaled pattern is singular for {1, 2, 4}): possibly
+    singular, and beyond pi when Omega_max < r.
+    """
+    x = equidistant_nodes(fs.r, parity).as_array()
+    step = detect_equidistant(fs)
+    return ShiftNodes(parity, tuple(x / step if step is not None else x * (fs.r / fs.frequencies[-1])))
 
 
 def equidistant_coefficients_closed_form(r: int, d: int) -> tuple[np.ndarray, np.ndarray]:

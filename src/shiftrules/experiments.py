@@ -160,8 +160,8 @@ class ExperimentConfig:
         _check_run_settings(vars(self))
 
 
-def random_base_params(q: int, p: int, seed) -> np.ndarray:
-    """The published base parameter vector: uniform on [-pi, pi), seeded."""
+def random_base_params(p: int, seed) -> np.ndarray:
+    """The published base parameter vector of a depth-p circuit: uniform on [-pi, pi), seeded."""
     return np.random.default_rng(seed).uniform(-np.pi, np.pi, 4 * p)
 
 
@@ -173,20 +173,13 @@ def xxz_hva_setup(q: int, p: int, delta: float):
 def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
     """A nonsingular node set for the frequency set and order.
 
-    An equidistant set {Omega, 2 Omega, ..., r Omega} gets the equidistant
-    nodes of {1..r} divided by Omega, with no solve: A(x / Omega) for the
-    set is A(x) for {1..r}.  Other sets first try the pattern scaled to
-    Omega_max, (2i-1) pi / (2 Omega_max) for odd d and i pi / Omega_max for
-    even d (the unscaled pattern is singular for {1, 2, 4} at every d), and
-    fall back to seeded random draws until the conditioning check passes.
+    An equidistant set takes :func:`epsr.scaled_equidistant_nodes` with no
+    solve, since they are nonsingular; any other set tries them first and
+    falls back to seeded random draws until the conditioning check passes.
     """
-    equidistant = epsr.equidistant_nodes(fs.r, "odd" if d % 2 else "even")
-    step = detect_equidistant(fs)
-    if step is not None:
-        return epsr.ShiftNodes(equidistant.parity, tuple(x / step for x in equidistant.values))
-    scale = fs.r / float(np.max(fs.as_array()))
-    first = epsr.ShiftNodes(equidistant.parity, tuple(x * scale for x in equidistant.values))
-    return _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=first)
+    first = epsr.scaled_equidistant_nodes(fs, "odd" if d % 2 else "even")
+    equidistant = detect_equidistant(fs) is not None
+    return first if equidistant else _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=first)
 
 
 def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | None = None) -> epsr.ShiftNodes:
@@ -347,7 +340,7 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
 
 def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
-    theta = random_base_params(cfg.q, cfg.p, cfg.seed)
+    theta = random_base_params(cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
     rows = []
     for j in range(circuit.n_params):
@@ -369,7 +362,7 @@ def _run_result1(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
 
 def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
-    theta = random_base_params(cfg.q, cfg.p, cfg.seed)
+    theta = random_base_params(cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
     out = {}
     for j in cfg.params:
@@ -388,7 +381,7 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
 
 def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
-    theta = random_base_params(cfg.q, cfg.p, cfg.seed)
+    theta = random_base_params(cfg.p, cfg.seed)
     names = qsim.hva_parameter_names(cfg.p)
     out = {}
     node_echo = {}

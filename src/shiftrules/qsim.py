@@ -458,6 +458,8 @@ class CostSlice:
             raise ValueError("base parameter vector length mismatch")
         if not (0 <= self.index < self.circuit.n_params):
             raise ValueError("parameter index out of range")
+        if self.observable.q != self.circuit.q:
+            raise ValueError(f"observable acts on {self.observable.q} qubits, the circuit on {self.circuit.q}")
 
     @cached_property
     def _components(self) -> _Components:

@@ -11,12 +11,11 @@ over stacks of node sets), their analytic (sub)gradients, the weak-duality
 lower bound Omega_max^d of F_wgt, a local descent whose every iteration
 tries a Newton step (Hessian by central differences of the analytic
 gradient) and, when no Newton rung lowers the objective, makes one bounded
-move along the (sub)gradient, the same for both objectives, a
-differential-evolution global search that scores each generation in one
-stacked solve, stops a weighted search once it or a short polish of its
-best member is certified within a relative gap of the bound and otherwise
-polishes its best member with the local descent, and shot-allocation
-helpers.
+move along the (sub)gradient, the same for both objectives, a global
+search, and shot-allocation helpers.  The global search returns its first
+try, the equidistant nodes fitted to the set, when the bound certifies it
+or it beats the search; its DE scores each generation in one stacked solve
+and stops once it or a short polish of its best member is certified.
 
 A node search scores through the stacked solver only: a DE generation, the
 probes of a Newton step and the rungs of a step ladder are one stacked call
@@ -35,6 +34,7 @@ from .epsr import (
     ShiftNodes,
     build_A,
     equidistant_nodes,
+    scaled_equidistant_nodes,
     solve_coefficients,
     solve_coefficients_stacked,
 )
@@ -42,7 +42,6 @@ from .spectra import FrequencySet
 
 __all__ = [
     "ShotAllocation",
-    "VarianceReport",
     "OptimizeResult",
     "F_unif",
     "F_wgt",
@@ -123,7 +122,7 @@ def _norm_scheme(scheme: str) -> str:
 
 @dataclass(frozen=True)
 class ShotAllocation:
-    """Shot counts per expanded shift, summing to ``total``.
+    """Shot counts per expanded shift; their sum is the ``total``.
 
     Built by :func:`allocate` for either scheme, or directly for any other
     split.  Counts are kept fractional for analytic predictions; integer
@@ -134,27 +133,17 @@ class ShotAllocation:
     """
 
     counts: tuple[float, ...]
-    total: float
 
     def __post_init__(self):
-        counts = tuple(float(c) for c in self.counts)
-        object.__setattr__(self, "counts", counts)
-        object.__setattr__(self, "total", float(self.total))
+        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
         if self.total <= 0:
             raise ValueError("total shot count must be positive")
-        arr = np.asarray(counts)
-        if np.any(arr < 0):
+        if any(c < 0 for c in self.counts):
             raise ValueError("shot counts must be nonnegative")
-        if abs(arr.sum() - self.total) > 1e-9 * self.total:
-            raise ValueError("shot counts must sum to the total")
 
-
-@dataclass(frozen=True)
-class VarianceReport:
-    """Predicted derivative variance in units of sigma^2 / N_total."""
-
-    predicted_scaled_variance: float
-    scheme: str
+    @property
+    def total(self) -> float:
+        return float(np.sum(self.counts))
 
 
 @dataclass(frozen=True)
@@ -163,7 +152,6 @@ class OptimizeResult:
     objective: float
     iterations: int
     converged: bool
-    certificate: str | None = None
     equidistant_error: float | None = None
     stopped_at_cap: bool = False
 
@@ -239,8 +227,6 @@ def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
     given total.
     """
     scheme = _norm_scheme(scheme)
-    if n_total <= 0:
-        raise ValueError("total shot count must be positive")
     g = np.abs(np.asarray(gamma, dtype=float))
     if g.size == 0 or np.all(g == 0):
         raise ValueError("coefficients must not all be zero")
@@ -250,7 +236,7 @@ def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
         counts = n_total / per_node.size / per_node[node]
     else:
         counts = n_total * g / g.sum()
-    return ShotAllocation(tuple(counts), float(n_total))
+    return ShotAllocation(tuple(counts))
 
 
 def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
@@ -262,8 +248,8 @@ def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
     """
     counts = np.asarray(allocation.counts)
     total = int(round(allocation.total))
-    if abs(allocation.total - total) > 1e-9:
-        raise ValueError("integer rounding needs an integer total")
+    if abs(allocation.total - total) > 1e-9 * total:
+        raise ValueError(f"integer rounding needs an integer total, not {allocation.total!r}")
     floors = np.floor(counts).astype(int)
     leftover = total - int(floors.sum())
     order = np.argsort(-(counts - floors), kind="stable")
@@ -279,8 +265,8 @@ def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
     return out
 
 
-def allocation_variance(gamma, counts, sigma2: float = 1.0) -> float:
-    """Derivative variance sum_mu |gamma_mu|^2 sigma^2 / N_mu for a concrete split.
+def allocation_variance(gamma, counts) -> float:
+    """Derivative variance sum_mu |gamma_mu|^2 / N_mu (units of sigma^2) for a concrete split.
 
     Shifts with zero coefficient are skipped; a zero count on an active shift
     gives infinite variance.
@@ -290,23 +276,22 @@ def allocation_variance(gamma, counts, sigma2: float = 1.0) -> float:
     active = g > 0
     if np.any(n[active] == 0):
         return math.inf
-    return float(np.sum(g[active] ** 2 * sigma2 / n[active]))
+    return float(np.sum(g[active] ** 2 / n[active]))
 
 
-def predicted_variance(b, parity: str, scheme: str) -> VarianceReport:
+def predicted_variance(b, scheme: str) -> float:
     """Scaled variance prediction (units of sigma^2 / N_total) for a solved rule.
 
-    uniform: r * ||b||_2^2 for odd parity, (r+1) * ||b||_2^2 for even parity
-    (b then has r+1 entries).  weighted: ||b||_1^2.  The variance of any
-    other split is :func:`allocation_variance` of its counts.
+    uniform: m * ||b||_2^2 over the m = b.size nodes, r for odd parity and
+    r+1 for even.  weighted: ||b||_1^2.  The variance of any other split is
+    :func:`allocation_variance` of its counts.
     """
     scheme = _norm_scheme(scheme)
     b = np.asarray(b, dtype=float)
     if scheme == "uniform":
-        m = b.size  # r for odd parity, r+1 for even
-        return VarianceReport(m * float(b @ b), scheme)
+        return b.size * float(b @ b)
     l1 = float(np.sum(np.abs(b)))
-    return VarianceReport(l1 * l1, scheme)
+    return l1 * l1
 
 
 def canonical_nodes(values) -> np.ndarray:
@@ -524,7 +509,11 @@ def _snap_to_pi(nodes: ShiftNodes, f: float, uniform: bool, fs: FrequencySet, d:
 
 def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: int | None = None,
                            seed=0) -> OptimizeResult:
-    """Differential evolution (rand/1/bin) over the node box, then a local polish.
+    """The first try, then differential evolution (rand/1/bin) over the node box and a local polish.
+
+    Before drawing anything, it scores :func:`~shiftrules.epsr.scaled_equidistant_nodes`,
+    which may lie outside the box.  Within ``DUAL_GAP`` of :func:`weighted_lower_bound`
+    (as for {1..r}) they are returned with ``iterations`` 0, else they replace a higher result.
 
     The population has 15 r members.  Each generation draws one trial per
     member from the current population only (Storn & Price 1997; SciPy's
@@ -554,27 +543,20 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     A probe draws no random numbers and does not call
     :func:`stacked_objective`, so the generations up to the stop, and the
     result of a search no probe certifies, are those of a search without
-    probes.  The cost is bounded
-    by the schedule: at most ceil(log2(generations / _PROBE_FIRST)) probes
-    of at most ``_PROBE_ITERS`` iterations each, which a search whose box
-    optimum lies above the bound pays in full.
+    probes.  At most ceil(log2(generations / _PROBE_FIRST)) probes run.
 
     ``converged`` is set when the polish converged or the result is within
     ``DUAL_GAP`` of the bound.  When the frequencies are the integer set
     {1..r}, the result carries the max-component error against the
-    equidistant reference nodes (canonical form on both sides), and the
-    weighted-scheme result is tagged "global-equidistant" when it lands on
-    them.
+    equidistant reference nodes (canonical form on both sides).
     """
     scheme = _norm_scheme(scheme)
     parity = _parity_of(d)
     dim = fs.r
     npop = 15 * dim
     if generations is None:
-        # A weighted search on {1..r} stops far below this cap, at its first
-        # certified probe; the cap binds for uniform searches and for sets
-        # whose box optimum lies above Omega_max^d, where the population's
-        # spread shrinks more slowly as the dimension grows.
+        # binds for uniform searches and for sets whose box optimum lies
+        # above Omega_max^d, where the spread shrinks slowly at high dimension
         generations = max(400, 300 * dim)
     if generations < 1:
         raise ValueError(f"generations must be at least 1, not {generations}")
@@ -582,6 +564,10 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     uniform = scheme == "uniform"
     # the uniform scheme has no bound; -inf never certifies a member
     bound = weighted_lower_bound(fs, d) if scheme == "weighted" else -math.inf
+    first = scaled_equidistant_nodes(fs, parity)
+    f_first = float(_values(first.as_array()[None], fs, d, uniform)[0])
+    if f_first - bound <= DUAL_GAP * bound:
+        return OptimizeResult(first, f_first, 0, True, _equidistant_error(first, fs))
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=(npop, dim))
@@ -639,16 +625,18 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     best_nodes, best_f, converged = result if result is not None else polish_best()
     if math.isfinite(best_f):
         best_nodes, best_f = _snap_to_pi(best_nodes, best_f, uniform, fs, d)
+    if f_first < best_f:
+        best_nodes, best_f, converged = first, f_first, False
     converged = converged or best_f - bound <= DUAL_GAP * bound
+    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), _equidistant_error(best_nodes, fs),
+                          stopped_at_cap)
 
-    equi_err = certificate = None
+
+def _equidistant_error(nodes: ShiftNodes, fs: FrequencySet) -> float | None:
+    """Max-component distance to the equidistant nodes, canonical on both sides, when fs is {1..r}."""
     if fs.is_consecutive_integers():
-        ref = equidistant_nodes(fs.r, parity).as_array()
-        full = best_nodes.as_array()
-        equi_err = float(np.max(np.abs(canonical_nodes(full) - canonical_nodes(ref))))
-        if scheme == "weighted" and equi_err <= 1e-3:
-            certificate = "global-equidistant"
-    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), certificate, equi_err, stopped_at_cap)
+        ref = equidistant_nodes(fs.r, nodes.parity).as_array()
+        return float(np.max(np.abs(canonical_nodes(nodes.as_array()) - canonical_nodes(ref))))
 
 
 def weighted_lower_bound(fs: FrequencySet, d: int) -> float:

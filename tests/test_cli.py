@@ -114,7 +114,6 @@ def test_rule_optimized(capsys):
     assert code == EXIT_OK
     doc = json.loads(out)
     assert doc["objective"] == pytest.approx(2.0, abs=1e-4)
-    assert doc["certificate"] == "global-equidistant"
     assert doc["equidistant_error"] <= 1e-3
     # weak duality: objective >= dual_bound = Omega_max^d, gap relative
     keys = list(doc)
@@ -123,7 +122,7 @@ def test_rule_optimized(capsys):
     assert doc["gap"] == (doc["objective"] - 2.0) / 2.0 and 0 <= doc["gap"] <= 1e-12
 
 
-@pytest.mark.parametrize("scheme,freqs,d", [("wgt", "1,2,4", 1), ("unif", "1,2,3", 2)])
+@pytest.mark.parametrize("scheme,freqs,d", [("wgt", "7,9,11", 1), ("unif", "1,2,3", 2)])
 def test_rule_optimized_writes_its_generation_count(capsys, monkeypatch, scheme, freqs, d):
     runs = []
     real = cli.variance.optimize_shifts_global
@@ -202,7 +201,7 @@ def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
     assert diag["determinant"] == rule.diagnostics.determinant
     assert diag["evaluation_count"] == epsr.evaluation_count(rule) == 4
     for scheme in ("uniform", "weighted"):
-        want = variance.predicted_variance(rule.solve_coeffs, "even", scheme).predicted_scaled_variance
+        want = variance.predicted_variance(rule.solve_coeffs, scheme)
         assert diag["predicted_variance"][scheme] == want
     # the block is output only: with it, without it or with a stale copy, a
     # loaded rule is the re-solved one
@@ -281,7 +280,7 @@ def test_estimate_exact_matches_reference(capsys):
     from oracles import central_difference
 
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
-    theta = random_base_params(5, 2, 0)
+    theta = random_base_params(2, 0)
     sl = CostSlice(circuit, obs, theta, 0)
     ref = central_difference(sl, theta[0], 1, 1e-2)
     assert value == pytest.approx(ref, abs=1e-9)
@@ -420,7 +419,7 @@ def test_estimate_uniform_even_order_has_the_predicted_variance(tmp_path, capsys
     draws = np.genfromtxt(f, delimiter=",", names=True)["estimate"]
 
     circuit, obs = experiments.xxz_hva_setup(5, 2, 0.5)  # estimate's default q, p and delta
-    theta = experiments.random_base_params(5, 2, seed)
+    theta = experiments.random_base_params(2, seed)
     sl = qsim.CostSlice(circuit, obs, theta, 0)
     fs = sl.frequencies
     rule = epsr.make_rule(experiments.valid_nodes_for(fs, 2, seed=seed), fs, 2)
@@ -604,6 +603,20 @@ def test_estimate_takes_the_order_of_a_rule_json_and_refuses_another_d(tmp_path,
     code, absent, _ = run(capsys, *flags)
     assert code == EXIT_OK
     assert run(capsys, *flags, "--d", "1")[1] == absent
+
+
+def test_estimate_refuses_a_rule_json_of_order_0(tmp_path, capsys):
+    # a zeroth-order rule reconstructs the slice's value, which estimate
+    # used to write as the "estimate", while --d 0 exits 4
+    from shiftrules import epsr
+    from shiftrules.spectra import FrequencySet
+
+    path = tmp_path / "rule.json"
+    path.write_text(epsr.rule_to_json(epsr.make_rule(epsr.equidistant_nodes(4, "even"), FrequencySet((1, 2, 3, 4)), 0)))
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--rule-json", str(path),
+                         "--exact")
+    assert code == EXIT_VALIDATION and out == ""
+    assert "order 0" in err
 
 
 def _rule_then_exact_estimate(tmp_path, capsys, freqs, param):

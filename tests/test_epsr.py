@@ -428,7 +428,7 @@ def test_even_rule_merges_the_node_at_pi_over_the_step():
     alloc = allocate("uniform", rule.expanded_coeffs, 300.0, rule.expanded_shifts)
     assert alloc.counts == pytest.approx((100.0, 50.0, 50.0, 100.0), rel=1e-15)
     assert 300.0 * allocation_variance(rule.expanded_coeffs, alloc.counts) == pytest.approx(
-        predicted_variance(rule.solve_coeffs, "even", "uniform").predicted_scaled_variance, rel=1e-12)
+        predicted_variance(rule.solve_coeffs, "uniform"), rel=1e-12)
 
 
 def test_zeroth_order_rule_reconstructs_value():
@@ -452,7 +452,7 @@ def test_order_parity_consistency():
     with pytest.raises(ValueError):
         make_rule(equidistant_nodes(2, "odd"), FS12, 2)
     with pytest.raises(ValueError):
-        PSRRule(2, "odd", equidistant_nodes(2, "odd"), (1.0, 1.0), (0.1, -0.1), (1.0, -1.0), FS12)
+        PSRRule(2, equidistant_nodes(2, "odd"), (1.0, 1.0), (0.1, -0.1), (1.0, -1.0), FS12)
 
 
 def test_rule_json_roundtrip():

@@ -145,7 +145,7 @@ def test_valid_nodes_scale_to_the_common_step_without_a_solve(monkeypatch):
     # at q = 10 every slice's set is 2 * {1..r}, where the unscaled pattern
     # is singular; the pattern divided by the step is A(x) of {1..r}
     circuit, obs = xxz_hva_setup(10, 2, 0.5)
-    theta = random_base_params(10, 2, 0)
+    theta = random_base_params(2, 0)
     sets = [qsim.CostSlice(circuit, obs, theta, j).frequencies for j in range(circuit.n_params)]
     monkeypatch.setattr(epsr, "solve_coefficients", None)
     for fs in sets:
@@ -210,7 +210,7 @@ def test_result1_quick(tmp_path):
     rows = run_experiment(cfg, reproducible=True)
     assert len(rows) == 8 * 6
     circuit, obs = xxz_hva_setup(cfg.q, cfg.p, cfg.delta)
-    theta = random_base_params(cfg.q, cfg.p, cfg.seed)
+    theta = random_base_params(cfg.p, cfg.seed)
     for j, _, d, got, ref, err in rows:
         sl = qsim.CostSlice(circuit, obs, theta, j)
         fs = sl.frequencies
@@ -291,7 +291,7 @@ def test_result1_builds_each_slice_once(tmp_path):
 
 def _xxz_slice_and_rule(j=0):
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
-    theta = random_base_params(5, 2, 0)
+    theta = random_base_params(2, 0)
     sl = qsim.CostSlice(circuit, obs, theta, j)
     fs = sl.frequencies
     return sl, epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1), theta[j]
@@ -408,7 +408,7 @@ def test_q8_level_tables_separate_round_off_from_genuine_entries(monkeypatch):
     # the floor must sit in a gap: round-off entries below it, genuine ones far above
     monkeypatch.setattr(experiments, "_PROBABILITY_FLOOR", 0.0)
     circuit, obs = xxz_hva_setup(8, 2, 0.5)
-    theta = random_base_params(8, 2, 0)
+    theta = random_base_params(2, 0)
     for j in range(circuit.n_params):
         sl = qsim.CostSlice(circuit, obs, theta, j)
         fs = sl.frequencies
@@ -449,7 +449,7 @@ def test_sampled_estimates_zero_variance_eigenstate():
 
 def test_sampled_estimates_gaussian_surrogate():
     circuit, obs = xxz_hva_setup(5, 2, 0.5)
-    theta = random_base_params(5, 2, 0)
+    theta = random_base_params(2, 0)
     sl = qsim.CostSlice(circuit, obs, theta, 0)
     fs = sl.frequencies
     rule = epsr.make_rule(epsr.equidistant_nodes(fs.r, "odd"), fs, 1)

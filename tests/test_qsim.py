@@ -393,7 +393,7 @@ def test_slice_derivative_validates_order(xxz_setup):
 
 def _beta2_slice_q8():
     circuit, obs = xxz_hva_setup(8, 2, 0.5)
-    theta = random_base_params(8, 2, 0)
+    theta = random_base_params(2, 0)
     sl = CostSlice(circuit, obs, theta, 4)
     return sl, sl.frequencies, theta[4]
 
@@ -553,7 +553,7 @@ def test_prefix_sweep_components_equal_pointwise_evolution(case, seed):
 
 def test_slices_of_one_base_point_share_one_sweep():
     circuit, obs = build_hva_circuit(5, 2), build_xxz_hamiltonian(5, 0.5)
-    theta = random_base_params(5, 2, 3)
+    theta = random_base_params(2, 3)
     qsim._prefix_states.cache_clear()
     qsim._slice_components.cache_clear()
     for j in range(circuit.n_params):
@@ -654,6 +654,14 @@ def test_slice_rejects_two_dimensional_points(xxz_setup):
     circuit, obs, theta = xxz_setup
     with pytest.raises(ValueError, match="1-D"):
         CostSlice(circuit, obs, theta, 0)(np.zeros((2, 2)))
+
+
+@pytest.mark.parametrize("word", ["ZZ", "ZZZZ"])
+def test_slice_refuses_an_observable_on_another_qubit_count(word):
+    # the 2-qubit observable used to fail at the first evaluation with a
+    # broadcast error, the 4-qubit one with an IndexError
+    with pytest.raises(ValueError, match=f"observable acts on {len(word)} qubits, the circuit on 3"):
+        CostSlice(build_hva_circuit(3, 1), PauliSumObservable(((1.0, word),)), [0.1] * 4, 0)
 
 
 def test_slice_frequencies_requires_bound_parameter():

@@ -34,6 +34,9 @@ from shiftrules.variance import (
 )
 
 FS12 = integer_frequencies(2)
+#: A set whose first try lies above Omega_max^d at every d = 1..4, so a
+#: weighted search on it runs its DE and probes.
+FS7911 = FrequencySet((7.0, 9.0, 11.0))
 EQUI2 = equidistant_nodes(2, "odd")
 
 
@@ -232,8 +235,10 @@ def test_allocate_single_shift():
 
 
 def test_allocate_validation():
-    with pytest.raises(ValueError):
-        allocate("uniform", [0.5], 0, [1.0])
+    # the allocation's own check refuses a total that is not positive
+    for n_total in (0, -5):
+        with pytest.raises(ValueError, match="total shot count must be positive"):
+            allocate("uniform", [0.5], n_total, [1.0])
     with pytest.raises(ValueError):
         allocate("weighted", [0.0, 0.0], 100, [1.0, 2.0])
     with pytest.raises(ValueError):
@@ -242,7 +247,7 @@ def test_allocate_validation():
 
 _SCHEME_ENTRY_POINTS = {
     "allocate": lambda scheme: allocate(scheme, [0.5, 0.5], 100, [1.0, 2.0]),
-    "predicted_variance": lambda scheme: predicted_variance([0.5, 0.5], "odd", scheme),
+    "predicted_variance": lambda scheme: predicted_variance([0.5, 0.5], scheme),
     "optimize_shifts_local": lambda scheme: optimize_shifts_local(FS12, 1, scheme, EQUI2),
     "optimize_shifts_global": lambda scheme: optimize_shifts_global(FS12, 1, scheme, seed=0),
 }
@@ -258,19 +263,17 @@ def test_every_scheme_entry_point_rejects_custom_alike(entry):
 
 def test_shot_allocation_invariants():
     with pytest.raises(ValueError):
-        ShotAllocation((10.0, 20.0), 100.0)
-    with pytest.raises(ValueError):
-        ShotAllocation((-1.0, 101.0), 100.0)
+        ShotAllocation((-1.0, 101.0))
 
 
 def test_integer_shot_counts_largest_remainder():
-    alloc = ShotAllocation((333.4, 333.3, 333.3), 1000.0)
+    alloc = ShotAllocation((333.4, 333.3, 333.3))
     counts = integer_shot_counts(alloc)
     assert counts.sum() == 1000 and counts[0] == 334
 
 
 def test_integer_shot_counts_keeps_active_shifts():
-    alloc = ShotAllocation((0.4, 999.6), 1000.0)
+    alloc = ShotAllocation((0.4, 999.6))
     counts = integer_shot_counts(alloc)
     assert counts.sum() == 1000 and counts[0] >= 1
 
@@ -293,15 +296,15 @@ def test_integer_shot_counts_properties(gamma, n_total, scheme):
 
 def test_predicted_variance_r2():
     b, _ = solve_coefficients(EQUI2, FS12, 1)
-    assert predicted_variance(b, "odd", "uniform").predicted_scaled_variance == pytest.approx(6.0, rel=1e-12)
-    assert predicted_variance(b, "odd", "weighted").predicted_scaled_variance == pytest.approx(4.0, rel=1e-12)
+    assert predicted_variance(b, "uniform") == pytest.approx(6.0, rel=1e-12)
+    assert predicted_variance(b, "weighted") == pytest.approx(4.0, rel=1e-12)
 
 
 def test_predicted_variance_r4():
     fs = integer_frequencies(4)
     b, _ = solve_coefficients(equidistant_nodes(4, "odd"), fs, 1)
-    assert predicted_variance(b, "odd", "uniform").predicted_scaled_variance == pytest.approx(44.0, rel=1e-9)
-    assert predicted_variance(b, "odd", "weighted").predicted_scaled_variance == pytest.approx(16.0, rel=1e-9)
+    assert predicted_variance(b, "uniform") == pytest.approx(44.0, rel=1e-9)
+    assert predicted_variance(b, "weighted") == pytest.approx(16.0, rel=1e-9)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
@@ -309,8 +312,8 @@ def test_variance_ratio_formula(r):
     fs = integer_frequencies(r)
     b, _ = solve_coefficients(equidistant_nodes(r, "odd"), fs, 1)
     ratio = (
-        predicted_variance(b, "odd", "uniform").predicted_scaled_variance
-        / predicted_variance(b, "odd", "weighted").predicted_scaled_variance
+        predicted_variance(b, "uniform")
+        / predicted_variance(b, "weighted")
     )
     assert ratio == pytest.approx((2 * r * r + 1) / (3 * r), rel=1e-9)
 
@@ -335,11 +338,11 @@ def _random_rule(seed, r, d, integer, pin):
        integer=st.booleans(), pin=st.booleans())
 def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin):
     fs, nodes, rule = _random_rule(seed, r, d, integer, pin)
-    b, gamma, parity = rule.solve_coeffs, np.asarray(rule.expanded_coeffs), rule.parity
+    b, gamma = rule.solve_coeffs, np.asarray(rule.expanded_coeffs)
     n_total = 1000.0
 
     weighted = allocate("weighted", gamma, n_total, rule.expanded_shifts)
-    want = predicted_variance(b, parity, "weighted").predicted_scaled_variance
+    want = predicted_variance(b, "weighted")
     assert allocation_variance(gamma, weighted.counts) * n_total == pytest.approx(want, rel=1e-9)
 
     # the uniform prediction gives every node the same shots, split evenly
@@ -349,7 +352,7 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
     per_node = n_total / (len(nodes.values) * shifts_per_node)
     uniform = allocate("uniform", gamma, n_total, rule.expanded_shifts)
     assert np.allclose(uniform.counts, per_node, rtol=1e-12, atol=0)
-    want = predicted_variance(b, parity, "uniform").predicted_scaled_variance
+    want = predicted_variance(b, "uniform")
     assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
 
 
@@ -383,7 +386,7 @@ def test_sampled_allocation_has_the_predicted_variance(seed, r, d, integer, pin)
     scale = {"uniform": 2 * len(nodes.values) * F_unif(nodes, fs, d), "weighted": F_wgt(nodes, fs, d) ** 2}
     assert len(drawn) == 2
     for scheme, allocation in zip(("uniform", "weighted"), drawn):
-        want = predicted_variance(rule.solve_coeffs, rule.parity, scheme).predicted_scaled_variance
+        want = predicted_variance(rule.solve_coeffs, scheme)
         assert allocation_variance(gamma, allocation.counts) * 1000 == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(scale[scheme], rel=1e-12)
 
@@ -612,7 +615,7 @@ def test_global_weighted_search_stops_at_the_certified_gap(monkeypatch):
         return values
 
     monkeypatch.setattr(variance, "stacked_objective", recording)
-    fs = integer_frequencies(3)
+    fs = FS7911
     res = optimize_shifts_global(fs, 1, "weighted", generations=5000, seed=2)
     bound = variance.weighted_lower_bound(fs, 1)
     # a trial below the best member always replaces its member, so the best
@@ -648,7 +651,7 @@ def test_global_weighted_search_stops_at_the_first_certified_probe(monkeypatch):
 
     monkeypatch.setattr(variance, "stacked_objective", recording)
     polishes = _recording_local(monkeypatch)
-    fs = integer_frequencies(3)
+    fs = FS7911
     res = optimize_shifts_global(fs, 1, "weighted", generations=5000, seed=2)
     bound = variance.weighted_lower_bound(fs, 1)
     gap = [(p.objective - bound) / bound for _, p in polishes]
@@ -704,9 +707,60 @@ def test_global_polish_never_raises_the_objective(monkeypatch, scheme, d):
         return real(fs, d, scheme, start, **kwargs)
 
     monkeypatch.setattr(variance, "optimize_shifts_local", recording)
-    fs = FrequencySet((0.7, 1.9, 3.2))
+    fs = FrequencySet((0.7, 1.9, 3.2)) if scheme == "uniform" else FS7911
     res = optimize_shifts_global(fs, d, scheme, generations=30, seed=3)
     assert len(starts) == 1 and res.objective <= starts[0]
+
+
+def _first_try_objective(fs, d, scheme):
+    first = epsr.scaled_equidistant_nodes(fs, "odd" if d % 2 else "even")
+    try:
+        return (F_unif if scheme == "uniform" else F_wgt)(first, fs, d)
+    except SingularNodesError:
+        return math.inf
+
+
+def _bank_sets(n):
+    """n seeded sets with r <= 3: sorted integers from 1..12 for even k, rounded cumulative sums for odd k."""
+    rng = np.random.default_rng(20261023)
+    sets = []
+    for k in range(n):
+        r = int(rng.integers(1, 4))
+        if k % 2 == 0:
+            sets.append(FrequencySet(tuple(np.sort(rng.choice(np.arange(1, 13), r, replace=False)))))
+        else:
+            sets.append(FrequencySet(tuple(np.round(np.cumsum(rng.uniform(0.2, 2.0, r)), 3))))
+    return sets
+
+
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+def test_global_search_never_ends_above_its_first_try(scheme):
+    for i, fs in enumerate(_bank_sets(6)):
+        for d in range(1, 5):
+            res = optimize_shifts_global(fs, d, scheme, seed=[3, i, d])
+            assert res.objective <= _first_try_objective(fs, d, scheme), (fs.frequencies, d)
+
+
+@pytest.mark.parametrize("freqs, d, scheme, seed", [
+    # the weighted first try attains Omega_max^d outside the box (nodes 0,
+    # 5.50, 11.00); the search returned 2.390 against 0.1063
+    ((0.272, 0.571), 4, "weighted", [3, 19, 4]),
+    # certified at once; the search ran to its 1,800-generation cap at 1728.01
+    ((2.0, 4.0, 5.0, 7.0, 8.0, 12.0), 3, "weighted", [3, 16, 3]),
+    # not certified, but below the search's 19.56
+    ((0.948, 1.291, 1.853, 2.149), 3, "weighted", [3, 29, 3]),
+    # a period of 20.6, far beyond the box; the search returned 4.15e-4
+    ((0.305,), 4, "uniform", [3, 0, 4]),
+], ids=["wgt-pair-d4", "wgt-six-d3", "wgt-four-d3", "unif-one-d4"])
+def test_global_search_returns_a_first_try_that_beats_it(freqs, d, scheme, seed):
+    fs = FrequencySet(freqs)
+    first = epsr.scaled_equidistant_nodes(fs, "odd" if d % 2 else "even")
+    res = optimize_shifts_global(fs, d, scheme, seed=seed)
+    assert res.nodes == first and res.objective == pytest.approx(_first_try_objective(fs, d, scheme), rel=1e-15)
+    bound = variance.weighted_lower_bound(fs, d)
+    certified = scheme == "weighted" and res.objective - bound <= variance.DUAL_GAP * bound
+    # a certified first try skips the DE; any other runs it and then wins
+    assert (res.iterations == 0) == certified and res.converged == certified
 
 
 def test_partner_draw_gives_three_distinct_other_members():
@@ -771,7 +825,6 @@ def test_snap_to_pi_keeps_the_nodes_when_the_objective_rises():
 def test_global_weighted_finds_equidistant():
     res = optimize_shifts_global(FS12, 1, "weighted", seed=4)
     assert res.equidistant_error < 1e-3
-    assert res.certificate == "global-equidistant"
     assert res.objective == pytest.approx(2.0, abs=1e-4)
 
 
@@ -822,8 +875,8 @@ def test_global_objective_belongs_to_returned_nodes(d, scheme):
 @pytest.mark.parametrize("freqs, d, scheme, generations, seed, iterations, objective, nodes", [
     ((1.0, 2.0, 3.0), 1, "uniform", 400, 0, 153, 2.7568031689054924,
      (0.6439195647405173, 1.7982472220715022, 2.68650865257352)),
-    ((1.0, 2.0, 4.0), 2, "weighted", 400, 1, 10, 16.0,
-     (0.0, 0.7853981642615216, 1.570796330029541, 2.3561944710499345)),
+    ((7.0, 9.0, 11.0), 2, "weighted", 400, 1, 40, 120.99999999999999,
+     (0.0, 0.2855993321448542, 0.8567979964446563, 1.4279966607565193)),
     ((0.7, 1.9, 3.2), 3, "uniform", 200, 2, 199, 219.0000881611442,
      (0.5304801747799975, 1.5640443672602145, 2.450563332018564)),
     ((1.992, 2.319), 4, "uniform", 400, 3, 119, 241.9769632128098,
@@ -834,7 +887,7 @@ def test_global_objective_belongs_to_returned_nodes(d, scheme):
      (0.3282553070795445, 0.9829923361704834, 1.6340082382817545, 2.7986119577969193, 3.1405926535897932)),
     ((1.0, 2.0), 2, "uniform", 400, 6, 91, 3.2142077374342515,
      (0.0, 1.6422318411729333, math.pi)),
-], ids=["unif-123-d1", "wgt-124-d2", "unif-nonint-d3", "unif-pair-d4", "wgt-pair-d4", "wgt-five-d1",
+], ids=["unif-123-d1", "wgt-7911-d2", "unif-nonint-d3", "unif-pair-d4", "wgt-pair-d4", "wgt-five-d1",
         "unif-12-d2"])
 def test_global_search_is_pinned(freqs, d, scheme, generations, seed, iterations, objective, nodes):
     # exact figures of seeded searches: the DE stream, its stops, the probes,
@@ -853,9 +906,9 @@ def test_global_scores_each_generation_in_one_stacked_call(monkeypatch):
         return real(free, *args)
 
     monkeypatch.setattr(variance, "stacked_objective", counting)
-    res = optimize_shifts_global(FS12, 1, "weighted", generations=25, seed=5)
+    res = optimize_shifts_global(FS7911, 1, "weighted", generations=25, seed=5)
     # the initial population, then one call per generation run
-    assert calls == [30] * (1 + res.iterations)
+    assert calls == [45] * (1 + res.iterations)
 
 
 @given(seed=st.integers(0, 2**32 - 1), r=st.integers(1, 6), d=st.integers(1, 6), integer=st.booleans())
