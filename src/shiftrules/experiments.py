@@ -25,6 +25,7 @@ in the experiment (see :func:`sampled_estimates` for the stream layout).
 from __future__ import annotations
 
 import datetime
+import itertools
 import json
 import os
 from dataclasses import asdict, dataclass
@@ -135,6 +136,9 @@ def _check_run_settings(s: dict) -> None:
         if bad:
             raise ConfigError(f"{_flag(name)} {bad} out of range: the p={s['p']} circuit has "
                               f"parameters 0..{4 * s['p'] - 1}")
+        repeated = sorted({j for j in indices if indices.count(j) > 1})
+        if repeated:
+            raise ConfigError(f"{_flag(name)} repeats index {', '.join(map(str, repeated))}")
 
 
 @dataclass(frozen=True)
@@ -206,15 +210,26 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
 # ---------------------------------------------------------------------------
 # output helpers
 
+#: Rows per ``write`` of :func:`_write_csv`.  One write per row pays a call
+#: per row; one write of the whole body holds a second copy of it in memory.
+_CSV_BLOCK_ROWS = 512
+
+
 def _column_text(column) -> list[str]:
-    """A column's cells as text, in :func:`_write_csv`'s format; floats are formatted once per bit pattern."""
+    """A column's cells as text, in :func:`_write_csv`'s format.
+
+    A float column's distinct bit patterns are formatted by one ``%`` over a
+    repeated ``"%.17g\\n"`` template, split back into cells and gathered to
+    the rows; the cells are those of one ``"%.17g" % v`` per value.
+    """
     first = column[0] if len(column) else None
     if isinstance(first, (int, np.integer)):
         return list(map("%d".__mod__, column))
     if not isinstance(first, (float, np.floating)):
         return list(map(str, column))
     bits, inverse = np.unique(np.asarray(column, dtype=np.float64).view(np.int64), return_inverse=True)
-    return np.array(["%.17g" % v for v in bits.view(np.float64).tolist()], dtype=object)[inverse].tolist()
+    cells = ("%.17g\n" * len(bits) % tuple(bits.view(np.float64).tolist())).split("\n")[:-1]
+    return np.array(cells, dtype=object)[inverse].tolist()
 
 
 def _write_csv(out, table: dict, reproducible: bool, plot=None) -> None:
@@ -224,10 +239,13 @@ def _write_csv(out, table: dict, reproducible: bool, plot=None) -> None:
     sequence) of one common length; a shorter column raises ``ValueError``
     naming it.  A column's first value picks its format: integers ``%d``,
     floats ``%.17g`` (exact for binary64; ``-0``, ``inf``, ``nan``), anything
-    else ``str``.  ``out`` is a path or an open text stream.  A ``# generated
-    <timestamp>`` line comes first unless ``reproducible`` is set.  Given
-    ``plot`` lines and a path, the gnuplot script ``<stem>.gp`` is written
-    beside the CSV, after a ``set datafile separator ','`` line.
+    else ``str``.  Each column is formatted in one pass (see
+    :func:`_column_text`), and the rows go out ``_CSV_BLOCK_ROWS`` at a
+    time, one ``write`` per block; the bytes are those of one ``%`` per row.
+    ``out`` is a path or an open text stream.  A ``# generated <timestamp>``
+    line comes first unless ``reproducible`` is set.  Given ``plot`` lines
+    and a path, the gnuplot script ``<stem>.gp`` is written beside the CSV,
+    after a ``set datafile separator ','`` line.
     """
     n_rows = max(map(len, table.values()), default=0)
     for name, column in table.items():
@@ -243,7 +261,9 @@ def _write_csv(out, table: dict, reproducible: bool, plot=None) -> None:
     if not reproducible:
         out.write(f"# generated {datetime.datetime.now().isoformat()}\n")
     out.write(",".join(table) + "\n")
-    out.writelines(line + "\n" for line in map(",".join, zip(*map(_column_text, table.values()))))
+    rows = map(",".join, zip(*map(_column_text, table.values())))
+    for _ in range(0, n_rows, _CSV_BLOCK_ROWS):
+        out.write("\n".join(itertools.islice(rows, _CSV_BLOCK_ROWS)) + "\n")
 
 
 def _kdensity(name: str, titles) -> str:
@@ -304,11 +324,18 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     Stream layout: one generator ``np.random.default_rng(seed_key)`` per
     call; for each scheme in order, then each expanded shift in rule order
     (skipping zero coefficients and zero shot counts), all ``repetitions``
-    draws of that shift at once.  A rule that does not cover
-    ``sl.frequencies`` raises ValueError before any draw, as in :func:`epsr.apply_rule`.
+    draws of that shift at once.  Before any state is built or shot drawn,
+    a rule that does not cover ``sl.frequencies`` raises ValueError, as in
+    :func:`epsr.apply_rule`, and so does an ``n_total`` below the number of
+    shifts with a nonzero coefficient, which would leave some of their terms
+    without a shot.
     """
     epsr._check_coverage(rule, sl)
     gamma = np.asarray(rule.expanded_coeffs)
+    active = np.count_nonzero(gamma)
+    if n_total < active:
+        raise ValueError(f"n_total {n_total} is below the {active} shifts with a nonzero coefficient; "
+                         "each needs at least one shot")
     points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
     if method == "multinomial":
         levels, tables = _level_tables(sl.observable, sl.state(points))
@@ -368,13 +395,14 @@ def _run_result2(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
     for j in cfg.params:
         sl = qsim.CostSlice(circuit, obs, theta, j)
         rule = epsr.make_rule(valid_nodes_for(sl.frequencies, 1, seed=cfg.seed), sl.frequencies, 1)
-        ests = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
-                                 cfg.repetitions, [cfg.seed, 2, j], cfg.method)
+        out[j] = sampled_estimates(sl, rule, theta[j], ("uniform", "weighted"), cfg.n_total,
+                                   cfg.repetitions, [cfg.seed, 2, j], cfg.method)
+    # no CSV is written unless every parameter's estimates were drawn
+    for j, ests in out.items():
         name = f"result2_{names[j]}.csv"
         plot = [*_DENSITY_LABELS, _kdensity(name, ("uniform", "weighted"))]
         _write_csv(os.path.join(cfg.out_dir, name), {"repetition": range(cfg.repetitions), **ests},
                    reproducible, plot if emit_gnuplot else None)
-        out[j] = ests
     _write_config_echo(cfg, theta)
     return out
 
@@ -406,11 +434,13 @@ def _run_result3(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool):
             ests = sampled_estimates(sl, rule, theta[j], ("weighted",), cfg.n_total,
                                      cfg.repetitions, [cfg.seed, 3, j, tag_idx], cfg.method)
             cols[tag] = ests["weighted"]
+        out[j] = cols
+    # no CSV is written unless every parameter's estimates were drawn
+    for j, cols in out.items():
         name = f"result3_{names[j]}.csv"
         plot = [*_DENSITY_LABELS, _kdensity(name, ("equidistant", "random 1", "random 2"))]
         _write_csv(os.path.join(cfg.out_dir, name), {"repetition": range(cfg.repetitions), **cols},
                    reproducible, plot if emit_gnuplot else None)
-        out[j] = cols
     _write_config_echo(cfg, theta, {"node_sets": node_echo})
     return out
 

@@ -242,9 +242,10 @@ def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
 def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
     """Largest-remainder integerization of a fractional allocation.
 
-    Every shift with a positive fractional count keeps at least one shot
-    (stolen from the largest bucket if rounding starved it), so no active
-    term of the estimator is left unestimated.
+    When the total is at least the number of shifts with a positive
+    fractional count, each of them keeps at least one shot (stolen from the
+    largest bucket if rounding starved it).  Below that, some get 0 shots;
+    :func:`shiftrules.experiments.sampled_estimates` refuses such totals.
     """
     counts = np.asarray(allocation.counts)
     total = int(round(allocation.total))

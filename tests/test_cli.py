@@ -338,6 +338,27 @@ def test_estimate_has_no_shots_flag(capsys):
     assert captured.out == "" and "unrecognized arguments: --shots" in captured.err
 
 
+@pytest.mark.parametrize("scheme", ["uniform", "weighted"])
+def test_a_shot_total_below_the_active_shifts_exits_2_and_writes_no_csv(tmp_path, capsys, scheme):
+    # parameter 1's rule has 8 shifts with nonzero coefficients; 7 shots
+    # would leave some of them without a shot
+    message = "n_total 7 is below the 8 shifts with a nonzero coefficient"
+    est = tmp_path / "est.csv"
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--n-total", "7",
+                         "--scheme", scheme, "--out", str(est))
+    assert code == EXIT_VALIDATION and out == "" and message in err
+    assert not est.exists()
+    for exp in ("result2", "result3"):
+        out_dir = tmp_path / exp
+        code, out, err = run(capsys, "experiment", "--id", exp, "--params", "0", "1", "--n-total", "7",
+                             "--repetitions", "5", "--out-dir", str(out_dir))
+        assert code == EXIT_VALIDATION and out == "" and message in err
+        assert list(out_dir.glob("*.csv")) == []
+    code, out, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--n-total", "8",
+                       "--scheme", scheme, "--repetitions", "5")
+    assert code == EXIT_OK and len(out.splitlines()) == 6
+
+
 @pytest.mark.parametrize("flags,message", [
     (("--exact", "--out", "e.csv"), "--emit-gnuplot plots sampled estimates; --exact writes one exact value"),
     (("--repetitions", "5"), "--emit-gnuplot writes its script beside the --out CSV; give --out"),
@@ -665,7 +686,7 @@ _BAD_VALUES = [
     ("--delta", (["nan"], ["-inf"]), _CIRCUIT_RUNS),
     ("--seed", (["-1"],), _CIRCUIT_RUNS),
     ("--param", (["99"], ["8"], ["-1"]), ("freq", "estimate --exact", "estimate")),
-    ("--params", (["99"], ["0", "-1"], []), ("experiment",)),
+    ("--params", (["99"], ["0", "-1"], [], ["1", "1"]), ("experiment",)),
     ("--xbar", (["nan"], ["inf"]), ("estimate --exact", "estimate")),
     ("--scheme", (["bogus"], ["custom"]), _SHOT_RUNS),
     ("--method", (["bogus"],), _SHOT_RUNS),

@@ -69,7 +69,9 @@ def test_config_checks_name_the_flag_before_any_directory_exists(tmp_path):
     for kwargs, message in (({"seed": -1}, "--seed must be non-negative, not -1"),
                             ({"params": ()}, "--params needs at least one parameter index"),
                             ({"method": "bogus"}, "--method: unknown sampling method 'bogus'"),
-                            ({"r_max": 0}, "--r-max must be positive, not 0")):
+                            ({"r_max": 0}, "--r-max must be positive, not 0"),
+                            ({"params": (1, 0, 1)}, "--params repeats index 1"),
+                            ({"params": (3, 2, 3, 2)}, "--params repeats index 2, 3")):
         with pytest.raises(experiments.ConfigError, match=message):
             ExperimentConfig("result2", out_dir=out_dir, **kwargs)
     assert not (tmp_path / "o").exists()
@@ -121,6 +123,54 @@ def test_write_csv_equals_the_rowwise_oracle(table):
     buf = io.StringIO()
     _write_csv(buf, table, reproducible=True)
     assert buf.getvalue() == rowwise_csv(list(table), list(zip(*table.values())))
+
+
+_B = experiments._CSV_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n", [0, 1, _B - 1, _B, _B + 1, 2 * _B, 3721])
+def test_write_csv_equals_the_rowwise_oracle_across_blocks(tmp_path, n):
+    specials = [0.25, -0.0, math.nan, math.inf, -math.inf, 1 / 3]
+    table = {
+        "floats": np.array([specials[k % len(specials)] for k in range(n)]),
+        "repeats": [0.1 * (k % 7) for k in range(n)],
+        "ints": np.arange(n, dtype=np.int64) * 3 - 5,
+        "repetition": range(n),
+        "tag": [f"t{k % 3}" for k in range(n)],
+    }
+    want = rowwise_csv(list(table), list(zip(*table.values())))
+    buf = io.StringIO()
+    _write_csv(buf, table, reproducible=True)
+    assert buf.getvalue() == want
+    path = tmp_path / "t.csv"
+    _write_csv(path, table, reproducible=True)
+    assert path.read_text() == want
+
+
+class _WriteLog(io.StringIO):
+    """A text stream that records each ``write`` and refuses ``writelines``."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return super().write(text)
+
+    def writelines(self, lines):
+        pytest.fail("writelines writes one line at a time")
+
+
+@pytest.mark.parametrize("reproducible", [True, False])
+def test_write_csv_writes_rows_in_blocks(reproducible):
+    # a return to one write per row fails here, with no timing
+    n = 3721
+    table = {"x1": np.linspace(0, 1, n), "F": np.arange(n) / 7, "k": range(n)}
+    out = _WriteLog()
+    _write_csv(out, table, reproducible)
+    assert out.writes == (0 if reproducible else 1) + 1 + math.ceil(n / _B)
+    assert out.getvalue().count("\n") == (0 if reproducible else 1) + 1 + n
 
 
 def test_write_csv_rejects_a_short_column_before_opening_the_file(tmp_path):
@@ -259,6 +309,11 @@ def test_landscape_csv(tmp_path):
     # the cells for (x1, x2) and (x2, x1) carry the same text
     text = {(c[0], c[1]): c[2] for c in cells}
     assert all(text[x2, x1] == f for (x1, x2), f in text.items())
+    # the rows written in blocks are the row-wise format of the scanned grid
+    grid, values = variance.scan_landscape(integer_frequencies(2), 1, "weighted")
+    x1, x2 = np.meshgrid(grid, grid, indexing="ij")
+    rows = list(zip(x1.ravel(), x2.ravel(), values.ravel()))
+    assert (tmp_path / "landscape_d1.csv").read_text() == rowwise_csv(["x1", "x2", "F"], rows)
 
 
 def test_de_sweep_quick(tmp_path):
@@ -309,6 +364,31 @@ def test_slice_refuses_a_rule_that_misses_its_frequencies(monkeypatch):
     for method in ("multinomial", "gaussian"):
         with pytest.raises(ValueError, match=both):
             sampled_estimates(sl, rule, xbar, ("uniform", "weighted"), 1000, 16, [1, 2], method)
+
+
+def test_sampled_estimates_refuse_a_total_below_the_active_shifts(monkeypatch):
+    # parameter 1 covers {1, 2, 3, 4}: 8 shifts, all with nonzero
+    # coefficients; at n_total = 7 the weighted split starved 5 of them and
+    # its mean over 20,000 repetitions read 1.547 against the exact 1.028
+    sl, rule, xbar = _xxz_slice_and_rule(1)
+    assert len(rule.expanded_shifts) == 8 and np.count_nonzero(rule.expanded_coeffs) == 8
+
+    def fail(*args, **kwargs):
+        pytest.fail("a state was built or a shot drawn before the shot total was checked")
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", fail)
+        m.setattr(qsim.CostSlice, "state", fail)
+        m.setattr(qsim.CostSlice, "__call__", fail)
+        for scheme in ("uniform", "weighted"):
+            for method in ("multinomial", "gaussian"):
+                with pytest.raises(ValueError, match="n_total 7 is below the 8 shifts with a nonzero coefficient"):
+                    sampled_estimates(sl, rule, xbar, (scheme,), 7, 4, [1, 2], method)
+    for scheme in ("uniform", "weighted"):
+        n = variance.integer_shot_counts(variance.allocate(scheme, np.asarray(rule.expanded_coeffs), 8,
+                                                           rule.expanded_shifts))
+        assert n.tolist() == [1] * 8
+        assert sampled_estimates(sl, rule, xbar, (scheme,), 8, 4, [1, 2])[scheme].shape == (4,)
 
 
 def test_sampled_estimates_deterministic():
