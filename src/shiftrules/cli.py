@@ -182,7 +182,8 @@ def _cmd_rule(args) -> int:
     doc = json.loads(epsr.rule_to_json(rule))
     doc["diagnostics"] = _rule_diagnostics(rule)
     doc.update(extra)
-    text = json.dumps(doc, indent=2)
+    # no inf or NaN token, which JSON lacks, can reach a rule document
+    text = json.dumps(doc, indent=2, allow_nan=False)
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text + "\n")

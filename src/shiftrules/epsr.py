@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -65,6 +66,10 @@ _SCREEN_MARGIN = 4.0
 #: Even-order rules merge a node's two shifts +-x into one evaluation when
 #: every Omega_k x / pi is an integer within this tolerance.
 _MERGE_TOL = 1e-12
+
+#: Relative error of a realised shift (xbar + phi) - xbar against phi,
+#: over max(1, max |phi|), beyond which :func:`_shifted_points` refuses xbar.
+_SHIFT_RTOL = 1e-9
 
 #: Relative tolerance of :func:`rule_from_json` against the re-solved rule.
 _JSON_RTOL = 1e-9
@@ -156,6 +161,14 @@ def _node_array(nodes) -> np.ndarray:
     return nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
 
 
+@lru_cache(maxsize=64)
+def _frequency_row(fs: FrequencySet) -> np.ndarray:
+    """``fs.as_array()``, read-only, built once per frequency set."""
+    w = fs.as_array()
+    w.setflags(write=False)
+    return w
+
+
 def build_A(nodes, fs: FrequencySet, parity: str) -> np.ndarray:
     """Interpolation matrix: sin(Omega_k x_i) for odd parity, [1 | cos(Omega_k x_i)] for even.
 
@@ -165,10 +178,19 @@ def build_A(nodes, fs: FrequencySet, parity: str) -> np.ndarray:
     Omega_k cos(Omega_k x_i) and -Omega_k sin(Omega_k x_i).
     """
     x = _node_array(nodes)
-    wx = np.multiply.outer(x, fs.as_array())
+    wx = np.multiply.outer(x, _frequency_row(fs))
     if _check_parity(parity) == "odd":
         return np.sin(wx)
     return np.concatenate([np.ones(x.shape + (1,)), np.cos(wx)], axis=-1)
+
+
+def _top_power(fs: FrequencySet, d: int) -> float:
+    """Omega_max^d, which bounds every entry of :func:`rhs_vector`; ValueError naming d and Omega_max on overflow."""
+    try:
+        return fs.frequencies[-1] ** d
+    except OverflowError:
+        raise ValueError(f"order d = {d} overflows: Omega_max^d with Omega_max = {fs.frequencies[-1]!r} "
+                         "exceeds the double range") from None
 
 
 def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
@@ -176,10 +198,12 @@ def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
 
     Odd parity: (-1)^((d-1)/2) * [Omega_1^d, ..., Omega_r^d].
     Even parity: (-1)^(d/2) * [delta_{d,0}, Omega_1^d, ..., Omega_r^d].
+    Raises ValueError where :func:`_top_power` does.
     """
     _check_parity(parity)
     if d < 0:
         raise ValueError("order must be >= 0")
+    _top_power(fs, d)
     w = fs.as_array()
     if parity == "odd":
         if d % 2 != 1:
@@ -189,6 +213,14 @@ def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
         raise ValueError(f"order {d} has no even-parity rule")
     lead = 1.0 if d == 0 else 0.0
     return (-1.0) ** (d // 2) * np.concatenate([[lead], w**d])
+
+
+@lru_cache(maxsize=64)
+def _rhs_column(fs: FrequencySet, d: int) -> np.ndarray:
+    """:func:`rhs_vector` of order d as a read-only column, built and checked once per (fs, d)."""
+    rhs = rhs_vector(d, fs, "odd" if d % 2 else "even")[:, None]
+    rhs.setflags(write=False)
+    return rhs
 
 
 def _conditioning(smax: np.ndarray, smin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -203,16 +235,19 @@ def _conditioning(smax: np.ndarray, smin: np.ndarray) -> tuple[np.ndarray, np.nd
     the determinant is reported in :class:`RuleDiagnostics` but not tested.
     The test only gets harder as smax grows or smin shrinks, so an upper
     bound on smax and a lower bound on smin that pass certify the matrix.
+    Both callers run it under one ``errstate`` that ignores divide, over and
+    invalid: smin may be 0 or tiny.
     """
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = np.where(smin == 0.0, np.inf, smax / smin)
-    nonsingular = np.isfinite(cond) & (cond <= CONDITION_LIMIT) & (smin > 1e-12 * np.maximum(1.0, smax))
+    cond = np.where(smin == 0.0, np.inf, smax / smin)
+    # an inf or NaN cond compares False
+    nonsingular = (cond <= CONDITION_LIMIT) & (smin > 1e-12 * np.maximum(1.0, smax))
     return cond, nonsingular
 
 
 def _svd_conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sv = np.linalg.svd(a, compute_uv=False)
-    return _conditioning(sv[..., 0], sv[..., -1])
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        return _conditioning(sv[..., 0], sv[..., -1])
 
 
 def _diagnose(a: np.ndarray) -> RuleDiagnostics:
@@ -260,19 +295,25 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     solved as it is.  Returns ``(b, nonsingular)``: b has shape (n, m)
     with NaN rows where ``nonsingular`` is False, so a row is rejected here
     exactly when :func:`solve_coefficients` raises SingularNodesError for it.
+
+    A DE generation of :func:`~shiftrules.variance.optimize_shifts_global`
+    makes its 4 draws (5 when a mutant left the box), whose order is part of
+    the seeded-output contract, and then one call here, which draws nothing.
+    The frequency row and the right-hand-side column are built and checked
+    once per (fs, d) and cached read-only, and the screen runs under one
+    ``errstate``, so a call pays for its stack's matrices only.
     """
     x = np.asarray(nodes, dtype=float)
     parity = "odd" if d % 2 else "even"
-    m = fs.r if parity == "odd" else fs.r + 1
+    rhs = _rhs_column(fs, d)
+    m = rhs.shape[0]
     if x.ndim != 2 or x.shape[1] != m:
         raise ValueError(f"order {d} with r={fs.r} needs a node stack of shape (n, {m}), got {x.shape}")
     a = build_A(x, fs, parity)
     s = np.sqrt(np.einsum("nij,nij->n", a, a))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        smin_bound = np.abs(np.linalg.det(a)) / s ** (m - 1) / _SCREEN_MARGIN
-    _, nonsingular = _conditioning(s, smin_bound)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        _, nonsingular = _conditioning(s, np.abs(np.linalg.det(a)) / s ** (m - 1) / _SCREEN_MARGIN)
     at = np.swapaxes(a, -1, -2)
-    rhs = rhs_vector(d, fs, parity)[:, None]
     if nonsingular.all():
         return np.linalg.solve(at, rhs)[..., 0], nonsingular
     unsure = ~nonsingular
@@ -339,6 +380,24 @@ def _check_coverage(rule: PSRRule, evaluator) -> None:
         raise ValueError(f"rule frequencies {have} do not cover the evaluator's frequencies {fs.frequencies}")
 
 
+def _shifted_points(rule: PSRRule, xbar: float) -> np.ndarray:
+    """The evaluation points xbar + phi_mu of ``rule``, in rule order.
+
+    Raises ValueError naming xbar when xbar is not finite or a realised
+    shift (xbar + phi_mu) - xbar misses phi_mu by more than ``_SHIFT_RTOL`` *
+    max(1, max |phi|): there the rounding of xbar + phi_mu would apply the
+    rule at shifts other than its own (at xbar = 1e17 every point rounds to
+    xbar).
+    """
+    phi = np.asarray(rule.expanded_shifts, dtype=float)
+    points = xbar + phi
+    miss = np.abs(points - xbar - phi).max() if math.isfinite(xbar) else math.inf
+    if not miss <= _SHIFT_RTOL * max(1.0, np.abs(phi).max()):
+        raise ValueError(f"xbar = {xbar!r} rounds the rule's shifts away: xbar + phi - xbar misses phi "
+                         f"by more than {_SHIFT_RTOL:g} relative; choose an xbar of smaller magnitude")
+    return points
+
+
 def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
     """sum_mu gamma_mu * evaluator(xbar + phi_mu).
 
@@ -346,10 +405,11 @@ def apply_rule(rule: PSRRule, evaluator, xbar: float) -> float:
     points ``xbar + phi_mu`` in rule order, and must return the array of
     values at those points (numpy ufuncs, :class:`~shiftrules.trigpoly.TrigPoly`
     and :class:`~shiftrules.qsim.CostSlice` all do).  A rule that does not
-    cover the evaluator's frequencies raises ValueError (:func:`_check_coverage`).
+    cover the evaluator's frequencies, or an xbar that rounds its shifts
+    away (:func:`_shifted_points`), raises ValueError before the call.
     """
     _check_coverage(rule, evaluator)
-    points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
+    points = _shifted_points(rule, xbar)
     return float(np.asarray(rule.expanded_coeffs) @ np.asarray(evaluator(points), dtype=float))
 
 

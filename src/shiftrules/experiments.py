@@ -326,7 +326,8 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     (skipping zero coefficients and zero shot counts), all ``repetitions``
     draws of that shift at once.  Before any state is built or shot drawn,
     a rule that does not cover ``sl.frequencies`` raises ValueError, as in
-    :func:`epsr.apply_rule`, and so does an ``n_total`` below the number of
+    :func:`epsr.apply_rule`, and so do an xbar that rounds the rule's shifts
+    away (:func:`epsr._shifted_points`) and an ``n_total`` below the number of
     shifts with a nonzero coefficient, which would leave some of their terms
     without a shot.
     """
@@ -336,7 +337,7 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     if n_total < active:
         raise ValueError(f"n_total {n_total} is below the {active} shifts with a nonzero coefficient; "
                          "each needs at least one shot")
-    points = xbar + np.asarray(rule.expanded_shifts, dtype=float)
+    points = epsr._shifted_points(rule, xbar)
     if method == "multinomial":
         levels, tables = _level_tables(sl.observable, sl.state(points))
     elif method == "gaussian":

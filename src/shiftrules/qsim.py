@@ -220,9 +220,17 @@ def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.nd
     return perms, stacked
 
 
+@lru_cache(maxsize=256)
+def _flip_index(n: int, mask: int) -> np.ndarray:
+    """arange(n) ^ mask, the gather index of an X/Y flip mask; read-only, like :func:`_parity_sign`."""
+    idx = np.arange(n) ^ mask
+    idx.setflags(write=False)
+    return idx
+
+
 def _signed_gather(psi: np.ndarray, mask: int, yz: tuple[int, ...]) -> np.ndarray:
     """(P psi) / phase for the batch psi (B, 2^q): psi itself if P is the identity, else a new array."""
-    out = np.take(psi, np.arange(psi.shape[1]) ^ mask, axis=1) if mask else psi
+    out = np.take(psi, _flip_index(psi.shape[1], mask), axis=1) if mask else psi
     return out * _parity_sign(psi.shape[1].bit_length() - 1, yz) if yz else out
 
 

@@ -27,11 +27,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
 from .epsr import (
     ShiftNodes,
+    _top_power,
     build_A,
     equidistant_nodes,
     scaled_equidistant_nodes,
@@ -473,6 +475,15 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     return OptimizeResult(_nodes_from_free(parity, best_free), best_f, it, converged)
 
 
+@lru_cache(maxsize=16)
+def _partner_bounds(npop: int) -> tuple[np.ndarray, np.ndarray]:
+    """The upper bounds [[npop], [npop-1], [npop-2]] of :func:`_partners` and arange(npop), read-only."""
+    high, members = np.array([[npop], [npop - 1], [npop - 2]]), np.arange(npop)
+    high.setflags(write=False)
+    members.setflags(write=False)
+    return high, members
+
+
 def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
     """Three distinct partners per member, none of them the member itself.
 
@@ -480,15 +491,19 @@ def _partners(rng: np.random.Generator, npop: int) -> np.ndarray:
     Member i's partners are i + o_j (mod npop) for three distinct offsets in
     1..npop-1, drawn without replacement by one ``integers`` call: o_2 and
     o_3 range over one and two offsets fewer and step over the offsets
-    already taken.  Needs npop >= 4.
+    already taken.  It is the second of a generation's 4 draws (5 when a
+    mutant left the box, see :func:`optimize_shifts_global`); the one call
+    is part of the seeded-output contract, and three scalar-bound calls
+    would draw the same stream, only slower.  Needs npop >= 4.
     """
-    offsets = rng.integers(1, np.array([[npop], [npop - 1], [npop - 2]]), size=(3, npop))
+    high, members = _partner_bounds(npop)
+    offsets = rng.integers(1, high, size=(3, npop))
     o1, o2, o3 = offsets
     o2 += o2 >= o1
     low = np.minimum(o1, o2)
     o3 += o3 >= low
-    o3 += o3 >= o1 + o2 - low
-    offsets += np.arange(npop)
+    o3 += o3 >= np.maximum(o1, o2)
+    offsets += members
     offsets %= npop
     return offsets
 
@@ -524,7 +539,13 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     candidates get objective +inf.  Deterministic for a given seed.  The
     differential weight is drawn once per generation from ``_DE_MUTATION``
     (dither), which converges markedly faster at dimension >= 4 while
-    keeping the strategy rand/1/bin.
+    keeping the strategy rand/1/bin.  A generation makes 4 draws: the
+    weight (``uniform``), the partners (one ``integers`` call, see
+    :func:`_partners`), the crossover mask (``random``) and each member's
+    forced crossover coordinate (``integers``); only when a mutant left the
+    box does a ``uniform`` resample of its coordinates come between the
+    partners and the mask.  These draws and their order are part of the
+    seeded-output contract.
     A weighted search stops as soon as its best member is within the
     relative gap ``DUAL_GAP`` of :func:`weighted_lower_bound`, which
     certifies it near-optimal; every search stops once the population's
@@ -588,30 +609,33 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
             nodes, f = polished.nodes, polished.objective
         return nodes, f, polished.converged
 
-    members = np.arange(npop)
+    members = _partner_bounds(npop)[1]
+    f_lo, f_hi = _DE_MUTATION
     probe_at = _PROBE_FIRST if scheme == "weighted" else math.inf
     result = None
     gens_run = 0
     stopped_at_cap = False
     for gen in range(generations):
         gens_run = gen + 1
-        f_weight = float(rng.uniform(*_DE_MUTATION))
-        p1, p2, p3 = _partners(rng, npop)
-        mutant = pop[p1] + f_weight * (pop[p2] - pop[p3])
+        f_weight = float(rng.uniform(f_lo, f_hi))
+        p1, p2, p3 = pop[_partners(rng, npop)]
+        mutant = p1 + f_weight * (p2 - p3)
         outside = (mutant < lo) | (mutant > hi)
-        mutant[outside] = rng.uniform(lo, hi, size=int(outside.sum()))
+        n_out = np.count_nonzero(outside)
+        if n_out:
+            mutant[outside] = rng.uniform(lo, hi, size=n_out)
         cross = rng.random((npop, dim)) < _DE_CROSSOVER
         cross[members, rng.integers(dim, size=npop)] = True
         trial = np.where(cross, mutant, pop)
         f_trial = stacked_objective(trial, fs, d, scheme)
         better = f_trial <= fit
-        pop[better] = trial[better]
-        fit[better] = f_trial[better]
-        best = float(np.min(fit))
+        np.copyto(pop, trial, where=better[:, None])
+        np.copyto(fit, f_trial, where=better)
+        best = float(fit.min())
         if best - bound <= DUAL_GAP * bound:
             break
-        spread = float(np.max(fit)) - best
-        if np.isfinite(spread) and spread <= 1e-12 * max(1.0, abs(best)):
+        # Python floats: an all-inf population's NaN spread compares False without a warning
+        if float(fit.max()) - best <= 1e-12 * max(1.0, abs(best)):
             break
         # the final polish follows the last generation, so no probe there
         if gens_run == probe_at and gens_run < generations:
@@ -649,10 +673,11 @@ def weighted_lower_bound(fs: FrequencySet, d: int) -> float:
     largest frequency's column, A(x) y is +-sin(Omega_max x_i) or
     +-cos(Omega_max x_i), bounded by 1 for every x, so y is feasible at
     every node set; with the sign of the rhs entry its dual value is
-    Omega_max^d, for any frequency set.
+    Omega_max^d, for any frequency set.  Raises ValueError naming d and
+    Omega_max when that power overflows a double.
     """
     _parity_of(d)
-    return fs.frequencies[-1] ** d
+    return _top_power(fs, d)
 
 
 def scan_landscape(fs: FrequencySet, d: int, scheme: str, n: int = 61):

@@ -265,6 +265,21 @@ def test_rule_file_output(tmp_path, capsys):
     assert doc["order"] == 2 and doc["parity"] == "even"
 
 
+@pytest.mark.parametrize("flags", [
+    ("--freqs", "1e200", "--d", "3", "--nodes", "1e-200"),
+    ("--freqs", "1e150,2e150", "--d", "3", "--optimize", "unif", "--generations", "3"),
+    ("--freqs", "1e200,2e200", "--d", "2", "--optimize", "wgt"),
+], ids=["nodes", "unif", "wgt"])
+def test_rule_whose_top_power_overflows_exits_2_and_writes_nothing(tmp_path, capsys, flags):
+    # Omega_max^d beyond the double range wrote -Infinity and NaN, which JSON
+    # lacks, or crashed with an OverflowError
+    out_file = tmp_path / "rule.json"
+    code, out, err = run(capsys, "rule", *flags, "--out", str(out_file))
+    assert code == EXIT_VALIDATION and out == ""
+    assert f"order d = {flags[3]} overflows: Omega_max^d with Omega_max = {float(flags[1].split(',')[-1])!r}" in err
+    assert not out_file.exists()
+
+
 # --- estimate -----------------------------------------------------------------
 
 def test_estimate_exact_matches_reference(capsys):
@@ -357,6 +372,20 @@ def test_a_shot_total_below_the_active_shifts_exits_2_and_writes_no_csv(tmp_path
     code, out, _ = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--n-total", "8",
                        "--scheme", scheme, "--repetitions", "5")
     assert code == EXIT_OK and len(out.splitlines()) == 6
+
+
+@pytest.mark.parametrize("xbar", ["1e15", "1e17"])
+@pytest.mark.parametrize("mode", [("--exact",), ("--repetitions", "5")], ids=["exact", "sampled"])
+def test_estimate_refuses_an_xbar_that_rounds_the_shifts_away(tmp_path, capsys, xbar, mode):
+    # at 1e15 (unit in the last place 0.125) the exact estimate read 2.600
+    # against the slice's derivative 2.746; at 1e17 every point rounds to
+    # xbar and it read 0
+    est = tmp_path / "est.csv"
+    code, out, err = run(capsys, "estimate", "--circuit", "xxz-hva", "--param", "1", "--xbar", xbar, *mode,
+                         "--out", str(est))
+    assert code == EXIT_VALIDATION and out == ""
+    assert f"xbar = {float(xbar)!r} rounds the rule's shifts away" in err
+    assert not est.exists()
 
 
 @pytest.mark.parametrize("flags,message", [

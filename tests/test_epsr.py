@@ -107,6 +107,40 @@ def test_rhs_parity_mismatch():
         rhs_vector(2, FS12, "odd")
 
 
+def test_rhs_refuses_an_order_whose_top_power_overflows():
+    # 1e200**3 is beyond the double range; unchecked, the rule document held
+    # -Infinity coefficients
+    fs = FrequencySet((1e200,))
+    message = r"order d = 3 overflows: Omega_max\^d with Omega_max = 1e\+200"
+    with pytest.raises(ValueError, match=message):
+        rhs_vector(3, fs, "odd")
+    with pytest.raises(ValueError, match=message):
+        epsr.solve_coefficients_stacked(np.array([[1e-200]]), fs, 3)
+    with pytest.raises(ValueError, match=message):
+        make_rule(ShiftNodes("odd", (1e-200,)), fs, 3)
+    assert rhs_vector(1, fs, "odd")[0] == 1e200
+
+
+def test_stacked_solve_builds_its_right_hand_side_once(monkeypatch):
+    # a node search solves one stack per generation; the right-hand side and
+    # its overflow check belong to (fs, d), not to the stack
+    calls = []
+    real = epsr.rhs_vector
+
+    def counting(d, fs, parity):
+        calls.append((d, fs))
+        return real(d, fs, parity)
+
+    fs = FrequencySet((0.7, 1.9, 3.2))
+    monkeypatch.setattr(epsr, "rhs_vector", counting)
+    epsr._rhs_column.cache_clear()
+    for stack in np.random.default_rng(5).uniform(0.1, 3.0, size=(3, 7, 3)):
+        epsr.solve_coefficients_stacked(stack, fs, 1)
+    epsr.solve_coefficients_stacked(np.zeros((2, 4)), fs, 2)
+    assert calls == [(1, fs), (2, fs)]
+    assert not epsr._rhs_column(fs, 1).flags.writeable and not epsr._frequency_row(fs).flags.writeable
+
+
 # --- coefficient solves ---------------------------------------------------
 
 def test_solve_single_frequency_inverse_sine():
@@ -372,6 +406,20 @@ def test_apply_rule_calls_the_evaluator_once_with_every_point(d):
     assert len(counting.calls) == 1
     assert np.array_equal(counting.calls[0], 0.4 + np.asarray(rule.expanded_shifts))
     assert got == pytest.approx(p.derivative(d, 0.4), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("xbar", [1e9, 1e12, 1e17, math.inf, math.nan])
+def test_apply_rule_refuses_an_xbar_that_rounds_its_shifts_away(xbar):
+    # the unit in the last place of 1e12 is 1.2e-4, so xbar + phi lands up
+    # to 6e-5 away from its shift; at 1e17 every point rounds to xbar and the
+    # rule read 0
+    fs = FrequencySet((1.0, 2.0, 4.0))
+    rule = make_rule(random_valid_nodes(fs, 1, np.random.default_rng(1)), fs, 1)
+    counting = _CountingEvaluator(random_trigpoly(fs, 7))
+    with pytest.raises(ValueError, match=r"xbar = .* rounds the rule's shifts away"):
+        apply_rule(rule, counting, xbar)
+    assert counting.calls == []
+    assert apply_rule(rule, counting, 1e6) == pytest.approx(counting.f.derivative(1, 1e6), abs=1e-6)
 
 
 def test_apply_rule_matches_exact_derivatives():

@@ -391,6 +391,22 @@ def test_sampled_estimates_refuse_a_total_below_the_active_shifts(monkeypatch):
         assert sampled_estimates(sl, rule, xbar, (scheme,), 8, 4, [1, 2])[scheme].shape == (4,)
 
 
+def test_sampled_estimates_refuse_an_xbar_that_rounds_the_shifts_away(monkeypatch):
+    # at xbar = 1e15 (unit in the last place 0.125) every point landed up to
+    # 0.06 away from its shift
+    sl, rule, _ = _xxz_slice_and_rule(1)
+
+    def fail(*args, **kwargs):
+        pytest.fail("a state was built or a shot drawn before xbar was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", fail)
+    monkeypatch.setattr(qsim.CostSlice, "state", fail)
+    monkeypatch.setattr(qsim.CostSlice, "__call__", fail)
+    for method in ("multinomial", "gaussian"):
+        with pytest.raises(ValueError, match=r"xbar = 1000000000000000\.0 rounds the rule's shifts away"):
+            sampled_estimates(sl, rule, 1e15, ("uniform", "weighted"), 1000, 4, [1, 2], method)
+
+
 def test_sampled_estimates_deterministic():
     sl, rule, xbar = _xxz_slice_and_rule()
     schemes = ("uniform", "weighted")

@@ -887,14 +887,65 @@ def test_global_objective_belongs_to_returned_nodes(d, scheme):
      (0.3282553070795445, 0.9829923361704834, 1.6340082382817545, 2.7986119577969193, 3.1405926535897932)),
     ((1.0, 2.0), 2, "uniform", 400, 6, 91, 3.2142077374342515,
      (0.0, 1.6422318411729333, math.pi)),
+    ((1.0, 2.0, 4.0), 1, "uniform", None, 0, 172, 3.0303482899698304,
+     (0.4611220247377079, 1.888213777882405, 2.7098481573176527)),
+    # the last node is the box face pi - EPS_BOX
+    ((0.7, 1.9, 3.2), 1, "uniform", None, 0, 272, 3.212030028183589,
+     (0.581106623362306, 2.4394113212885205, 3.1405926535897932)),
 ], ids=["unif-123-d1", "wgt-7911-d2", "unif-nonint-d3", "unif-pair-d4", "wgt-pair-d4", "wgt-five-d1",
-        "unif-12-d2"])
+        "unif-12-d2", "unif-124-d1", "unif-nonint-d1"])
 def test_global_search_is_pinned(freqs, d, scheme, generations, seed, iterations, objective, nodes):
     # exact figures of seeded searches: the DE stream, its stops, the probes,
     # the polish and the pi snap all show in them, and so does any change to
     # the floats with which their steps are scored
     res = optimize_shifts_global(FrequencySet(freqs), d, scheme, generations=generations, seed=seed)
     assert (res.iterations, res.objective, res.nodes.values) == (iterations, objective, nodes)
+
+
+class _DrawLedger:
+    """A Generator that records every draw as (method, size)."""
+
+    def __init__(self, rng: np.random.Generator):
+        self._rng, self.draws = rng, []
+
+    def __getattr__(self, name):
+        method = getattr(self._rng, name)
+
+        def draw(*args, **kwargs):
+            self.draws.append((name, args[0] if name == "random" else kwargs.get("size")))
+            return method(*args, **kwargs)
+
+        return draw
+
+
+def test_global_generation_draws_the_resample_only_when_a_mutant_left_the_box(monkeypatch):
+    # a generation draws the weight, the partners, the crossover mask and
+    # the forced crossover, plus the out-of-box resample between the
+    # partners and the mask when a mutant left the box; an empty resample
+    # takes no number from the stream, so skipping it leaves every seeded
+    # result as it is and saves a call
+    ledgers = []
+    real = np.random.default_rng
+
+    def recording(*args, **kwargs):
+        ledgers.append(_DrawLedger(real(*args, **kwargs)))
+        return ledgers[-1]
+
+    monkeypatch.setattr(np.random, "default_rng", recording)
+    res = optimize_shifts_global(integer_frequencies(3), 1, "uniform", seed=0)
+    (ledger,) = ledgers
+    draws = ledger.draws
+    assert all(np.prod(size) > 0 for _, size in draws if size is not None)
+    assert draws[0] == ("uniform", (45, 3))  # the initial population
+    resampled, i = [], 1
+    while i < len(draws):
+        assert draws[i:i + 2] == [("uniform", None), ("integers", (3, 45))]
+        extra = draws[i + 2][0] == "uniform"
+        assert draws[i + 2 + extra:i + 4 + extra] == [("random", (45, 3)), ("integers", 45)]
+        resampled.append(extra)
+        i += 4 + extra
+    assert len(resampled) == res.iterations
+    assert any(resampled) and not all(resampled)
 
 
 def test_global_scores_each_generation_in_one_stacked_call(monkeypatch):
@@ -938,6 +989,19 @@ def test_weighted_lower_bound_values():
     assert variance.weighted_lower_bound(FrequencySet((0.7, 1.9, 3.2)), 3) == 3.2**3
     with pytest.raises(ValueError, match="order"):
         variance.weighted_lower_bound(FS12, 0)
+
+
+@pytest.mark.parametrize("scheme", ("uniform", "weighted"))
+def test_an_order_whose_top_power_overflows_is_refused(scheme):
+    # Omega_max^d beyond the double range: the bound raised OverflowError and
+    # a uniform search reported a NaN objective
+    fs = FrequencySet((1e150, 2e150))
+    message = r"order d = 3 overflows: Omega_max\^d with Omega_max = 2e\+150"
+    with pytest.raises(ValueError, match=message):
+        variance.weighted_lower_bound(fs, 3)
+    with pytest.raises(ValueError, match=message):
+        optimize_shifts_global(fs, 3, scheme, generations=3, seed=0)
+    assert variance.weighted_lower_bound(fs, 2) == 2e150**2
 
 
 def test_canonical_nodes_folding():
