@@ -132,16 +132,19 @@ def _nodes_from_flags(args, fs: FrequencySet) -> epsr.ShiftNodes | None:
 def _rule_from_args(args, fs: FrequencySet):
     if args.d < 1:
         raise ValueError(f"--d must be at least 1, not {args.d}")
-    if args.seed < 0:
+    if args.seed is not None and args.seed < 0:
         raise ValueError(f"--seed must be non-negative, not {args.seed}")
     sources = [args.equidistant, args.nodes is not None, args.optimize is not None]
     if sum(sources) != 1:
         raise ValueError("give exactly one of --equidistant, --nodes or --optimize")
+    for flag in ("generations", "seed"):
+        if args.optimize is None and getattr(args, flag) is not None:
+            raise ValueError(f"--{flag} applies to --optimize only; the other node sources run no search")
     extra = {}
     nodes = _nodes_from_flags(args, fs)
     if nodes is None:
         res = variance.optimize_shifts_global(
-            fs, args.d, args.optimize, generations=args.generations, seed=args.seed)
+            fs, args.d, args.optimize, generations=args.generations, seed=args.seed or 0)
         nodes = res.nodes
         extra = {"objective": res.objective}
         if variance._norm_scheme(args.optimize) == "weighted":
@@ -302,11 +305,7 @@ def _add_circuit_flags(p: argparse.ArgumentParser):
     p.add_argument("--param", type=int, help="parameter index (0-based)")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    top = argparse.ArgumentParser(prog="shiftrules", description=__doc__,
-                                  formatter_class=argparse.RawDescriptionHelpFormatter)
-    sub = top.add_subparsers(dest="command", required=True)
-
+def _add_freq(sub):
     # only the flags given reach the namespace: freq's modes reject by name
     p = sub.add_parser("freq", help="frequency set of a spectrum or circuit parameter",
                        argument_default=argparse.SUPPRESS)
@@ -318,17 +317,21 @@ def build_parser() -> argparse.ArgumentParser:
                    help="report the superset {1..k} from the bound-gate count without amplitude pruning")
     p.set_defaults(func=_cmd_freq)
 
+
+def _add_rule(sub):
     p = sub.add_parser("rule", help="build a shift rule")
     p.add_argument("--freqs", required=True, help="comma-separated frequencies")
     p.add_argument("--d", type=int, required=True, help="derivative order")
     p.add_argument("--equidistant", action="store_true")
     p.add_argument("--nodes", help="comma-separated shift nodes")
     p.add_argument("--optimize", help="optimize nodes for scheme: unif|wgt")
-    p.add_argument("--generations", type=int, help="DE generation cap (default max(400, 300 r))")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--generations", type=int, help="DE generation cap of --optimize (default max(400, 300 r))")
+    p.add_argument("--seed", type=int, help="DE seed of --optimize (default 0)")
     p.add_argument("--out", help="write JSON here instead of stdout")
     p.set_defaults(func=_cmd_rule)
 
+
+def _add_estimate(sub):
     p = sub.add_parser("estimate", help="derivative estimates of a circuit parameter")
     _add_circuit_flags(p)
     p.add_argument("--d", type=int, help="derivative order (default 1, or the --rule-json rule's order)")
@@ -344,6 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=_cmd_estimate)
 
+
+def _add_experiment(sub):
     p = sub.add_parser("experiment", help="run a canned reproduction experiment",
                        argument_default=argparse.SUPPRESS)
     p.add_argument("--id", dest="experiment", metavar="ID", help=f"one of {', '.join(EXPERIMENT_IDS)}")
@@ -352,6 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reproducible", action="store_true")
     p.add_argument("--emit-gnuplot", action="store_true")
     p.set_defaults(func=_cmd_experiment)
+
+
+_SUBCOMMANDS = {"freq": _add_freq, "rule": _add_rule, "estimate": _add_estimate, "experiment": _add_experiment}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or, given the name of one, of that subcommand alone.
+
+    A one-subcommand parser still names all four in its usage line, so the errors that argparse
+    reports through the top parser read the same either way.
+    """
+    top = argparse.ArgumentParser(prog="shiftrules", description=__doc__,
+                                  formatter_class=argparse.RawDescriptionHelpFormatter)
+    names = [command] if command in _SUBCOMMANDS else list(_SUBCOMMANDS)
+    metavar = "{" + ",".join(_SUBCOMMANDS) + "}" if len(names) == 1 else None
+    sub = top.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        _SUBCOMMANDS[name](sub)
     return top
 
 
@@ -369,7 +392,7 @@ def _glue_numeric_values(argv: list[str]) -> list[str]:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(_glue_numeric_values(argv))
         return args.func(args)

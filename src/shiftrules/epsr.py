@@ -95,7 +95,8 @@ class ShiftNodes:
 
     def __post_init__(self):
         _check_parity(self.parity)
-        vals = tuple(float(v) for v in self.values)
+        # + 0.0 stores the node -0 as 0, so equal node sets hold equal bits
+        vals = tuple(float(v) + 0.0 for v in self.values)
         if len(vals) == 0:
             raise ValueError("node vector must not be empty")
         if not np.all(np.isfinite(vals)):
@@ -352,8 +353,13 @@ def _expand(parity: str, x: np.ndarray, b: np.ndarray, fs: FrequencySet) -> tupl
     return tuple(shifts), tuple(coeffs)
 
 
+@lru_cache(maxsize=256, typed=True)
 def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
-    """Solve for coefficients at the given nodes and package the full rule."""
+    """Solve for coefficients at the given nodes and package the full rule.
+
+    Memoised per (nodes, frequencies, order) and the order's type, like :func:`_rhs_column`; singular
+    nodes raise each time.
+    """
     b, diag = solve_coefficients(nodes, fs, d)
     shifts, coeffs = _expand(nodes.parity, nodes.as_array(), b, fs)
     return PSRRule(
@@ -434,6 +440,7 @@ def equidistant_nodes(r: int, parity: str) -> ShiftNodes:
     return ShiftNodes(parity, vals)
 
 
+@lru_cache(maxsize=64)
 def scaled_equidistant_nodes(fs: FrequencySet, parity: str) -> ShiftNodes:
     """The equidistant nodes of {1..r} fitted to ``fs``, the first try of every node choice.
 

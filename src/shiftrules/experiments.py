@@ -200,7 +200,7 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
             vals = tuple(sorted(rng.uniform(0.05, np.pi - 0.05 if parity == "odd" else np.pi, fs.r)))
             nodes = epsr.ShiftNodes(parity, vals if parity == "odd" else (0.0, *vals))
         try:
-            epsr.solve_coefficients(nodes, fs, d)
+            epsr.make_rule(nodes, fs, d)  # memoised: the caller's make_rule reuses this solve
             return nodes
         except epsr.SingularNodesError:
             nodes = None

@@ -30,6 +30,7 @@ i-th bit (most significant first) of a basis index.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -305,14 +306,15 @@ def _slice_components(circuit: CircuitSpec, base_params: tuple[float, ...], inde
     before the first bound one come from :func:`_prefix_states`.  Write-once.
     """
     start, w = _prefix_states(circuit, base_params)[index]
-    for g in circuit.gates[start:]:
-        if g.param == index:
+    for bound, run in itertools.groupby(circuit.gates[start:], lambda g: g.param == index):
+        if not bound:
+            w = _evolve(w, run, base_params)
+            continue
+        for g in run:
             plus, minus = _projector_split(w, g)
             w = np.zeros((w.shape[0] + 1, w.shape[1]), dtype=complex)
             w[:-1] = minus
             w[1:] += plus
-        else:
-            w = _evolve(w, (g,), base_params)
     cw = _apply_observable(w, observable)
     out = _Components(w, w.conj() @ w.T, w.conj() @ cw.T, cw.conj() @ cw.T)
     for a in out:
@@ -449,7 +451,8 @@ class CostSlice:
     those components, shared through a cache with every other slice of the
     same circuit, base point, index and observable.  A state is then
     E(x) @ W, and a value, derivative or variance is a quadratic form in the
-    (k+1, k+1) Grams, with no 2**q work per point.
+    (k+1, k+1) Grams, with no 2**q work per point; a value reads the Gram G
+    itself, and only a derivative of order d >= 1 weights it.
     Norms, imaginary residues and negative variances are still checked at
     every point.  ``frequencies`` is the slice's own frequency set.
     """
@@ -523,11 +526,14 @@ class CostSlice:
         if d < 0:
             raise ValueError("derivative order must be >= 0")
         comps = self._components
+        if d == 0:
+            (val,) = self._forms(x, comps.mean)
+            return _batch_result(_real_values(val, None), np.ndim(x) == 0)
         i = np.arange(comps.mean.shape[0], dtype=float)
         weights = np.subtract.outer(i, i) ** d
         (val,) = self._forms(x, comps.mean * (1j**d * weights))
         entry = np.sqrt(np.outer(np.diag(comps.norm).real, np.diag(comps.square).real))
-        tol = 1e-10 + comps.w.shape[1] * np.finfo(float).eps * np.sum(entry * np.abs(weights)) if d else None
+        tol = 1e-10 + comps.w.shape[1] * np.finfo(float).eps * np.sum(entry * np.abs(weights))
         return _batch_result(_real_values(val, tol), np.ndim(x) == 0)
 
     def one_shot_variance(self, x):

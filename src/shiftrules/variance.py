@@ -287,14 +287,19 @@ def predicted_variance(b, scheme: str) -> float:
 
     uniform: m * ||b||_2^2 over the m = b.size nodes, r for odd parity and
     r+1 for even.  weighted: ||b||_1^2.  The variance of any other split is
-    :func:`allocation_variance` of its counts.
+    :func:`allocation_variance` of its counts.  Finite coefficients whose
+    variance exceeds the double range raise ValueError naming the scheme.
     """
     scheme = _norm_scheme(scheme)
     b = np.asarray(b, dtype=float)
-    if scheme == "uniform":
-        return b.size * float(b @ b)
-    l1 = float(np.sum(np.abs(b)))
-    return l1 * l1
+    with np.errstate(over="ignore"):
+        l1 = float(np.sum(np.abs(b)))
+        value = b.size * float(b @ b) if scheme == "uniform" else l1 * l1
+    if not math.isfinite(value):
+        what = "m ||b||_2^2" if scheme == "uniform" else "||b||_1^2"
+        raise ValueError(f"{scheme} predicted variance {what} overflows the double range "
+                         f"(largest |b| = {float(np.max(np.abs(b))):.3e})")
+    return value
 
 
 def canonical_nodes(values) -> np.ndarray:

@@ -4,12 +4,13 @@ import math
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from shiftrules import cli, experiments
+from shiftrules import cli, epsr, experiments, qsim, variance
 from shiftrules.cli import EXIT_CONFIG, EXIT_NUMERICAL, EXIT_OK, EXIT_VALIDATION, main
 from shiftrules.experiments import ExperimentConfig
 
@@ -179,6 +180,9 @@ def test_rule_optimize_rejects_a_too_small_search(capsys, flags, message):
     assert out == "" and message in err
 
 
+_TOP_USAGE = "usage: shiftrules [-h] {freq,rule,estimate,experiment} ...\n"
+
+
 def test_rule_has_no_population_flag(capsys):
     # the search population is 15 r members, not a setting
     with pytest.raises(SystemExit) as exc:
@@ -186,6 +190,8 @@ def test_rule_has_no_population_flag(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --population" in captured.err
+    # main builds the rule parser alone, but its usage line still names every command
+    assert captured.err.startswith(_TOP_USAGE)
 
 
 def test_rule_document_carries_diagnostics_and_round_trips(tmp_path, capsys):
@@ -277,6 +283,29 @@ def test_rule_whose_top_power_overflows_exits_2_and_writes_nothing(tmp_path, cap
     code, out, err = run(capsys, "rule", *flags, "--out", str(out_file))
     assert code == EXIT_VALIDATION and out == ""
     assert f"order d = {flags[3]} overflows: Omega_max^d with Omega_max = {float(flags[1].split(',')[-1])!r}" in err
+    assert not out_file.exists()
+
+
+def test_rule_whose_variance_overflows_names_it_and_writes_nothing(tmp_path, capsys):
+    # b = 1.19e200 is finite, but m ||b||^2 is not
+    out_file = tmp_path / "rule.json"
+    code, out, err = run(capsys, "rule", "--freqs", "1e200", "--d", "1", "--nodes", "1e-200", "--out", str(out_file))
+    assert code == EXIT_VALIDATION and out == ""
+    assert "uniform predicted variance m ||b||_2^2 overflows the double range" in err
+    assert not out_file.exists()
+
+
+@pytest.mark.parametrize("source", [("--equidistant",), ("--nodes", "0.5,1.5")], ids=["equidistant", "nodes"])
+@pytest.mark.parametrize("flags,message", [
+    (("--generations", "5"), "--generations applies to --optimize only"),
+    (("--seed", "0"), "--seed applies to --optimize only"),
+])
+def test_rule_refuses_search_flags_without_optimize(tmp_path, capsys, monkeypatch, source, flags, message):
+    monkeypatch.setattr(cli.epsr, "make_rule", lambda *args: pytest.fail("a rule was solved"))
+    out_file = tmp_path / "rule.json"
+    code, out, err = run(capsys, "rule", "--freqs", "1,2", "--d", "1", *source, *flags, "--out", str(out_file))
+    assert code == EXIT_VALIDATION and out == ""
+    assert message in err
     assert not out_file.exists()
 
 
@@ -887,6 +916,7 @@ def test_only_experiment_reads_a_config_file(tmp_path, capsys, argv):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --config" in captured.err
+    assert captured.err.startswith(_TOP_USAGE)
 
 
 def test_python_m_shiftrules_runs_the_cli():
@@ -898,12 +928,100 @@ def test_python_m_shiftrules_runs_the_cli():
     assert proc.stdout.startswith("usage: shiftrules")
 
 
-_TWO_EXPERIMENTS = """
+@pytest.mark.parametrize("argv", [(), ("--help",)], ids=["no command", "--help"])
+def test_top_level_usage_lists_every_command(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert exc.value.code == (0 if argv else 2)
+    text = captured.out + captured.err
+    assert "{freq,rule,estimate,experiment}" in text
+
+
+@pytest.mark.parametrize("command,flags", [
+    ("freq", ("--eigs", "--circuit", "--dedup-tol", "--no-prune")),
+    ("rule", ("--freqs", "--optimize", "--generations", "--seed")),
+    ("estimate", ("--rule-json", "--scheme", "--n-total", "--exact")),
+    ("experiment", ("--id", "--config", "--r-max", "--reproducible")),
+])
+def test_each_command_help_shows_its_flags(capsys, command, flags):
+    # main builds only the invoked command's flags
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    out = capsys.readouterr().out
+    assert out.startswith(f"usage: shiftrules {command}")
+    assert all(flag in out for flag in flags)
+
+
+def test_an_unknown_command_exits_2_listing_the_choices(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["bogus", "--q", "5"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "invalid choice: 'bogus'" in err
+    assert all(name in err for name in ("'freq'", "'rule'", "'estimate'", "'experiment'"))
+
+
+def test_the_full_parser_holds_every_command_flag():
+    full = cli.build_parser()
+    subparsers = next(a for a in full._actions if isinstance(a, cli.argparse._SubParsersAction))
+    for name, sub in subparsers.choices.items():
+        only = next(a for a in cli.build_parser(name)._actions if isinstance(a, cli.argparse._SubParsersAction))
+        assert [a.option_strings for a in only.choices[name]._actions] == [a.option_strings for a in sub._actions]
+
+
+def _clear_caches():
+    for module in (epsr, qsim, variance, experiments):
+        for obj in vars(module).values():
+            if hasattr(obj, "cache_clear"):
+                obj.cache_clear()
+
+
+_CACHED_RUNS = (("result1", "--q", "6"), ("result2", "--q", "5", "--params", "0", "7", "--repetitions", "50"))
+
+
+def test_warm_caches_give_the_bytes_of_cold_ones(tmp_path, capsys):
+    # rules, node sets and slice components are memoised in process; a second
+    # run in the same process must write what the first one wrote
+    _clear_caches()
+    outputs = []
+    for attempt in ("cold", "warm"):
+        for argv in _CACHED_RUNS:
+            out_dir = tmp_path / attempt / argv[0]
+            code, _, err = run(capsys, "experiment", "--id", *argv, "--seed", "2", "--reproducible",
+                               "--out-dir", str(out_dir))
+            assert code == EXIT_OK, err
+        outputs.append({str(p.relative_to(tmp_path / attempt)): p.read_bytes()
+                        for p in sorted((tmp_path / attempt).rglob("*.csv"))})
+    assert len(outputs[0]) == 1 + 2
+    assert outputs[1] == outputs[0]
+
+
+def test_result1_solves_each_distinct_rule_once(tmp_path, capsys, monkeypatch):
+    solves = Counter()
+    solve = epsr.solve_coefficients
+
+    def counted(nodes, fs, d):
+        solves[nodes, fs, d] += 1
+        return solve(nodes, fs, d)
+
+    _clear_caches()
+    monkeypatch.setattr(epsr, "solve_coefficients", counted)
+    code, _, err = run(capsys, "experiment", "--id", "result1", "--q", "6", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    # 8 parameters x 6 orders, but the slices share their frequency sets
+    assert set(solves.values()) == {1}
+    assert len(solves) < 48
+
+
+_THREE_EXPERIMENTS = """
 import sys
 from shiftrules.cli import main
 for argv in (["experiment", "--id", "landscape", "--reproducible", "--out-dir", "landscape"],
              ["experiment", "--id", "result2", "--q", "5", "--params", "0", "1", "--repetitions", "200",
-              "--reproducible", "--out-dir", "result2"]):
+              "--reproducible", "--out-dir", "result2"],
+             ["experiment", "--id", "result1", "--q", "10", "--seed", "4", "--reproducible", "--out-dir", "result1"]):
     if main(argv) != 0:
         sys.exit(1)
 """
@@ -918,9 +1036,10 @@ def test_seeded_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         cwd.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _TWO_EXPERIMENTS], cwd=cwd, env=env,
+        proc = subprocess.run([sys.executable, "-c", _THREE_EXPERIMENTS], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append({str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
-    assert len(outputs[0]) == 6 + 1 + 2 + 1
+    # each experiment's CSVs, then its config echo
+    assert len(outputs[0]) == (6 + 1) + (2 + 1) + (1 + 1)
     assert outputs[1] == outputs[0]

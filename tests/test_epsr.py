@@ -246,6 +246,25 @@ def test_stacked_solve_sends_only_uncertified_rows_to_the_svd(monkeypatch):
     assert np.array_equal(seen[0][0], build_A(x[2], fs, "odd"))
 
 
+def test_a_memoised_rule_carries_the_bits_of_its_nodes():
+    # make_rule is memoised per equal (nodes, frequencies, order); -0 == 0,
+    # so the node -0 is stored as 0 and no cached rule can write another sign
+    fs = integer_frequencies(2)
+    negative = ShiftNodes("even", (-0.0, 1.0, 2.0))
+    assert math.copysign(1.0, negative.values[0]) == 1.0
+    assert make_rule(negative, fs, 2) is make_rule(ShiftNodes("even", (0.0, 1.0, 2.0)), fs, 2)
+    assert '"nodes": [\n    0.0,' in rule_to_json(make_rule(negative, fs, 2))
+
+
+def test_a_memoised_rule_keeps_the_type_of_its_order():
+    # a numpy order must not hand its rule to a later int caller, whose
+    # document json could then not write
+    nodes, fs = equidistant_nodes(3, "odd"), integer_frequencies(3)
+    assert type(make_rule(nodes, fs, np.int64(3)).order) is np.int64
+    assert type(make_rule(nodes, fs, 3).order) is int
+    assert json.loads(rule_to_json(make_rule(nodes, fs, 3)))["order"] == 3
+
+
 # --- equidistant nodes and closed forms ------------------------------------
 
 def test_equidistant_nodes_odd_r2():

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -305,6 +306,20 @@ def test_predicted_variance_r4():
     b, _ = solve_coefficients(equidistant_nodes(4, "odd"), fs, 1)
     assert predicted_variance(b, "uniform") == pytest.approx(44.0, rel=1e-9)
     assert predicted_variance(b, "weighted") == pytest.approx(16.0, rel=1e-9)
+
+
+@pytest.mark.parametrize("b,scheme,what", [
+    ([1.19e200], "uniform", "m ||b||_2^2"),
+    ([1.19e200], "wgt", "||b||_1^2"),
+    ([1e308, 1e308], "weighted", "||b||_1^2"),  # ||b||_1 itself overflows
+    ([1e154, 1e154], "unif", "m ||b||_2^2"),  # ||b||_2^2 fits, m ||b||_2^2 does not
+])
+def test_predicted_variance_names_an_overflow(b, scheme, what):
+    # finite coefficients whose variance overflows: no inf is returned and
+    # no overflow RuntimeWarning escapes (pytest turns one into an error)
+    with pytest.raises(ValueError, match=rf"{variance._norm_scheme(scheme)} predicted variance "
+                                         rf"{re.escape(what)} overflows the double range"):
+        predicted_variance(b, scheme)
 
 
 @pytest.mark.parametrize("r", range(1, 9))
