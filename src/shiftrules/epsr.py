@@ -116,7 +116,6 @@ class ShiftNodes:
 class RuleDiagnostics:
     determinant: float
     condition_estimate: float
-    nonsingular: bool
 
 
 class SingularNodesError(ValueError):
@@ -162,14 +161,6 @@ def _node_array(nodes) -> np.ndarray:
     return nodes.as_array() if isinstance(nodes, ShiftNodes) else np.asarray(nodes, dtype=float)
 
 
-@lru_cache(maxsize=64)
-def _frequency_row(fs: FrequencySet) -> np.ndarray:
-    """``fs.as_array()``, read-only, built once per frequency set."""
-    w = fs.as_array()
-    w.setflags(write=False)
-    return w
-
-
 def build_A(nodes, fs: FrequencySet, parity: str) -> np.ndarray:
     """Interpolation matrix: sin(Omega_k x_i) for odd parity, [1 | cos(Omega_k x_i)] for even.
 
@@ -179,7 +170,7 @@ def build_A(nodes, fs: FrequencySet, parity: str) -> np.ndarray:
     Omega_k cos(Omega_k x_i) and -Omega_k sin(Omega_k x_i).
     """
     x = _node_array(nodes)
-    wx = np.multiply.outer(x, _frequency_row(fs))
+    wx = np.multiply.outer(x, fs.as_array())
     if _check_parity(parity) == "odd":
         return np.sin(wx)
     return np.concatenate([np.ones(x.shape + (1,)), np.cos(wx)], axis=-1)
@@ -194,24 +185,19 @@ def _top_power(fs: FrequencySet, d: int) -> float:
                          "exceeds the double range") from None
 
 
-def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
+def rhs_vector(d: int, fs: FrequencySet) -> np.ndarray:
     """Right-hand side of the coefficient system for order d.
 
-    Odd parity: (-1)^((d-1)/2) * [Omega_1^d, ..., Omega_r^d].
-    Even parity: (-1)^(d/2) * [delta_{d,0}, Omega_1^d, ..., Omega_r^d].
+    Odd d: (-1)^((d-1)/2) * [Omega_1^d, ..., Omega_r^d].
+    Even d: (-1)^(d/2) * [delta_{d,0}, Omega_1^d, ..., Omega_r^d].
     Raises ValueError where :func:`_top_power` does.
     """
-    _check_parity(parity)
     if d < 0:
         raise ValueError("order must be >= 0")
     _top_power(fs, d)
     w = fs.as_array()
-    if parity == "odd":
-        if d % 2 != 1:
-            raise ValueError(f"order {d} has no odd-parity rule")
+    if d % 2:
         return (-1.0) ** ((d - 1) // 2) * w**d
-    if d % 2 != 0:
-        raise ValueError(f"order {d} has no even-parity rule")
     lead = 1.0 if d == 0 else 0.0
     return (-1.0) ** (d // 2) * np.concatenate([[lead], w**d])
 
@@ -219,7 +205,7 @@ def rhs_vector(d: int, fs: FrequencySet, parity: str) -> np.ndarray:
 @lru_cache(maxsize=64)
 def _rhs_column(fs: FrequencySet, d: int) -> np.ndarray:
     """:func:`rhs_vector` of order d as a read-only column, built and checked once per (fs, d)."""
-    rhs = rhs_vector(d, fs, "odd" if d % 2 else "even")[:, None]
+    rhs = rhs_vector(d, fs)[:, None]
     rhs.setflags(write=False)
     return rhs
 
@@ -251,9 +237,10 @@ def _svd_conditioning(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _conditioning(sv[..., 0], sv[..., -1])
 
 
-def _diagnose(a: np.ndarray) -> RuleDiagnostics:
+def _diagnose(a: np.ndarray) -> tuple[RuleDiagnostics, bool]:
+    """The diagnostics of ``a`` and the nonsingularity verdict of :func:`_conditioning`."""
     cond, nonsingular = _svd_conditioning(a)
-    return RuleDiagnostics(float(np.linalg.det(a)), float(cond), bool(nonsingular))
+    return RuleDiagnostics(float(np.linalg.det(a)), float(cond)), bool(nonsingular)
 
 
 def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.ndarray, RuleDiagnostics]:
@@ -270,14 +257,14 @@ def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.
     if nodes.r != fs.r:
         raise ValueError(f"node count sized for r={nodes.r}, frequency set has r={fs.r}")
     a = build_A(nodes, fs, parity)
-    diag = _diagnose(a)
-    if not diag.nonsingular:
+    diag, nonsingular = _diagnose(a)
+    if not nonsingular:
         raise SingularNodesError(
             f"singular node set (determinant {diag.determinant:.3e}, "
             f"condition estimate {diag.condition_estimate:.3e})",
             diag,
         )
-    b = np.linalg.solve(a.T, rhs_vector(d, fs, parity))
+    b = np.linalg.solve(a.T, rhs_vector(d, fs))
     return b, diag
 
 
@@ -296,13 +283,9 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     solved as it is.  Returns ``(b, nonsingular)``: b has shape (n, m)
     with NaN rows where ``nonsingular`` is False, so a row is rejected here
     exactly when :func:`solve_coefficients` raises SingularNodesError for it.
-
-    A DE generation of :func:`~shiftrules.variance.optimize_shifts_global`
-    makes its 4 draws (5 when a mutant left the box), whose order is part of
-    the seeded-output contract, and then one call here, which draws nothing.
-    The frequency row and the right-hand-side column are built and checked
-    once per (fs, d) and cached read-only, and the screen runs under one
-    ``errstate``, so a call pays for its stack's matrices only.
+    The right-hand-side column is built and checked once per (fs, d) and
+    cached read-only, and the screen runs under one ``errstate``, so a call
+    pays for its stack's matrices only.
     """
     x = np.asarray(nodes, dtype=float)
     parity = "odd" if d % 2 else "even"

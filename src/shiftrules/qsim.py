@@ -200,13 +200,12 @@ def _word(q: int, qubits: tuple[int, ...], chars: str) -> tuple[complex, int, tu
 
 
 @lru_cache(maxsize=64)
-def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli terms grouped by X/Y flip mask: (index permutations, diagonals).
+def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[tuple[int, ...], np.ndarray]:
+    """Pauli terms grouped by X/Y flip mask: (masks m_k, diagonals).
 
-    Row k of the result holds ``idx ^ m_k`` and sum_{P with mask m_k} c_P D_P,
-    with D_P[a] the phase times sign of :func:`_word`, so
-    (C psi)[a] = sum_k D_k[a] psi[a ^ m_k].  Write-once, like
-    :func:`_eigensystem`.
+    Row k of the diagonals holds sum_{P with mask m_k} c_P D_P, with D_P[a]
+    the phase times sign of :func:`_word`, so (C psi)[a] = sum_k D_k[a]
+    psi[a ^ m_k].  Write-once, like :func:`_eigensystem`.
     """
     q = len(terms[0][1])
     diags: dict[int, np.ndarray] = {}
@@ -214,11 +213,9 @@ def _flip_masks(terms: tuple[tuple[float, str], ...]) -> tuple[np.ndarray, np.nd
         phase, flip, yz = _word(q, tuple(range(q)), pauli)
         term = coeff * phase * _parity_sign(q, yz)
         diags[flip] = diags[flip] + term if flip in diags else term.astype(complex)
-    perms = np.arange(2**q)[None, :] ^ np.array(list(diags))[:, None]
     stacked = np.array(list(diags.values()))
-    perms.setflags(write=False)
     stacked.setflags(write=False)
-    return perms, stacked
+    return tuple(diags), stacked
 
 
 @lru_cache(maxsize=256)
@@ -293,7 +290,6 @@ class _Components(NamedTuple):
     square: np.ndarray  # M = (CW)* (CW)^T
 
 
-@lru_cache(maxsize=32)
 def _slice_components(circuit: CircuitSpec, base_params: tuple[float, ...], index: int,
                       observable: PauliSumObservable) -> _Components:
     """Fourier components of a cost slice's state, and their Grams.
@@ -303,7 +299,8 @@ def _slice_components(circuit: CircuitSpec, base_params: tuple[float, ...], inde
     projector parts, the Pi+ part moving one index up and the Pi- part
     staying.  With e_i = e^{-i(2i-k)x/2} and the observable C, <psi|psi>,
     <C> and <C^2> at x are e^dag N e, e^dag G e and e^dag M e.  The gates
-    before the first bound one come from :func:`_prefix_states`.  Write-once.
+    before the first bound one come from :func:`_prefix_states`.  Built once
+    per slice, by :attr:`CostSlice._components`; write-once.
     """
     start, w = _prefix_states(circuit, base_params)[index]
     for bound, run in itertools.groupby(circuit.gates[start:], lambda g: g.param == index):
@@ -329,11 +326,11 @@ def _check_norms(norms: np.ndarray) -> None:
 
 
 def _apply_observable(psi: np.ndarray, obs: PauliSumObservable) -> np.ndarray:
-    """C psi for the batch psi (B, 2^q), one gather per flip mask."""
-    perms, diags = _flip_masks(obs.terms)
+    """C psi for the batch psi (B, 2^q), one gather per flip mask, by the index of :func:`_flip_index`."""
+    masks, diags = _flip_masks(obs.terms)
     out = np.zeros_like(psi)
-    for perm, diag in zip(perms, diags):
-        out += diag * np.take(psi, perm, axis=1)
+    for mask, diag in zip(masks, diags):
+        out += diag * np.take(psi, _flip_index(psi.shape[1], mask), axis=1)
     return out
 
 
@@ -448,8 +445,7 @@ class CostSlice:
     Each gate bound to ``index`` is a Pauli rotation, so the slice state is a
     sum of k+1 Fourier components (see :func:`_slice_components`): the
     circuit from the first gate bound to ``index`` runs once per slice over
-    those components, shared through a cache with every other slice of the
-    same circuit, base point, index and observable.  A state is then
+    those components, which the slice holds.  A state is then
     E(x) @ W, and a value, derivative or variance is a quadratic form in the
     (k+1, k+1) Grams, with no 2**q work per point; a value reads the Gram G
     itself, and only a derivative of order d >= 1 weights it.

@@ -5,14 +5,15 @@ polynomial whose frequencies are the positive differences between eigenvalues
 of H.  This module extracts those frequency sets from spectra and classifies
 equidistant ones {Omega, 2 Omega, ..., r Omega}.
 
-Eigenvalues are expected as plain sorted sequences; circuit cost slices read
-their frequency sets off their Fourier components instead (see
+Eigenvalues may come in any order; circuit cost slices read their frequency
+sets off their Fourier components instead (see
 :attr:`shiftrules.qsim.CostSlice.frequencies`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,9 +42,12 @@ class FrequencySet:
         frequencies: the sorted positive frequencies (Omega_1 < ... < Omega_r).
 
     :func:`detect_equidistant` tells whether the set is {Omega, 2 Omega, ...}.
+    The read-only array that validates the set is kept for :meth:`as_array`;
+    equality, hash and repr are those of the tuple.
     """
 
     frequencies: tuple[float, ...]
+    _array: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         freqs = tuple(float(w) for w in self.frequencies)
@@ -55,13 +59,16 @@ class FrequencySet:
             raise ValueError("frequencies must be finite")
         if arr[0] <= 0.0 or np.any(np.diff(arr) <= 0.0):
             raise ValueError("frequencies must be strictly increasing and positive")
+        arr.setflags(write=False)
+        object.__setattr__(self, "_array", arr)
 
     @property
     def r(self) -> int:
         return len(self.frequencies)
 
     def as_array(self) -> np.ndarray:
-        return np.asarray(self.frequencies, dtype=float)
+        """The frequencies as one read-only float array, the same object on every call."""
+        return self._array
 
     def is_consecutive_integers(self) -> bool:
         """True when the set is exactly {1, 2, ..., r} within ``_INTEGER_TOL``."""
@@ -93,16 +100,22 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
     near-singular node system.
 
     Raises:
-        ValueError: on an empty spectrum, or when all eigenvalues coincide
-            ("constant generator, no frequencies").
+        ValueError: on a ``dedup_tol`` that is not finite and >= 0, an empty
+            spectrum, an eigenvalue spread max - min beyond the double range,
+            or when all eigenvalues coincide ("constant generator, no
+            frequencies").
     """
-    if dedup_tol < 0:
-        raise ValueError("dedup_tol must be >= 0")
+    if not 0.0 <= dedup_tol < math.inf:
+        raise ValueError(f"dedup_tol must be finite and >= 0, not {dedup_tol!r}")
     lam = np.sort(np.asarray(eigenvalues, dtype=float).ravel())
     if lam.size == 0:
         raise ValueError("empty spectrum")
     if not np.all(np.isfinite(lam)):
         raise ValueError("eigenvalues must be finite")
+    # Python floats: the difference overflows to inf without a warning
+    if float(lam[-1]) - float(lam[0]) == math.inf:
+        raise ValueError(f"eigenvalue spread {float(lam[-1])!r} - ({float(lam[0])!r}) "
+                         "overflows the double range")
     scale = float(np.max(np.abs(lam)))
     if scale == 0.0:
         scale = 1.0
@@ -113,14 +126,8 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
     if diffs.size == 0:
         raise ValueError("constant generator, no frequencies")
 
-    # Greedy clustering of near-identical gaps; each cluster becomes its mean.
-    merged = []
-    start = 0
-    for i in range(1, diffs.size + 1):
-        if i == diffs.size or diffs[i] - diffs[i - 1] > cut:
-            merged.append(float(np.mean(diffs[start:i])))
-            start = i
-    return FrequencySet(tuple(merged))
+    clusters = np.split(diffs, np.flatnonzero(np.diff(diffs) > cut) + 1)
+    return FrequencySet(tuple(float(np.mean(c)) for c in clusters))
 
 
 def detect_equidistant(fs: FrequencySet) -> float | None:

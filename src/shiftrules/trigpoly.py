@@ -46,44 +46,30 @@ class TrigPoly:
             raise ValueError("coefficients must be finite")
 
     def __call__(self, x):
-        return self.evaluate(x)
+        return self.derivative(0, x)
 
     def evaluate(self, x):
         """Value of the polynomial at ``x`` (scalar or array)."""
-        x = np.asarray(x, dtype=float)
-        w = self.frequencies.as_array()
-        a = np.asarray(self.cos_coeffs)
-        b = np.asarray(self.sin_coeffs)
-        wx = np.multiply.outer(x, w)
-        out = self.a0 + np.cos(wx) @ a + np.sin(wx) @ b
-        return float(out) if out.ndim == 0 else out
+        return self.derivative(0, x)
 
     def derivative(self, d: int, x):
-        """Exact d-th derivative at ``x``.
+        """Exact d-th derivative at ``x``; order 0 is the value.
 
         Uses the 4-cycle of trigonometric derivatives:
-        sin -> cos -> -sin -> -cos and cos -> -sin -> -cos -> sin.
+        cos -> -sin -> -cos -> sin and sin -> cos -> -sin -> -cos.
         """
         if d < 0:
             raise ValueError("derivative order must be >= 0")
-        if d == 0:
-            return self.evaluate(x)
         x = np.asarray(x, dtype=float)
         w = self.frequencies.as_array()
         a = np.asarray(self.cos_coeffs)
         b = np.asarray(self.sin_coeffs)
         wx = np.multiply.outer(x, w)
         c, s = np.cos(wx), np.sin(wx)
-        phase = d % 4
-        if phase == 0:
-            dcos, dsin = c, s
-        elif phase == 1:
-            dcos, dsin = -s, c
-        elif phase == 2:
-            dcos, dsin = -c, -s
-        else:
-            dcos, dsin = s, -c
-        out = dcos @ (w**d * a) + dsin @ (w**d * b)
+        cycle = (c, -s, -c, s)
+        # -0.0 + t is t bit for bit, so only order 0 adds anything before the sums
+        lead = self.a0 if d == 0 else -0.0
+        out = lead + cycle[d % 4] @ (w**d * a) + cycle[(d + 3) % 4] @ (w**d * b)
         return float(out) if out.ndim == 0 else out
 
 

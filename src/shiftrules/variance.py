@@ -69,7 +69,7 @@ EPS_BOX = 1e-3
 _LOCAL_STEP = 0.1
 _LOCAL_RUNGS = 30
 
-#: Gradient norm at which the local descent stops as converged.
+#: Gradient norm at which the local descent stops.
 _LOCAL_GTOL = 1e-8
 
 #: Step of the central differences of the analytic (sub)gradient that give
@@ -78,7 +78,7 @@ _LOCAL_GTOL = 1e-8
 _HESSIAN_STEP = 1e-5
 _HESSIAN_FLOOR = 1e-8
 
-#: The local descent stops as converged when no Newton rung lowers the
+#: The local descent stops when no Newton rung lowers the
 #: objective and the Newton decrement g . |H|^-1 g is below this fraction of
 #: max(1, |objective|): what is left to gain is round-off.
 _NEWTON_DECREMENT = 1e-13
@@ -153,7 +153,6 @@ class OptimizeResult:
     nodes: ShiftNodes
     objective: float
     iterations: int
-    converged: bool
     equidistant_error: float | None = None
     stopped_at_cap: bool = False
 
@@ -402,8 +401,7 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
     (``_NEWTON_DECREMENT``), when every rung of the fallback move is
     singular, or when its best iterate is ``_STALL_ITERS`` iterations old.
     The best iterate seen is returned, so the reported objective is
-    monotone in the iteration budget and never above the projected start's;
-    ``converged`` describes that iterate, not a later one above it.
+    monotone in the iteration budget and never above the projected start's.
     After the start check, each gradient, Newton probe set and ladder is
     one stacked solve.
 
@@ -447,19 +445,16 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
         below = np.flatnonzero(values < bound)
         return (cands[below[0]], float(values[below[0]])) if below.size else None
 
-    converged = False
     it = 0
     for it in range(1, max_iters + 1):
         g, pinned = projected_grad(free)
         gnorm = float(np.linalg.norm(g))
         if gnorm <= _LOCAL_GTOL:
-            converged = True
             break
         newton = _newton_step(grads, free, g, pinned)
         taken = None if newton is None else first_rung(1.0, newton, f)
         if taken is None and newton is not None \
                 and float(g @ newton) <= _NEWTON_DECREMENT * max(1.0, abs(f)):
-            converged = True
             break
         if taken is None:
             taken = first_rung(_LOCAL_STEP / math.sqrt(it), g if gnorm <= 1.0 else g / gnorm, math.inf)
@@ -470,14 +465,7 @@ def optimize_shifts_local(fs: FrequencySet, d: int, scheme: str, start: ShiftNod
             best_f, best_free, best_it = f, free.copy(), it
         if it - best_it >= _STALL_ITERS:
             break
-
-    if not converged or f > best_f:
-        # the fallback iterates hover around a stationary point instead of
-        # landing on it, or converged at an iterate above the best one;
-        # declare convergence from the best iterate's residual (every
-        # iterate kept had a finite objective, so its gradient exists)
-        converged = float(np.linalg.norm(projected_grad(best_free)[0])) <= 1e-3
-    return OptimizeResult(_nodes_from_free(parity, best_free), best_f, it, converged)
+    return OptimizeResult(_nodes_from_free(parity, best_free), best_f, it)
 
 
 @lru_cache(maxsize=16)
@@ -572,9 +560,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     result of a search no probe certifies, are those of a search without
     probes.  At most ceil(log2(generations / _PROBE_FIRST)) probes run.
 
-    ``converged`` is set when the polish converged or the result is within
-    ``DUAL_GAP`` of the bound.  When the frequencies are the integer set
-    {1..r}, the result carries the max-component error against the
+    When the frequencies are the integer set {1..r}, the result carries the max-component error against the
     equidistant reference nodes (canonical form on both sides).
     """
     scheme = _norm_scheme(scheme)
@@ -594,7 +580,7 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     first = scaled_equidistant_nodes(fs, parity)
     f_first = float(_values(first.as_array()[None], fs, d, uniform)[0])
     if f_first - bound <= DUAL_GAP * bound:
-        return OptimizeResult(first, f_first, 0, True, _equidistant_error(first, fs))
+        return OptimizeResult(first, f_first, 0, _equidistant_error(first, fs))
 
     rng = np.random.default_rng(seed)
     pop = rng.uniform(lo, hi, size=(npop, dim))
@@ -608,11 +594,11 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
         nodes = _nodes_from_free(parity, free)
         f = float(_values(_full(parity, free[None]), fs, d, uniform)[0])
         if not math.isfinite(f):
-            return nodes, f, False
+            return nodes, f
         polished = optimize_shifts_local(fs, d, scheme, nodes, **limit)
         if polished.objective < f:
             nodes, f = polished.nodes, polished.objective
-        return nodes, f, polished.converged
+        return nodes, f
 
     members = _partner_bounds(npop)[1]
     f_lo, f_hi = _DE_MUTATION
@@ -652,14 +638,12 @@ def optimize_shifts_global(fs: FrequencySet, d: int, scheme: str, generations: i
     else:
         stopped_at_cap = True
 
-    best_nodes, best_f, converged = result if result is not None else polish_best()
+    best_nodes, best_f = result if result is not None else polish_best()
     if math.isfinite(best_f):
         best_nodes, best_f = _snap_to_pi(best_nodes, best_f, uniform, fs, d)
     if f_first < best_f:
-        best_nodes, best_f, converged = first, f_first, False
-    converged = converged or best_f - bound <= DUAL_GAP * bound
-    return OptimizeResult(best_nodes, best_f, gens_run, bool(converged), _equidistant_error(best_nodes, fs),
-                          stopped_at_cap)
+        best_nodes, best_f = first, f_first
+    return OptimizeResult(best_nodes, best_f, gens_run, _equidistant_error(best_nodes, fs), stopped_at_cap)
 
 
 def _equidistant_error(nodes: ShiftNodes, fs: FrequencySet) -> float | None:

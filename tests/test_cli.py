@@ -83,6 +83,21 @@ def test_freq_dedup_tol_merges_eigenvalue_gaps(capsys):
     assert json.loads(out)["frequencies"] == pytest.approx([1.005, 2.01], abs=1e-12)
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("--eigs", "0,1,3", "--dedup-tol", "nan"), "dedup_tol must be finite and >= 0, not nan"),
+    (("--eigs", "0,1,3", "--dedup-tol", "inf"), "dedup_tol must be finite and >= 0, not inf"),
+    (("--eigs", "0,1,3", "--dedup-tol", "1e400"), "dedup_tol must be finite and >= 0, not inf"),
+    (("--eigs", "0,1,3", "--dedup-tol", "-1"), "dedup_tol must be finite and >= 0, not -1.0"),
+    (("--eigs=-1e308,1e308",), "eigenvalue spread 1e+308 - (-1e+308) overflows the double range"),
+])
+def test_freq_names_a_bad_tolerance_or_an_overflowing_spread(capsys, argv, message):
+    # the gaps of 0,1,3 are 1, 2 and 3: these once read "constant generator"
+    # or, after numpy's overflow RuntimeWarning, "frequencies must be finite"
+    code, out, err = run(capsys, "freq", *argv)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_freq_requires_one_source(capsys):
     code, _, err = run(capsys, "freq")
     assert code == EXIT_VALIDATION
@@ -1015,13 +1030,16 @@ def test_result1_solves_each_distinct_rule_once(tmp_path, capsys, monkeypatch):
     assert len(solves) < 48
 
 
-_THREE_EXPERIMENTS = """
+_SEEDED_RUNS = """
 import sys
 from shiftrules.cli import main
 for argv in (["experiment", "--id", "landscape", "--reproducible", "--out-dir", "landscape"],
              ["experiment", "--id", "result2", "--q", "5", "--params", "0", "1", "--repetitions", "200",
               "--reproducible", "--out-dir", "result2"],
-             ["experiment", "--id", "result1", "--q", "10", "--seed", "4", "--reproducible", "--out-dir", "result1"]):
+             ["experiment", "--id", "result1", "--q", "10", "--seed", "4", "--reproducible", "--out-dir", "result1"],
+             ["experiment", "--id", "de-sweep", "--scheme", "uniform", "--r-max", "3", "--d-max", "2",
+              "--reproducible", "--out-dir", "de-sweep"],
+             ["rule", "--freqs", "1,2,4", "--d", "2", "--optimize", "unif", "--out", "rule.json"]):
     if main(argv) != 0:
         sys.exit(1)
 """
@@ -1036,10 +1054,11 @@ def test_seeded_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
         cwd.mkdir()
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _THREE_EXPERIMENTS], cwd=cwd, env=env,
+        proc = subprocess.run([sys.executable, "-c", _SEEDED_RUNS], cwd=cwd, env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         outputs.append({str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
-    # each experiment's CSVs, then its config echo
-    assert len(outputs[0]) == (6 + 1) + (2 + 1) + (1 + 1)
+    # each experiment's CSVs, then its config echo; the DE and Newton polish
+    # of the node search run in the de-sweep and the rule
+    assert len(outputs[0]) == (6 + 1) + (2 + 1) + (1 + 1) + (1 + 1) + 1
     assert outputs[1] == outputs[0]

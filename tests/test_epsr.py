@@ -82,29 +82,34 @@ def test_A_even_duplicate_cosines_duplicate_rows():
 # --- right-hand sides -----------------------------------------------------
 
 def test_rhs_first_order():
-    assert np.allclose(rhs_vector(1, FS12, "odd"), [1.0, 2.0])
+    assert np.allclose(rhs_vector(1, FS12), [1.0, 2.0])
 
 
 def test_rhs_second_order():
-    assert np.allclose(rhs_vector(2, FS12, "even"), [0.0, -1.0, -4.0])
+    assert np.allclose(rhs_vector(2, FS12), [0.0, -1.0, -4.0])
 
 
 def test_rhs_zeroth_order():
-    assert np.allclose(rhs_vector(0, integer_frequencies(1), "even"), [1.0, 1.0])
+    assert np.allclose(rhs_vector(0, integer_frequencies(1)), [1.0, 1.0])
 
 
 def test_rhs_signs_cycle():
     fs = integer_frequencies(1)
-    assert rhs_vector(3, fs, "odd")[0] == pytest.approx(-1.0)
-    assert rhs_vector(5, fs, "odd")[0] == pytest.approx(1.0)
-    assert rhs_vector(4, fs, "even")[1] == pytest.approx(1.0)
+    assert rhs_vector(3, fs)[0] == pytest.approx(-1.0)
+    assert rhs_vector(5, fs)[0] == pytest.approx(1.0)
+    assert rhs_vector(4, fs)[1] == pytest.approx(1.0)
 
 
-def test_rhs_parity_mismatch():
-    with pytest.raises(ValueError):
-        rhs_vector(1, FS12, "even")
-    with pytest.raises(ValueError):
-        rhs_vector(2, FS12, "odd")
+@pytest.mark.parametrize("d, parity, values", [(1, "even", (0.0, 1.0, 2.0)), (3, "even", (0.0, 1.0, 2.0)),
+                                               (2, "odd", (1.0, 2.0)), (4, "odd", (1.0, 2.0))])
+def test_nodes_of_the_wrong_parity_are_refused(d, parity, values):
+    # the right-hand side takes its parity from d; the nodes carry their own
+    message = rf"order {d} needs {'odd' if d % 2 else 'even'} nodes, got {parity}"
+    nodes = ShiftNodes(parity, values)
+    with pytest.raises(ValueError, match=message):
+        solve_coefficients(nodes, FS12, d)
+    with pytest.raises(ValueError, match=message):
+        make_rule(nodes, FS12, d)
 
 
 def test_rhs_refuses_an_order_whose_top_power_overflows():
@@ -113,12 +118,12 @@ def test_rhs_refuses_an_order_whose_top_power_overflows():
     fs = FrequencySet((1e200,))
     message = r"order d = 3 overflows: Omega_max\^d with Omega_max = 1e\+200"
     with pytest.raises(ValueError, match=message):
-        rhs_vector(3, fs, "odd")
+        rhs_vector(3, fs)
     with pytest.raises(ValueError, match=message):
         epsr.solve_coefficients_stacked(np.array([[1e-200]]), fs, 3)
     with pytest.raises(ValueError, match=message):
         make_rule(ShiftNodes("odd", (1e-200,)), fs, 3)
-    assert rhs_vector(1, fs, "odd")[0] == 1e200
+    assert rhs_vector(1, fs)[0] == 1e200
 
 
 def test_stacked_solve_builds_its_right_hand_side_once(monkeypatch):
@@ -127,9 +132,9 @@ def test_stacked_solve_builds_its_right_hand_side_once(monkeypatch):
     calls = []
     real = epsr.rhs_vector
 
-    def counting(d, fs, parity):
+    def counting(d, fs):
         calls.append((d, fs))
-        return real(d, fs, parity)
+        return real(d, fs)
 
     fs = FrequencySet((0.7, 1.9, 3.2))
     monkeypatch.setattr(epsr, "rhs_vector", counting)
@@ -138,7 +143,7 @@ def test_stacked_solve_builds_its_right_hand_side_once(monkeypatch):
         epsr.solve_coefficients_stacked(stack, fs, 1)
     epsr.solve_coefficients_stacked(np.zeros((2, 4)), fs, 2)
     assert calls == [(1, fs), (2, fs)]
-    assert not epsr._rhs_column(fs, 1).flags.writeable and not epsr._frequency_row(fs).flags.writeable
+    assert not epsr._rhs_column(fs, 1).flags.writeable and not fs.as_array().flags.writeable
 
 
 # --- coefficient solves ---------------------------------------------------
@@ -153,13 +158,14 @@ def test_solve_two_frequency_example():
     b, diag = solve_coefficients(ShiftNodes("odd", (math.pi / 4, 3 * math.pi / 4)), FS12, 1)
     expect = [(1 + math.sqrt(2)) / math.sqrt(2), (1 - math.sqrt(2)) / math.sqrt(2)]
     assert np.allclose(b, expect, atol=1e-12)
-    assert diag.nonsingular
+    # A = [[s, 1], [s, -1]] with s = 1/sqrt(2): orthogonal columns of norms 1 and sqrt(2)
+    assert diag.condition_estimate == pytest.approx(math.sqrt(2), rel=1e-12)
+    assert diag.determinant == pytest.approx(-math.sqrt(2), rel=1e-12)
 
 
 def test_solve_rejects_node_at_pi():
     with pytest.raises(SingularNodesError) as exc:
         solve_coefficients(ShiftNodes("odd", (math.pi,)), integer_frequencies(1), 1)
-    assert not exc.value.diagnostics.nonsingular
     assert abs(exc.value.diagnostics.determinant) < 1e-13
 
 
@@ -208,7 +214,7 @@ def test_stacked_solve_matches_scalar_across_the_condition_limit(case):
     b, nonsingular = epsr.solve_coefficients_stacked(x, fs, d)
     for row, got, ok in zip(x, b, nonsingular):
         a = build_A(row, fs, parity)
-        assert ok == epsr._diagnose(a).nonsingular
+        assert ok == epsr._diagnose(a)[1]
         if ok:
             want, _ = solve_coefficients(ShiftNodes(parity, tuple(row)), fs, d)
             assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))

@@ -336,12 +336,14 @@ def test_default_de_sweep_certifies_every_row(tmp_path):
     assert np.all(np.abs(rows["objective"] - target) <= 1e-6 * target)
 
 
-def test_result1_builds_each_slice_once(tmp_path):
+def test_result1_builds_each_slice_once(tmp_path, monkeypatch):
     # a slice's frequency readout and its evaluations share one component
     # build per parameter
-    qsim._slice_components.cache_clear()
+    builds = []
+    real = qsim._slice_components
+    monkeypatch.setattr(qsim, "_slice_components", lambda *key: builds.append(key[2]) or real(*key))
     run_experiment(ExperimentConfig("result1", out_dir=str(tmp_path)), reproducible=True)
-    assert qsim._slice_components.cache_info().misses == 8
+    assert builds == list(range(8))
 
 
 def _xxz_slice_and_rule(j=0):

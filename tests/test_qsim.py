@@ -537,7 +537,6 @@ def test_prefix_sweep_components_equal_pointwise_evolution(case, seed):
     rng = np.random.default_rng(seed)
     xs = rng.uniform(-2 * np.pi, 2 * np.pi, 4)
     qsim._prefix_states.cache_clear()
-    qsim._slice_components.cache_clear()
     n = len(circuit.gates)
     first = [min((t for t, g in enumerate(circuit.gates) if g.param == j), default=n) for j in range(4)]
     assert (first[0], first[2], first[3]) == (0, n - 1, n)
@@ -551,14 +550,26 @@ def test_prefix_sweep_components_equal_pointwise_evolution(case, seed):
     assert qsim._prefix_states.cache_info().misses == 2
 
 
-def test_slices_of_one_base_point_share_one_sweep():
+def test_slices_of_one_base_point_share_one_sweep(monkeypatch):
+    # each slice holds its own components; only the prefix sweep is shared
     circuit, obs = build_hva_circuit(5, 2), build_xxz_hamiltonian(5, 0.5)
     theta = random_base_params(2, 3)
+    builds = []
+    real = qsim._slice_components
+    monkeypatch.setattr(qsim, "_slice_components", lambda *key: builds.append(key[2]) or real(*key))
     qsim._prefix_states.cache_clear()
-    qsim._slice_components.cache_clear()
-    for j in range(circuit.n_params):
-        CostSlice(circuit, obs, theta, j).frequencies
-    assert qsim._slice_components.cache_info().misses == 8
+    slices = [CostSlice(circuit, obs, theta, j) for j in range(circuit.n_params)]
+    for sl in slices:
+        sl.frequencies
+        sl(np.linspace(0.0, 1.0, 3))
+        sl.derivative(2, 0.5)
+    assert builds == list(range(8))
+    assert qsim._prefix_states.cache_info().misses == 1
+    # a second slice with the same key builds its components again
+    again = CostSlice(circuit, obs, theta, 3)
+    assert again == slices[3]
+    np.testing.assert_array_equal(again(0.25), slices[3](0.25))
+    assert builds == list(range(8)) + [3] and again._components is not slices[3]._components
     assert qsim._prefix_states.cache_info().misses == 1
 
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import assume, given
@@ -27,6 +29,21 @@ def test_constant_spectrum_rejected():
 def test_empty_spectrum_rejected():
     with pytest.raises(ValueError, match="empty spectrum"):
         spectra.positive_difference_frequencies([])
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1e-9])
+def test_a_tolerance_that_is_not_finite_and_nonnegative_is_named(tol):
+    # unchecked, NaN and inf cuts dropped every gap: "constant generator"
+    with pytest.raises(ValueError, match=r"dedup_tol must be finite and >= 0, not " + repr(tol)):
+        spectra.positive_difference_frequencies([0.0, 1.0, 3.0], tol)
+
+
+def test_a_spread_beyond_the_double_range_is_named():
+    # unchecked, the gap overflowed with numpy's RuntimeWarning and read as
+    # "frequencies must be finite"; a spread just within the range is kept
+    with pytest.raises(ValueError, match=r"eigenvalue spread 1e\+308 - \(-1e\+308\) overflows the double range"):
+        spectra.positive_difference_frequencies([1e308, 0.0, -1e308])
+    assert spectra.positive_difference_frequencies([-8e307, 8e307]).frequencies == (1.6e308,)
 
 
 def test_near_degenerate_gaps_deduplicated():
@@ -124,6 +141,20 @@ def test_rescale_single_frequency_derivative_factor():
     f = TrigPoly(g.a0, g.cos_coeffs, g.sin_coeffs, spectra.FrequencySet((2.0,)))
     for x in (0.0, 0.7):
         assert abs(f.derivative(1, x) - 2 * g.derivative(1, 2 * x)) < 1e-12
+
+
+def test_frequency_array_is_read_only_and_held_once():
+    fs = spectra.FrequencySet((0.7, 1.9, 3.2))
+    arr = fs.as_array()
+    assert arr is fs.as_array() and not arr.flags.writeable
+    assert arr.dtype == float and arr.tolist() == [0.7, 1.9, 3.2]
+    with pytest.raises(ValueError):
+        arr[0] = 1.0
+    # equality, hash and repr are those of the tuple alone
+    twin = spectra.FrequencySet((0.7, 1.9, 3.2))
+    assert twin == fs and hash(twin) == hash(fs) and twin.as_array() is not arr
+    assert repr(fs) == "FrequencySet(frequencies=(0.7, 1.9, 3.2))"
+    assert [f.name for f in dataclasses.fields(fs) if f.compare or f.hash] == ["frequencies"]
 
 
 def test_frequency_set_validation():
