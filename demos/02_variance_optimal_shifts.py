@@ -32,10 +32,10 @@ print("2. The optimal shot split")
 print("=" * 70)
 
 rule = epsr.make_rule(epsr.equidistant_nodes(2, "odd"), integer_frequencies(2), 1)
-alloc = variance.allocate("weighted", rule.expanded_coeffs, 1000, rule.expanded_shifts)
+counts = variance.allocate("weighted", rule.expanded_coeffs, 1000, rule.expanded_shifts)
 print("shifts:      ", np.round(rule.expanded_shifts, 4))
-print("fractions:   ", np.round(np.asarray(alloc.counts) / 1000, 4))
-print("integerized: ", variance.integer_shot_counts(alloc))
+print("fractions:   ", np.round(counts / 1000, 4))
+print("integerized: ", variance.integer_shot_counts(counts))
 
 # any other split is worse (Cauchy-Schwarz):
 rng = np.random.default_rng(0)

@@ -33,7 +33,6 @@ from .spectra import (
 from .trigpoly import TrigPoly, random_trigpoly
 from .variance import (
     OptimizeResult,
-    ShotAllocation,
     F_unif,
     F_wgt,
     allocate,
@@ -52,7 +51,6 @@ __all__ = [
     "ShiftNodes",
     "PSRRule",
     "RuleDiagnostics",
-    "ShotAllocation",
     "OptimizeResult",
     "SingularNodesError",
     "positive_difference_frequencies",

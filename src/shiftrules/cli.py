@@ -119,7 +119,7 @@ def _cmd_freq(args) -> int:
 
 def _nodes_from_flags(args, fs: FrequencySet) -> epsr.ShiftNodes | None:
     """The nodes ``--equidistant`` or ``--nodes`` names for order ``--d``, or None."""
-    parity = "odd" if args.d % 2 else "even"
+    parity = epsr._order_parity(args.d)
     if args.equidistant:
         if not fs.is_consecutive_integers():
             raise ValueError("equidistant nodes require the integer frequencies 1..r")

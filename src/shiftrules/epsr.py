@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -73,6 +73,11 @@ _SHIFT_RTOL = 1e-9
 
 #: Relative tolerance of :func:`rule_from_json` against the re-solved rule.
 _JSON_RTOL = 1e-9
+
+
+def _order_parity(d: int) -> str:
+    """The parity of order d: the parity of its nodes and of its right-hand side."""
+    return "odd" if d % 2 else "even"
 
 
 def _check_parity(parity: str) -> str:
@@ -128,32 +133,38 @@ class SingularNodesError(ValueError):
 
 @dataclass(frozen=True)
 class PSRRule:
-    """A solved shift rule of order d.
+    """A shift rule of order d, solved from its nodes and frequencies on construction.
 
-    ``solve_coeffs`` is the raw solution b of the interpolation system; the
-    expanded form lists one coefficient gamma_mu per distinct evaluation
-    shift phi_mu, with the +-x merges of :func:`_expand` already applied, so that
+    ``solve_coeffs`` is the solution b of the interpolation system
+    (:func:`solve_coefficients`, which raises on nodes of the wrong parity or
+    singular nodes); the expanded form lists one coefficient gamma_mu per
+    distinct evaluation shift phi_mu, with the +-x merges of :func:`_expand`
+    already applied, so that
 
         f^(d)(x) = sum_mu gamma_mu * f(x + phi_mu).
+
+    Only the order, nodes and frequencies are settable; the rest is their solve.
     """
 
     order: int
     nodes: ShiftNodes
-    solve_coeffs: tuple[float, ...]
-    expanded_shifts: tuple[float, ...]
-    expanded_coeffs: tuple[float, ...]
     frequencies: FrequencySet
-    diagnostics: RuleDiagnostics | None = None
+    solve_coeffs: tuple[float, ...] = field(init=False, compare=False)
+    expanded_shifts: tuple[float, ...] = field(init=False, compare=False)
+    expanded_coeffs: tuple[float, ...] = field(init=False, compare=False)
+    diagnostics: RuleDiagnostics = field(init=False, compare=False)
 
     def __post_init__(self):
-        if ("odd" if self.order % 2 else "even") != self.parity:
-            raise ValueError(f"order {self.order} does not match parity {self.parity!r}")
-        if len(self.expanded_shifts) != len(self.expanded_coeffs):
-            raise ValueError("expanded shifts and coefficients must align")
+        b, diag = solve_coefficients(self.nodes, self.frequencies, self.order)
+        shifts, coeffs = _expand(self.parity, self.nodes.as_array(), b, self.frequencies)
+        object.__setattr__(self, "solve_coeffs", tuple(float(v) for v in b))
+        object.__setattr__(self, "expanded_shifts", shifts)
+        object.__setattr__(self, "expanded_coeffs", coeffs)
+        object.__setattr__(self, "diagnostics", diag)
 
     @property
     def parity(self) -> str:
-        """The nodes' parity, which must be the order's."""
+        """The nodes' parity, which is the order's."""
         return self.nodes.parity
 
 
@@ -251,7 +262,7 @@ def solve_coefficients(nodes: ShiftNodes, fs: FrequencySet, d: int) -> tuple[np.
             condition estimate exceeds ``CONDITION_LIMIT``.
         ValueError: when node parity does not match the parity of d.
     """
-    parity = "odd" if d % 2 else "even"
+    parity = _order_parity(d)
     if nodes.parity != parity:
         raise ValueError(f"order {d} needs {parity} nodes, got {nodes.parity}")
     if nodes.r != fs.r:
@@ -288,7 +299,7 @@ def solve_coefficients_stacked(nodes, fs: FrequencySet, d: int) -> tuple[np.ndar
     pays for its stack's matrices only.
     """
     x = np.asarray(nodes, dtype=float)
-    parity = "odd" if d % 2 else "even"
+    parity = _order_parity(d)
     rhs = _rhs_column(fs, d)
     m = rhs.shape[0]
     if x.ndim != 2 or x.shape[1] != m:
@@ -338,22 +349,9 @@ def _expand(parity: str, x: np.ndarray, b: np.ndarray, fs: FrequencySet) -> tupl
 
 @lru_cache(maxsize=256, typed=True)
 def make_rule(nodes: ShiftNodes, fs: FrequencySet, d: int) -> PSRRule:
-    """Solve for coefficients at the given nodes and package the full rule.
-
-    Memoised per (nodes, frequencies, order) and the order's type, like :func:`_rhs_column`; singular
-    nodes raise each time.
-    """
-    b, diag = solve_coefficients(nodes, fs, d)
-    shifts, coeffs = _expand(nodes.parity, nodes.as_array(), b, fs)
-    return PSRRule(
-        order=d,
-        nodes=nodes,
-        solve_coeffs=tuple(float(v) for v in b),
-        expanded_shifts=shifts,
-        expanded_coeffs=coeffs,
-        frequencies=fs,
-        diagnostics=diag,
-    )
+    """``PSRRule(d, nodes, fs)``, memoised per (nodes, frequencies, order) and the order's type, like
+    :func:`_rhs_column`; singular nodes raise each time."""
+    return PSRRule(d, nodes, fs)
 
 
 def _check_coverage(rule: PSRRule, evaluator) -> None:

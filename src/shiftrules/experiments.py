@@ -181,7 +181,7 @@ def valid_nodes_for(fs: FrequencySet, d: int, seed=0) -> epsr.ShiftNodes:
     solve, since they are nonsingular; any other set tries them first and
     falls back to seeded random draws until the conditioning check passes.
     """
-    first = epsr.scaled_equidistant_nodes(fs, "odd" if d % 2 else "even")
+    first = epsr.scaled_equidistant_nodes(fs, epsr._order_parity(d))
     equidistant = detect_equidistant(fs) is not None
     return first if equidistant else _draw_valid_nodes(fs, d, np.random.default_rng(seed), first=first)
 
@@ -193,7 +193,7 @@ def _draw_valid_nodes(fs: FrequencySet, d: int, rng, first: epsr.ShiftNodes | No
     x_0 = 0 and sort r uniforms on [0.05, pi).  The search gives up after
     200 tries, ``first`` included.
     """
-    parity = "odd" if d % 2 else "even"
+    parity = epsr._order_parity(d)
     nodes = first
     for _ in range(200):
         if nodes is None:
@@ -468,7 +468,7 @@ def _run_de_sweep(cfg: ExperimentConfig, reproducible: bool, emit_gnuplot: bool)
         fs = integer_frequencies(r)
         for d in range(1, cfg.d_max + 1):
             res = variance.optimize_shifts_global(fs, d, cfg.scheme, seed=[cfg.seed, 5, r, d])
-            rows.append((r, d, "odd" if d % 2 else "even", res.equidistant_error,
+            rows.append((r, d, epsr._order_parity(d), res.equidistant_error,
                          res.objective, float(r) ** d))
     plot = ["set view map", "set xlabel 'r'", "set ylabel 'd'", "set logscale cb",
             "splot 'de_sweep_errors.csv' using 1:2:4 skip 1 with points palette pt 5 ps 4 "

@@ -102,8 +102,10 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
     Raises:
         ValueError: on a ``dedup_tol`` that is not finite and >= 0, an empty
             spectrum, an eigenvalue spread max - min beyond the double range,
-            or when all eigenvalues coincide ("constant generator, no
-            frequencies").
+            when all eigenvalues coincide ("constant generator, no
+            frequencies"), or when a ``dedup_tol`` above ``DEFAULT_TOL`` cuts
+            at half the smallest gap it keeps or more, or keeps no gap of a
+            spectrum that has one.
     """
     if not 0.0 <= dedup_tol < math.inf:
         raise ValueError(f"dedup_tol must be finite and >= 0, not {dedup_tol!r}")
@@ -124,10 +126,19 @@ def positive_difference_frequencies(eigenvalues, dedup_tol: float = DEFAULT_TOL)
     diffs = np.abs(lam[None, :] - lam[:, None])[np.triu_indices(lam.size, k=1)]
     diffs = np.sort(diffs[diffs > cut])
     if diffs.size == 0:
+        if dedup_tol > DEFAULT_TOL and lam[-1] > lam[0]:
+            raise ValueError(f"dedup_tol {dedup_tol!r} cuts at {cut!r}, at or above every eigenvalue gap: "
+                             "no frequencies")
         raise ValueError("constant generator, no frequencies")
 
     clusters = np.split(diffs, np.flatnonzero(np.diff(diffs) > cut) + 1)
-    return FrequencySet(tuple(float(np.mean(c)) for c in clusters))
+    fs = FrequencySet(tuple(float(np.mean(c)) for c in clusters))
+    # above the default, such a cut may have dropped a genuine gap within cut of the smallest one it keeps
+    if dedup_tol > DEFAULT_TOL and cut >= 0.5 * diffs[0]:
+        raise ValueError(f"dedup_tol {dedup_tol!r} cuts at {cut!r}, at least half the gap {float(diffs[0])!r} "
+                         f"that starts the smallest frequency {fs.frequencies[0]!r}: it cannot tell that "
+                         "frequency from a degenerate gap")
+    return fs
 
 
 def detect_equidistant(fs: FrequencySet) -> float | None:

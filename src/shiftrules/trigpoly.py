@@ -48,10 +48,6 @@ class TrigPoly:
     def __call__(self, x):
         return self.derivative(0, x)
 
-    def evaluate(self, x):
-        """Value of the polynomial at ``x`` (scalar or array)."""
-        return self.derivative(0, x)
-
     def derivative(self, d: int, x):
         """Exact d-th derivative at ``x``; order 0 is the value.
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from .epsr import (
     ShiftNodes,
+    _order_parity,
     _top_power,
     build_A,
     equidistant_nodes,
@@ -43,7 +44,6 @@ from .epsr import (
 from .spectra import FrequencySet
 
 __all__ = [
-    "ShotAllocation",
     "OptimizeResult",
     "F_unif",
     "F_wgt",
@@ -123,32 +123,6 @@ def _norm_scheme(scheme: str) -> str:
 
 
 @dataclass(frozen=True)
-class ShotAllocation:
-    """Shot counts per expanded shift; their sum is the ``total``.
-
-    Built by :func:`allocate` for either scheme, or directly for any other
-    split.  Counts are kept fractional for analytic predictions; integer
-    rounding is applied only when a sampling run is executed (largest
-    remainder, see :func:`integer_shot_counts`).  Under the weighted scheme,
-    shifts with a zero coefficient receive zero shots and are skipped during
-    sampling.
-    """
-
-    counts: tuple[float, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "counts", tuple(float(c) for c in self.counts))
-        if self.total <= 0:
-            raise ValueError("total shot count must be positive")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("shot counts must be nonnegative")
-
-    @property
-    def total(self) -> float:
-        return float(np.sum(self.counts))
-
-
-@dataclass(frozen=True)
 class OptimizeResult:
     nodes: ShiftNodes
     objective: float
@@ -160,7 +134,7 @@ class OptimizeResult:
 def _parity_of(d: int) -> str:
     if d < 1:
         raise ValueError("derivative order must be >= 1 for node optimization")
-    return "odd" if d % 2 else "even"
+    return _order_parity(d)
 
 
 def F_unif(nodes: ShiftNodes, fs: FrequencySet, d: int) -> float:
@@ -218,40 +192,50 @@ def subgrad_F_wgt(nodes: ShiftNodes, fs: FrequencySet, d: int) -> np.ndarray:
     return _grad(nodes, fs, d, False)
 
 
-def allocate(scheme: str, gamma, n_total: float, shifts) -> ShotAllocation:
-    """Shot allocation over expanded shifts ``shifts`` with coefficients ``gamma``.
+def allocate(scheme: str, gamma, n_total: float, shifts) -> np.ndarray:
+    """Fractional shot counts, summing to ``n_total``, over expanded shifts with coefficients ``gamma``.
 
     uniform: equal counts per node, split evenly over the node's shifts
     (+-x share |phi|; a node merged by the rule has one shift), the split
     whose variance :func:`predicted_variance` gives.  weighted: counts
     proportional to |gamma_mu|, which is the variance-optimal split for the
-    given total.
+    given total, so a shift with a zero coefficient gets no shots.  Counts
+    stay fractional for analytic predictions; :func:`integer_shot_counts`
+    rounds them for a sampling run.
     """
     scheme = _norm_scheme(scheme)
     g = np.abs(np.asarray(gamma, dtype=float))
+    phi = np.abs(np.asarray(shifts, dtype=float))
+    if g.size != phi.size:
+        raise ValueError(f"gamma has {g.size} coefficients but shifts has {phi.size}; they must align")
     if g.size == 0 or np.all(g == 0):
         raise ValueError("coefficients must not all be zero")
+    if not n_total > 0:
+        raise ValueError(f"total shot count must be positive, not {n_total!r}")
     if scheme == "uniform":
-        phi = np.abs(np.asarray(shifts, dtype=float))
         _, node, per_node = np.unique(phi, return_inverse=True, return_counts=True)
-        counts = n_total / per_node.size / per_node[node]
-    else:
-        counts = n_total * g / g.sum()
-    return ShotAllocation(tuple(counts))
+        return n_total / per_node.size / per_node[node]
+    return n_total * g / g.sum()
 
 
-def integer_shot_counts(allocation: ShotAllocation) -> np.ndarray:
-    """Largest-remainder integerization of a fractional allocation.
+def integer_shot_counts(counts) -> np.ndarray:
+    """Largest-remainder integerization of fractional shot counts, such as :func:`allocate` returns.
 
-    When the total is at least the number of shifts with a positive
-    fractional count, each of them keeps at least one shot (stolen from the
-    largest bucket if rounding starved it).  Below that, some get 0 shots;
+    The counts must be nonnegative with a positive, integer total.  When the
+    total is at least the number of shifts with a positive fractional count,
+    each of them keeps at least one shot (stolen from the largest bucket if
+    rounding starved it).  Below that, some get 0 shots;
     :func:`shiftrules.experiments.sampled_estimates` refuses such totals.
     """
-    counts = np.asarray(allocation.counts)
-    total = int(round(allocation.total))
-    if abs(allocation.total - total) > 1e-9 * total:
-        raise ValueError(f"integer rounding needs an integer total, not {allocation.total!r}")
+    counts = np.asarray(counts, dtype=float)
+    exact = float(np.sum(counts))
+    if not exact > 0:
+        raise ValueError(f"total shot count must be positive, not {exact!r}")
+    if np.any(counts < 0):
+        raise ValueError("shot counts must be nonnegative")
+    total = int(round(exact))
+    if abs(exact - total) > 1e-9 * total:
+        raise ValueError(f"integer rounding needs an integer total, not {exact!r}")
     floors = np.floor(counts).astype(int)
     leftover = total - int(floors.sum())
     order = np.argsort(-(counts - floors), kind="stable")

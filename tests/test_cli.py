@@ -98,6 +98,18 @@ def test_freq_names_a_bad_tolerance_or_an_overflowing_spread(capsys, argv, messa
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("tol, message", [
+    ("0.5", "dedup_tol 0.5 cuts at 1.5, at least half the gap 2.0 that starts the smallest frequency 2.5: "
+            "it cannot tell that frequency from a degenerate gap"),
+    ("1", "dedup_tol 1.0 cuts at 3.0, at or above every eigenvalue gap: no frequencies"),
+])
+def test_freq_refuses_a_tolerance_that_cannot_tell_a_frequency_from_a_degenerate_gap(capsys, tol, message):
+    # the gaps of 0,1,3 are 1, 2 and 3: tolerance 0.5 once printed {2.5} with exit 0
+    code, out, err = run(capsys, "freq", "--eigs", "0,1,3", "--dedup-tol", tol)
+    assert code == EXIT_VALIDATION and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_freq_requires_one_source(capsys):
     code, _, err = run(capsys, "freq")
     assert code == EXIT_VALIDATION

@@ -38,6 +38,29 @@ def test_a_tolerance_that_is_not_finite_and_nonnegative_is_named(tol):
         spectra.positive_difference_frequencies([0.0, 1.0, 3.0], tol)
 
 
+@pytest.mark.parametrize("tol, merged", [(0.5, 2.5), (0.4, 2.5), (0.2, 1.0)])
+def test_a_tolerance_that_cuts_at_half_the_smallest_frequency_is_refused(tol, merged):
+    # the gaps of 0, 1, 3 are 1, 2 and 3; unchecked, tolerances 0.4 and 0.5
+    # dropped the gap 1 and merged 2 and 3 into {2.5}
+    with pytest.raises(ValueError, match=rf"dedup_tol {tol!r} cuts at .*, at least half the gap .* that starts "
+                                         rf"the smallest frequency {merged!r}: it cannot tell that frequency"):
+        spectra.positive_difference_frequencies([0.0, 1.0, 3.0], tol)
+
+
+def test_a_tolerance_that_cuts_every_gap_is_refused():
+    # unchecked, it read "constant generator, no frequencies"
+    with pytest.raises(ValueError, match=r"dedup_tol 1.0 cuts at 3.0, at or above every eigenvalue gap"):
+        spectra.positive_difference_frequencies([0.0, 1.0, 3.0], 1.0)
+    with pytest.raises(ValueError, match="constant generator"):
+        spectra.positive_difference_frequencies([2.0, 2.0], 1.0)
+
+
+def test_a_tolerance_below_half_the_smallest_gap_merges():
+    assert spectra.positive_difference_frequencies([0.0, 1.0, 2.01], 0.01).frequencies == pytest.approx(
+        (1.005, 2.01), abs=1e-12)
+    assert spectra.positive_difference_frequencies([0.0, 1.0, 3.0], 0.1).frequencies == (1.0, 2.0, 3.0)
+
+
 def test_a_spread_beyond_the_double_range_is_named():
     # unchecked, the gap overflowed with numpy's RuntimeWarning and read as
     # "frequencies must be finite"; a spread just within the range is kept

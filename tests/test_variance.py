@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import shiftrules
 from shiftrules import epsr, variance
 from shiftrules.epsr import (
     ShiftNodes,
@@ -21,7 +22,6 @@ from shiftrules.spectra import FrequencySet, integer_frequencies
 from shiftrules.variance import (
     F_unif,
     F_wgt,
-    ShotAllocation,
     allocate,
     allocation_variance,
     canonical_nodes,
@@ -219,20 +219,20 @@ def test_subgrad_single_node_analytic():
 def test_allocate_uniform_example():
     rule = make_rule(EQUI2, FS12, 1)
     alloc = allocate("uniform", rule.expanded_coeffs, 1000, rule.expanded_shifts)
-    assert np.allclose(alloc.counts, [250.0] * 4)
+    assert np.allclose(alloc, [250.0] * 4)
 
 
 def test_allocate_weighted_example():
     rule = make_rule(EQUI2, FS12, 1)
     alloc = allocate("weighted", rule.expanded_coeffs, 1000, rule.expanded_shifts)
-    fractions = np.asarray(alloc.counts) / 1000
+    fractions = alloc / 1000
     assert np.allclose(sorted(fractions), sorted([0.4268, 0.0732, 0.4268, 0.0732]), atol=1e-4)
 
 
 def test_allocate_single_shift():
     for scheme in ("uniform", "weighted"):
         alloc = allocate(scheme, [0.5], 100, [1.0])
-        assert alloc.counts == (100.0,)
+        assert alloc.tolist() == [100.0]
 
 
 def test_allocate_validation():
@@ -244,6 +244,20 @@ def test_allocate_validation():
         allocate("weighted", [0.0, 0.0], 100, [1.0, 2.0])
     with pytest.raises(ValueError):
         allocate("bogus", [0.5], 100, [1.0])
+
+
+@pytest.mark.parametrize("scheme", ["uniform", "weighted"])
+def test_allocate_refuses_coefficients_and_shifts_of_different_lengths(scheme):
+    # unchecked, uniform returned 2 counts for 3 coefficients and weighted 3
+    with pytest.raises(ValueError, match="gamma has 3 coefficients but shifts has 2"):
+        allocate(scheme, [1, 2, 3], 100, [0.5, 1.0])
+
+
+def test_shot_allocation_class_is_gone():
+    # allocate returns the counts array itself
+    assert not hasattr(variance, "ShotAllocation")
+    assert "ShotAllocation" not in variance.__all__
+    assert "ShotAllocation" not in shiftrules.__all__ and not hasattr(shiftrules, "ShotAllocation")
 
 
 _SCHEME_ENTRY_POINTS = {
@@ -263,19 +277,24 @@ def test_every_scheme_entry_point_rejects_custom_alike(entry):
 
 
 def test_shot_allocation_invariants():
-    with pytest.raises(ValueError):
-        ShotAllocation((-1.0, 101.0))
+    # integer_shot_counts refuses negative counts, a total that is not
+    # positive and a total that is not an integer
+    with pytest.raises(ValueError, match="shot counts must be nonnegative"):
+        integer_shot_counts([-1.0, 101.0])
+    for counts in ([0.0, 0.0], [-1.0, 0.5]):
+        with pytest.raises(ValueError, match="total shot count must be positive"):
+            integer_shot_counts(counts)
+    with pytest.raises(ValueError, match="integer rounding needs an integer total, not 100.5"):
+        integer_shot_counts([50.0, 50.5])
 
 
 def test_integer_shot_counts_largest_remainder():
-    alloc = ShotAllocation((333.4, 333.3, 333.3))
-    counts = integer_shot_counts(alloc)
+    counts = integer_shot_counts([333.4, 333.3, 333.3])
     assert counts.sum() == 1000 and counts[0] == 334
 
 
 def test_integer_shot_counts_keeps_active_shifts():
-    alloc = ShotAllocation((0.4, 999.6))
-    counts = integer_shot_counts(alloc)
+    counts = integer_shot_counts([0.4, 999.6])
     assert counts.sum() == 1000 and counts[0] >= 1
 
 
@@ -287,10 +306,11 @@ _COEFFS = st.lists(
 def test_integer_shot_counts_properties(gamma, n_total, scheme):
     assume(any(g != 0.0 for g in gamma))
     alloc = allocate(scheme, gamma, n_total, range(1, len(gamma) + 1))
+    assert isinstance(alloc, np.ndarray) and alloc.sum() == pytest.approx(n_total, rel=1e-12)
     counts = integer_shot_counts(alloc)
     assert counts.sum() == n_total
     assert np.all(counts >= 0)
-    active = np.asarray(alloc.counts) > 0
+    active = alloc > 0
     if n_total >= active.sum():
         assert np.all(counts[active] > 0)
 
@@ -358,7 +378,7 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
 
     weighted = allocate("weighted", gamma, n_total, rule.expanded_shifts)
     want = predicted_variance(b, "weighted")
-    assert allocation_variance(gamma, weighted.counts) * n_total == pytest.approx(want, rel=1e-9)
+    assert allocation_variance(gamma, weighted) * n_total == pytest.approx(want, rel=1e-9)
 
     # the uniform prediction gives every node the same shots, split evenly
     # over the node's shifts, which is the uniform allocation
@@ -366,9 +386,9 @@ def test_predicted_variance_matches_allocation_variance(seed, r, d, integer, pin
     shifts_per_node = np.array([np.sum(phi == p) for p in phi])
     per_node = n_total / (len(nodes.values) * shifts_per_node)
     uniform = allocate("uniform", gamma, n_total, rule.expanded_shifts)
-    assert np.allclose(uniform.counts, per_node, rtol=1e-12, atol=0)
+    assert np.allclose(uniform, per_node, rtol=1e-12, atol=0)
     want = predicted_variance(b, "uniform")
-    assert allocation_variance(gamma, uniform.counts) * n_total == pytest.approx(want, rel=1e-9)
+    assert allocation_variance(gamma, uniform) * n_total == pytest.approx(want, rel=1e-9)
 
 
 class _UnitVarianceSlice:
@@ -402,7 +422,7 @@ def test_sampled_allocation_has_the_predicted_variance(seed, r, d, integer, pin)
     assert len(drawn) == 2
     for scheme, allocation in zip(("uniform", "weighted"), drawn):
         want = predicted_variance(rule.solve_coeffs, scheme)
-        assert allocation_variance(gamma, allocation.counts) * 1000 == pytest.approx(want, rel=1e-9)
+        assert allocation_variance(gamma, allocation) * 1000 == pytest.approx(want, rel=1e-9)
         assert want == pytest.approx(scale[scheme], rel=1e-12)
 
 
@@ -410,7 +430,7 @@ def test_weighted_split_allocation_variance_matches_formula():
     rule = make_rule(EQUI2, FS12, 1)
     gamma = np.asarray(rule.expanded_coeffs)
     alloc = allocate("weighted", gamma, 1000, rule.expanded_shifts)
-    assert allocation_variance(gamma, np.asarray(alloc.counts) / 1000) == pytest.approx(4.0, rel=1e-9)
+    assert allocation_variance(gamma, alloc / 1000) == pytest.approx(4.0, rel=1e-9)
 
 
 def test_weighted_dominance():
