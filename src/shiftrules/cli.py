@@ -72,6 +72,8 @@ def _floats(text: str) -> tuple[float, ...]:
 def _circuit_run(args):
     """Checked settings of ``freq --circuit`` or ``estimate``, and the cost slice they name."""
     s = argparse.Namespace(**{**_FIELD_DEFAULTS, **vars(args)})
+    if s.circuit is None:
+        raise ConfigError("--circuit is required; available: xxz-hva")
     if s.circuit != "xxz-hva":
         raise ConfigError(f"unknown circuit {s.circuit!r}; available: xxz-hva")
     if getattr(s, "param", None) is None:

@@ -18,16 +18,19 @@ companion gnuplot script):
   reference across (r, d) combinations.
 
 Every run is deterministic given the config seed: each table of sampled
-estimates draws from one generator keyed by the seed and the table's place
-in the experiment (see :func:`sampled_estimates` for the stream layout).
+estimates draws from the child streams of one seed sequence keyed by the
+seed and the table's place in the experiment, and its bytes do not depend
+on the CPU count (see :func:`sampled_estimates` for the stream layout).
 """
 
 from __future__ import annotations
 
 import datetime
+import functools
 import itertools
 import json
 import os
+import threading
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -303,6 +306,40 @@ def _level_tables(observable: qsim.PauliSumObservable, states: np.ndarray) -> tu
     return levels, pr / pr.sum(axis=1, keepdims=True)
 
 
+def _run_jobs(jobs: list) -> list:
+    """The results of the zero-argument callables ``jobs``, in order, computed on up to one thread per CPU.
+
+    The CPUs are those the process may run on (``os.cpu_count()`` where
+    affinity is unavailable); the calling thread takes jobs too, and no more
+    threads start than there are jobs.  After every thread has stopped, the
+    first failure in job order is raised.
+    """
+    n_cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    n_threads, results = min(n_cpus, len(jobs)), [None] * len(jobs)
+
+    def work(first):
+        for k in range(first, len(jobs), n_threads):  # thread t takes jobs t, t + n_threads, ...
+            try:
+                results[k] = jobs[k]()
+            except Exception as exc:
+                results[k] = exc
+
+    threads = []
+    try:
+        for first in range(1, n_threads):
+            t = threading.Thread(target=work, args=(first,))
+            t.start()
+            threads.append(t)
+        work(0)
+    finally:
+        for t in threads:
+            t.join()
+    for r in results:
+        if isinstance(r, Exception):
+            raise r
+    return results
+
+
 def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schemes,
                       n_total: int, repetitions: int, seed_key,
                       method: str = "multinomial") -> dict[str, np.ndarray]:
@@ -321,13 +358,18 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     shifts: per node for ``uniform``, so the draws have the variance that
     :func:`variance.predicted_variance` gives for both schemes.
 
-    Stream layout: one generator ``np.random.default_rng(seed_key)`` per
-    call; for each scheme in order, then each expanded shift in rule order
-    (skipping zero coefficients and zero shot counts), all ``repetitions``
-    draws of that shift at once.  Before any state is built or shot drawn,
-    a rule that does not cover ``sl.frequencies`` raises ValueError, as in
-    :func:`epsr.apply_rule`, and so do an xbar that rounds the rule's shifts
-    away (:func:`epsr._shifted_points`) and an ``n_total`` below the number of
+    Stream layout: ``np.random.SeedSequence(seed_key)`` spawns one child
+    stream per (scheme, expanded shift), in scheme order, then rule shift
+    order; a shift with a zero coefficient or zero shots keeps its child
+    and draws nothing.  Each shift draws all ``repetitions`` at once from
+    its own child, and the shifts draw concurrently (see :func:`_run_jobs`);
+    each scheme's column sums their parts in rule shift order.  So no
+    shift's draws depend on another's, the bytes do not depend on the CPU
+    count, and the first k repetitions are the same for any count >= k.
+    Before any state is built or shot drawn, a rule that does not cover
+    ``sl.frequencies`` raises ValueError, as in :func:`epsr.apply_rule`,
+    and so do an xbar that rounds the rule's shifts away
+    (:func:`epsr._shifted_points`) and an ``n_total`` below the number of
     shifts with a nonzero coefficient, which would leave some of their terms
     without a shot.
     """
@@ -345,22 +387,29 @@ def sampled_estimates(sl: qsim.CostSlice, rule: epsr.PSRRule, xbar: float, schem
     else:
         raise ValueError(f"unknown sampling method {method!r}")
 
-    rng = np.random.default_rng(seed_key)
-    out = {}
-    for s in schemes:
+    # the worker threads draw and do arithmetic only: every shiftrules call
+    # stays on the calling thread
+    def draw(child, g, table, n):
+        rng = np.random.default_rng(child)
+        if method == "multinomial":
+            # a row sum, not a BLAS product, so that each row's rounding does not depend on the row count
+            return g * (rng.multinomial(n, table, size=repetitions) * levels).sum(axis=1) / n
+        mean, var = table
+        return g * rng.normal(mean, np.sqrt(var / n), size=repetitions)
+
+    m = len(gamma)
+    children = np.random.SeedSequence(seed_key).spawn(len(schemes) * m)
+    jobs, column = [], []
+    for i, s in enumerate(schemes):
         counts = variance.integer_shot_counts(variance.allocate(s, gamma, n_total, rule.expanded_shifts))
-        acc = np.zeros(repetitions)
-        for g, table, n in zip(gamma, tables, counts):
-            if g == 0.0 or n == 0:
-                continue
-            n = int(n)
-            if method == "multinomial":
-                acc += g * (rng.multinomial(n, table, size=repetitions) @ levels) / n
-            else:
-                mean, var = table
-                acc += g * rng.normal(mean, np.sqrt(var / n), size=repetitions)
-        out[s] = acc
-    return out
+        for child, g, table, n in zip(children[i * m:(i + 1) * m], gamma, tables, counts):
+            if g != 0.0 and n != 0:
+                jobs.append(functools.partial(draw, child, g, table, int(n)))
+                column.append(i)
+    acc = np.zeros((len(schemes), repetitions))
+    for i, part in zip(column, _run_jobs(jobs)):
+        acc[i] += part
+    return {s: acc[i] for i, s in enumerate(schemes)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,9 +1,13 @@
 import dataclasses
+import functools
+import importlib
+import inspect
 import json
 import math
 import os
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -407,6 +411,17 @@ def test_estimate_has_no_shots_flag(capsys):
     assert exc.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "unrecognized arguments: --shots" in captured.err
+
+
+@pytest.mark.parametrize("mode", [("--exact",), ("--repetitions", "5")])
+@pytest.mark.parametrize("flags,message", [
+    ((), "--circuit is required; available: xxz-hva"),
+    (("--circuit", "bogus"), "unknown circuit 'bogus'; available: xxz-hva"),
+])
+def test_estimate_names_a_missing_or_unknown_circuit(capsys, mode, flags, message):
+    code, out, err = run(capsys, "estimate", "--q", "5", "--param", "0", *mode, *flags)
+    assert code == EXIT_CONFIG
+    assert out == "" and message in err and "None" not in err
 
 
 @pytest.mark.parametrize("scheme", ["uniform", "weighted"])
@@ -1057,20 +1072,109 @@ for argv in (["experiment", "--id", "landscape", "--reproducible", "--out-dir", 
 """
 
 
+def _seeded_outputs(cwd: Path, script: str, preexec_fn=None, **env) -> dict[str, bytes]:
+    """The files a ``python -c script`` run writes in a fresh ``cwd``, by relative path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cwd.mkdir()
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script], cwd=cwd, env=env, preexec_fn=preexec_fn,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return {str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()}
+
+
 def test_seeded_output_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # the same relative --out-dir in both runs, so the config echoes match too
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    outputs = []
-    for threads in ("1", "2"):
-        cwd = tmp_path / f"threads{threads}"
-        cwd.mkdir()
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", _SEEDED_RUNS], cwd=cwd, env=env,
-                              capture_output=True, text=True, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        outputs.append({str(p.relative_to(cwd)): p.read_bytes() for p in sorted(cwd.rglob("*")) if p.is_file()})
+    outputs = [_seeded_outputs(tmp_path / f"threads{threads}", _SEEDED_RUNS, OPENBLAS_NUM_THREADS=threads)
+               for threads in ("1", "2")]
     # each experiment's CSVs, then its config echo; the DE and Newton polish
     # of the node search run in the de-sweep and the rule
     assert len(outputs[0]) == (6 + 1) + (2 + 1) + (1 + 1) + (1 + 1) + 1
     assert outputs[1] == outputs[0]
+
+
+_SAMPLED_RUNS = """
+import sys
+from shiftrules.cli import main
+for argv in (["experiment", "--id", "result2", "--q", "5", "--params", "0", "1", "7", "--reproducible",
+              "--out-dir", "result2"],
+             ["experiment", "--id", "result3", "--q", "5", "--reproducible", "--out-dir", "result3"],
+             ["estimate", "--circuit", "xxz-hva", "--q", "5", "--param", "1", "--method", "gaussian",
+              "--out", "estimate.csv", "--reproducible"]):
+    if main(argv) != 0:
+        sys.exit(1)
+"""
+
+
+def test_seeded_output_bytes_do_not_depend_on_the_cpu_count(tmp_path):
+    # pinned to one CPU, sampled_estimates draws on the calling thread alone;
+    # unpinned, on one thread per CPU
+    cpu = min(os.sched_getaffinity(0))
+    pinned = _seeded_outputs(tmp_path / "one_cpu", _SAMPLED_RUNS, lambda: os.sched_setaffinity(0, {cpu}))
+    unpinned = _seeded_outputs(tmp_path / "all_cpus", _SAMPLED_RUNS)
+    assert len(pinned) == (3 + 1) + (2 + 1) + 1
+    assert unpinned == pinned
+
+
+def _fan_out_to(monkeypatch, n_cpus: int) -> list:
+    """Let sampled_estimates see ``n_cpus`` CPUs; the returned list collects the threads it starts."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n_cpus)))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self) or start(self))
+    return started
+
+
+def test_every_shiftrules_call_of_a_sampled_run_stays_on_the_main_thread(tmp_path, capsys, monkeypatch):
+    # a tracer that wraps the public functions of the package's modules, as
+    # perfbench/tracing.py does, keeps one span stack: the draw threads must
+    # not call through it
+    modules = [importlib.import_module(f"shiftrules.{m}")
+               for m in ("cli", "experiments", "variance", "epsr", "qsim", "trigpoly", "spectra")]
+    public = {id(obj): obj for mod in modules for attr, obj in vars(mod).items()
+              if inspect.isfunction(obj) and not attr.startswith("_")
+              and obj.__module__.startswith("shiftrules.") and obj.__name__ == attr}
+    callers = Counter()
+
+    def wrap(fn):
+        @functools.wraps(fn)
+        def traced(*args, **kwargs):
+            callers[threading.get_ident()] += 1
+            return fn(*args, **kwargs)
+        return traced
+
+    wrappers = {key: wrap(fn) for key, fn in public.items()}
+    for mod in modules:
+        for attr, obj in list(vars(mod).items()):
+            if id(obj) in wrappers:
+                monkeypatch.setattr(mod, attr, wrappers[id(obj)])
+    started = _fan_out_to(monkeypatch, 4)
+    code, _, err = run(capsys, "experiment", "--id", "result2", "--q", "5", "--params", "0", "1",
+                       "--repetitions", "50", "--out-dir", str(tmp_path))
+    assert code == EXIT_OK, err
+    assert len(started) == 2 * 3  # two parameters, three draw threads beside the caller
+    assert list(callers) == [threading.get_ident()]
+
+
+def test_a_draw_failure_on_any_thread_exits_as_a_serial_run_does(tmp_path, capsys, monkeypatch):
+    # a negative outcome probability in the last shift's table: its draw
+    # raises wherever it runs, and no CSV or config echo is written
+    real = experiments._level_tables
+
+    def negative(observable, states):
+        levels, tables = real(observable, states)
+        tables[-1, 0] = -0.5
+        return levels, tables
+
+    monkeypatch.setattr(experiments, "_level_tables", negative)
+    results = []
+    for n_cpus in (1, 4):
+        with monkeypatch.context() as m:
+            started = _fan_out_to(m, n_cpus)
+            out = tmp_path / f"cpus{n_cpus}"
+            results.append(run(capsys, "experiment", "--id", "result2", "--q", "5", "--out-dir", str(out)))
+        assert len(started) == (0 if n_cpus == 1 else 3)
+        assert not any(out.iterdir())
+    assert results[1] == results[0]
+    code, out, err = results[0]
+    assert code == EXIT_VALIDATION and out == "" and "pvals < 0" in err

@@ -1,6 +1,10 @@
+import functools
 import io
 import json
 import math
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -419,6 +423,67 @@ def test_sampled_estimates_deterministic():
         assert a[s].shape == (16,)
         assert np.array_equal(a[s], b[s])
         assert not np.array_equal(a[s], c[s])
+
+
+def test_run_jobs_runs_each_job_once_in_job_order_on_many_threads(monkeypatch):
+    # more threads than cores, switching as often as the interpreter allows
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(16)))
+    ran = [[] for _ in range(200)]
+
+    def job(k):
+        ran[k].append(threading.get_ident())
+        if k in (50, 150):
+            raise ValueError(f"job {k}")
+        return k * k
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = experiments._run_jobs([functools.partial(job, k) for k in range(200) if k not in (50, 150)])
+        with pytest.raises(ValueError, match="^job 50$"):
+            experiments._run_jobs([functools.partial(job, k) for k in range(200)])
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [k * k for k in range(200) if k not in (50, 150)]
+    assert [len(r) for r in ran] == [1 if k in (50, 150) else 2 for k in range(200)]
+    assert len({ident for r in ran for ident in r}) > 1
+
+
+@pytest.mark.parametrize("method", ["multinomial", "gaussian"])
+def test_sampled_estimates_follow_the_stream_layout(method):
+    # one child of SeedSequence(seed_key) per (scheme, expanded shift), in
+    # that order; each shift draws alone, and a column sums its parts in rule order
+    sl, rule, xbar = _xxz_slice_and_rule(1)
+    gamma = np.asarray(rule.expanded_coeffs)
+    points = epsr._shifted_points(rule, xbar)
+    levels, tables = _level_tables(sl.observable, sl.state(points))
+    means, variances = sl(points), sl.one_shot_variance(points)
+    schemes, reps = ("uniform", "weighted"), 40
+    children = np.random.SeedSequence([5, 6]).spawn(len(schemes) * len(gamma))
+    got = sampled_estimates(sl, rule, xbar, schemes, 1000, reps, [5, 6], method)
+    for i, s in enumerate(schemes):
+        counts = variance.integer_shot_counts(variance.allocate(s, gamma, 1000, rule.expanded_shifts))
+        want = np.zeros(reps)
+        for k, (g, n) in enumerate(zip(gamma, counts)):
+            rng = np.random.default_rng(children[i * len(gamma) + k])
+            if method == "multinomial":
+                want += g * (rng.multinomial(n, tables[k], size=reps) * levels).sum(axis=1) / n
+            else:
+                want += g * rng.normal(means[k], np.sqrt(variances[k] / n), size=reps)
+        assert got[s].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("method", ["multinomial", "gaussian"])
+def test_the_first_repetitions_do_not_depend_on_the_repetition_count(method):
+    # summed by a BLAS product (counts @ levels), rows 48 and 49 of a
+    # 50-repetition multinomial part differed from the same rows at 500
+    schemes = ("uniform", "weighted")
+    for j in (0, 1):
+        sl, rule, xbar = _xxz_slice_and_rule(j)
+        short = sampled_estimates(sl, rule, xbar, schemes, 1000, 50, [0, 2, j], method)
+        long = sampled_estimates(sl, rule, xbar, schemes, 1000, 500, [0, 2, j], method)
+        for s in schemes:
+            assert short[s].tobytes() == long[s][:50].tobytes()
 
 
 def test_multinomial_draws_ignore_round_off_in_the_states(monkeypatch):
